@@ -10,8 +10,9 @@
 //  * "composim.bench.analysis/1" (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
-//    >= 95%, the jobs-1-vs-4 determinism flag, and the run-diff's
-//    compute-not-dominant flag.
+//    >= 95%, the jobs-1-vs-4 determinism flag, and a run diff with a
+//    non-zero wall delta whose dominant bucket is exposed_comm or
+//    fabric_contention.
 //
 // Exit code 0 on success, 1 with a diagnostic on stderr otherwise. Used
 // by the bench_smoke and bench_analysis ctests; accepts one or more
@@ -185,9 +186,22 @@ int validateAnalysis(const Json& doc) {
   if (diff == nullptr || !diff->isObject()) {
     return fail("missing run_diff section");
   }
-  const Json* nd = diff->find("compute_not_dominant");
-  if (nd == nullptr || !nd->isBool() || !nd->asBool()) {
-    return fail("run_diff.compute_not_dominant missing or false");
+  const Json* delta = diff->find("wall_delta_s");
+  if (delta == nullptr || !delta->isNumber() || delta->asDouble() == 0.0) {
+    return fail("run_diff.wall_delta_s missing or zero");
+  }
+  const Json* dominant = diff->find("dominant_bucket");
+  if (dominant == nullptr || !dominant->isString() ||
+      (dominant->asString() != "exposed_comm" &&
+       dominant->asString() != "fabric_contention")) {
+    return fail("run_diff.dominant_bucket missing or not "
+                "exposed_comm/fabric_contention");
+  }
+  for (const char* flag : {"wall_delta_nonzero", "comm_dominant"}) {
+    const Json* v = diff->find(flag);
+    if (v == nullptr || !v->isBool() || !v->asBool()) {
+      return fail(std::string("run_diff.") + flag + " missing or false");
+    }
   }
   return 0;
 }

@@ -65,7 +65,8 @@ void BM_MaxMinRecompute(benchmark::State& state) {
     const auto hub = topo.addNode("hub", fabric::NodeKind::PcieSwitch);
     std::vector<fabric::NodeId> leaves;
     for (int i = 0; i < 8; ++i) {
-      leaves.push_back(topo.addNode("l" + std::to_string(i), fabric::NodeKind::Gpu));
+      leaves.push_back(topo.addNode(std::string("l").append(std::to_string(i)),
+                                    fabric::NodeKind::Gpu));
       topo.addDuplexLink(leaves.back(), hub, units::GBps(10), 0.0,
                          fabric::LinkKind::PCIe4);
     }
@@ -88,7 +89,8 @@ void BM_RingAllReduceSimulation(benchmark::State& state) {
     fabric::FlowNetwork net(sim, topo);
     std::vector<fabric::NodeId> gpus;
     for (int i = 0; i < 8; ++i) {
-      gpus.push_back(topo.addNode("g" + std::to_string(i), fabric::NodeKind::Gpu));
+      gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                  fabric::NodeKind::Gpu));
     }
     fabric::buildHybridCubeMesh(topo, gpus);
     collectives::Communicator comm(sim, net, topo, gpus);

@@ -53,10 +53,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into std::allocator at -O3, the free() would trip
+// GCC 12's -Wmismatched-new-delete against the operator new it pairs with.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -79,10 +85,10 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
   for (int c = 0; c < chassis; ++c) {
     const auto dom = static_cast<fabric::DomainId>(c);
     const fabric::NodeId h0 =
-        f.topo.addNode("ch" + std::to_string(c) + ".hub0",
+        f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".hub0",
                        fabric::NodeKind::PcieSwitch);
     const fabric::NodeId h1 =
-        f.topo.addNode("ch" + std::to_string(c) + ".hub1",
+        f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".hub1",
                        fabric::NodeKind::PcieSwitch);
     f.topo.setNodeDomain(h0, dom);
     f.topo.setNodeDomain(h1, dom);
@@ -92,7 +98,8 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
                          fabric::LinkKind::PCIe4);
     for (int g = 0; g < 8; ++g) {
       const fabric::NodeId gpu =
-          f.topo.addNode("ch" + std::to_string(c) + ".gpu" + std::to_string(g),
+          f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".gpu" +
+                             std::to_string(g),
                          fabric::NodeKind::Gpu);
       f.topo.setNodeDomain(gpu, dom);
       f.topo.addDuplexLink(gpu, g < 4 ? h0 : h1, units::GBps(16), lat(1),

@@ -67,7 +67,7 @@ int main() {
   std::printf("Resource list:\n");
   telemetry::Table t({"Slot", "Type", "Device", "Link", "Host"});
   for (const auto& row : chassis.resourceList()) {
-    t.addRow({"d" + std::to_string(row.slot.drawer) + "s" +
+    t.addRow({std::string("d").append(std::to_string(row.slot.drawer)) + "s" +
                   std::to_string(row.slot.index),
               falcon::toString(row.type), row.device_name, row.link_speed,
               row.host_name.empty() ? "-" : row.host_name});

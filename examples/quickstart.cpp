@@ -34,8 +34,6 @@
 // alerts the rules raised.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "core/experiment.hpp"
 #include "core/experiment_config.hpp"
@@ -44,56 +42,6 @@
 #include "telemetry/report.hpp"
 
 using namespace composim;
-
-namespace {
-
-/// `spec` is inline JSON (starts with '{') or a path to a JSON file.
-bool loadSpec(const char* what, const std::string& spec, falcon::Json* out) {
-  std::string text = spec;
-  if (text.empty() || text[0] != '{') {
-    std::ifstream in(spec);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s spec %s\n", what, spec.c_str());
-      return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
-  try {
-    *out = falcon::Json::parse(text);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s spec error: %s\n", what, e.what());
-    return false;
-  }
-  return true;
-}
-
-bool loadFaults(const std::string& spec, core::FaultsConfig* out) {
-  falcon::Json doc;
-  if (!loadSpec("faults", spec, &doc)) return false;
-  try {
-    *out = core::parseFaultsConfig(doc);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "faults spec error: %s\n", e.what());
-    return false;
-  }
-  return true;
-}
-
-bool loadMetrics(const std::string& spec, core::MetricsConfig* out) {
-  falcon::Json doc;
-  if (!loadSpec("metrics", spec, &doc)) return false;
-  try {
-    *out = core::parseMetricsConfig(doc);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "metrics spec error: %s\n", e.what());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   core::ExperimentOptions opt;
@@ -109,13 +57,21 @@ int main(int argc, char** argv) {
       opt.workload = argv[++i];
     }
     if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      if (!loadFaults(argv[++i], &opt.faults)) return 1;
+      if (const Status s = core::loadFaultsConfig(argv[++i], &opt.faults);
+          !s) {
+        std::fprintf(stderr, "faults spec error: %s\n", s.toString().c_str());
+        return 1;
+      }
       // Fault schedules target Falcon devices; compose the GPUs from the
       // chassis so there is something to fail and re-attach.
       config = core::SystemConfig::FalconGpus;
     }
     if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      if (!loadMetrics(argv[++i], &opt.metrics)) return 1;
+      if (const Status s = core::loadMetricsConfig(argv[++i], &opt.metrics);
+          !s) {
+        std::fprintf(stderr, "metrics spec error: %s\n", s.toString().c_str());
+        return 1;
+      }
       export_metrics = true;
     }
   }

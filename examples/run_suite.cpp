@@ -56,8 +56,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "core/experiment_config.hpp"
@@ -137,35 +135,11 @@ int main(int argc, char** argv) {
   }
 
   // Shared specs: inline JSON (starts with '{') or a path to a JSON file.
-  auto load_spec = [](const char* what, const std::string& spec,
-                      falcon::Json* out) {
-    std::string text = spec;
-    if (text.empty() || text[0] != '{') {
-      std::ifstream fin(spec);
-      if (!fin) {
-        std::fprintf(stderr, "cannot open %s spec %s\n", what, spec.c_str());
-        return false;
-      }
-      std::ostringstream fbuf;
-      fbuf << fin.rdbuf();
-      text = fbuf.str();
-    }
-    try {
-      *out = falcon::Json::parse(text);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s spec error: %s\n", what, e.what());
-      return false;
-    }
-    return true;
-  };
-
   core::FaultsConfig shared_faults;
   if (!faults_spec.empty()) {
-    falcon::Json doc;
-    if (!load_spec("faults", faults_spec, &doc)) return 1;
-    // The Status overload lists the valid fault kinds on bad input, so a
+    // The faults loader lists the valid fault kinds on bad input, so a
     // typo'd reproducer tells the operator how to fix itself.
-    const Status st = core::parseFaultsConfig(doc, &shared_faults);
+    const Status st = core::loadFaultsConfig(faults_spec, &shared_faults);
     if (!st.ok) {
       std::fprintf(stderr, "faults spec error: %s\n", st.toString().c_str());
       return 1;
@@ -175,12 +149,9 @@ int main(int argc, char** argv) {
   core::MetricsConfig shared_metrics;
   bool export_metrics = false;
   if (!metrics_spec.empty()) {
-    falcon::Json doc;
-    if (!load_spec("metrics", metrics_spec, &doc)) return 1;
-    try {
-      shared_metrics = core::parseMetricsConfig(doc);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "metrics spec error: %s\n", e.what());
+    const Status st = core::loadMetricsConfig(metrics_spec, &shared_metrics);
+    if (!st.ok) {
+      std::fprintf(stderr, "metrics spec error: %s\n", st.toString().c_str());
       return 1;
     }
     export_metrics = true;
@@ -199,21 +170,9 @@ int main(int argc, char** argv) {
     }
     specs = workloadSuite(workload_ref);
   } else {
-    std::string text = kDemoSuite;
-    if (!pos.empty()) {
-      std::ifstream in(pos[0]);
-      if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", pos[0].c_str());
-        return 1;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      text = buf.str();
-    }
-    try {
-      specs = core::parseExperimentSuite(falcon::Json::parse(text));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "suite error: %s\n", e.what());
+    const std::string suite = pos.empty() ? kDemoSuite : pos[0];
+    if (const Status st = core::loadExperimentSuite(suite, &specs); !st) {
+      std::fprintf(stderr, "suite error: %s\n", st.toString().c_str());
       return 1;
     }
   }

@@ -54,8 +54,9 @@ Communicator::Communicator(Simulator& sim, fabric::FlowNetwork& net,
 
 void Communicator::beginOp(Op& op) {
   if (ProfileSink* sink = sim_.profiler()) {
+    const ProfileKeys& keys = profile_keys_.get(*sink, track_);
     op.corr = sink->newCorrelation();
-    sink->beginSpan(track_, "collectives", op.kind,
+    sink->beginSpan(keys.track, keys.category, sink->intern(op.kind),
                     {{"algorithm", toString(op.algorithm)},
                      {"payload_bytes", op.payload},
                      {"ranks", size()},
@@ -65,12 +66,15 @@ void Communicator::beginOp(Op& op) {
 
 void Communicator::beginPhase(const char* name) {
   if (ProfileSink* sink = sim_.profiler()) {
-    sink->beginSpan(track_, "collectives", name);
+    const ProfileKeys& keys = profile_keys_.get(*sink, track_);
+    sink->beginSpan(keys.track, keys.category, sink->intern(name));
   }
 }
 
 void Communicator::endPhase() {
-  if (ProfileSink* sink = sim_.profiler()) sink->endSpan(track_);
+  if (ProfileSink* sink = sim_.profiler()) {
+    sink->endSpan(profile_keys_.get(*sink, track_).track);
+  }
 }
 
 Bandwidth Communicator::protocolRate(fabric::NodeId a, fabric::NodeId b) const {
@@ -134,14 +138,15 @@ Algorithm Communicator::chooseAlgorithm() const {
 
 std::vector<int> Communicator::ringOrder(std::vector<int> members) const {
   if (members.size() <= 2) return members;
-  std::vector<int> order;
-  order.reserve(members.size());
+  // Filled by index, not push_back: GCC 12 at -O3 reports a
+  // -Wfree-nonheap-object false positive on the grow path.
+  std::vector<int> order(members.size());
   std::vector<bool> used(members.size(), false);
-  order.push_back(members[0]);
+  order[0] = members[0];
   used[0] = true;
   for (std::size_t step = 1; step < members.size(); ++step) {
     const fabric::NodeId cur =
-        ranks_[static_cast<std::size_t>(order.back())];
+        ranks_[static_cast<std::size_t>(order[step - 1])];
     double best = -1.0;
     std::size_t best_idx = 0;
     for (std::size_t j = 0; j < members.size(); ++j) {
@@ -154,7 +159,7 @@ std::vector<int> Communicator::ringOrder(std::vector<int> members) const {
       }
     }
     used[best_idx] = true;
-    order.push_back(members[best_idx]);
+    order[step] = members[best_idx];
   }
   return order;
 }
@@ -366,7 +371,8 @@ void Communicator::runHierarchical(std::shared_ptr<Op> op, Bytes bytes,
 void Communicator::finish(std::shared_ptr<Op> op, CollectiveCallback done) {
   ++completed_;
   if (ProfileSink* sink = sim_.profiler()) {
-    sink->endSpan(track_, {{"bytes_on_fabric", op->bytes_on_fabric}});
+    sink->endSpan(profile_keys_.get(*sink, track_).track,
+                  {{"bytes_on_fabric", op->bytes_on_fabric}});
   }
   CollectiveResult r;
   r.start = op->start;

@@ -167,6 +167,15 @@ class Communicator {
   std::vector<fabric::NodeId> ranks_;
   CommunicatorOptions options_;
   std::string track_;  // profiler track, derived from the rank-0 node name
+  /// Profiler keys, interned once per sink table (ProfileKeyCache).
+  struct ProfileKeys {
+    ProfileKeys() = default;
+    ProfileKeys(ProfileSink& sink, const std::string& track)
+        : track(sink.intern(track)), category(sink.intern("collectives")) {}
+    ProfileKey track = kNoProfileKey;
+    ProfileKey category = kNoProfileKey;
+  };
+  ProfileKeyCache<ProfileKeys> profile_keys_;
   std::uint64_t completed_ = 0;
   std::deque<std::function<void()>> op_queue_;
   bool op_active_ = false;

@@ -178,7 +178,8 @@ struct Stack {
   /// forked tail closes a span its donor's prefix opened.
   void beginRunSpan() {
     if (profiler) {
-      profiler->beginSpan("experiment", "experiment", model.name,
+      const ProfileKey experiment = profiler->intern("experiment");
+      profiler->beginSpan(experiment, experiment, profiler->intern(model.name),
                           {{"config", toString(config)}});
     }
   }
@@ -224,7 +225,7 @@ struct Stack {
           "Experiment: simulation drained without finishing");
     }
     if (profiler) {
-      profiler->endSpan("experiment");
+      profiler->endSpan(profiler->intern("experiment"));
       // Detach: the Profiler outlives `system` inside the result.
       profiler->finalize();
       system.sim().setProfiler(nullptr);

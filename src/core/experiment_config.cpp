@@ -1,6 +1,7 @@
 #include "core/experiment_config.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -452,6 +453,61 @@ ExperimentResult runExperimentSpec(const ExperimentSpec& spec) {
     return warmed->finish();
   }
   return Experiment::run(spec.config, model, spec.options);
+}
+
+namespace {
+
+/// Inline JSON or a path to a JSON file (see loadExperimentSuite).
+Status loadJsonSpec(const std::string& spec, falcon::Json* out) {
+  std::string text = spec;
+  if (text.empty() || text[0] != '{') {
+    std::ifstream in(spec);
+    if (!in) return Status::notFound("cannot open '" + spec + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  try {
+    *out = falcon::Json::parse(text);
+  } catch (const falcon::JsonError& e) {
+    return Status::invalidArgument(e.what());
+  }
+  return Status::success();
+}
+
+/// loadJsonSpec, then a throwing parser; its exceptions become
+/// InvalidArgument.
+template <typename T, typename Parse>
+Status loadWith(const std::string& spec, T* out, Parse parse) {
+  falcon::Json doc;
+  if (Status s = loadJsonSpec(spec, &doc); !s) return s;
+  try {
+    *out = parse(doc);
+  } catch (const std::exception& e) {
+    return Status::invalidArgument(e.what());
+  }
+  return Status::success();
+}
+
+}  // namespace
+
+Status loadExperimentSuite(const std::string& spec,
+                           std::vector<ExperimentSpec>* out) {
+  return loadWith(spec, out, [](const falcon::Json& doc) {
+    return parseExperimentSuite(doc);
+  });
+}
+
+Status loadFaultsConfig(const std::string& spec, FaultsConfig* out) {
+  falcon::Json doc;
+  if (Status s = loadJsonSpec(spec, &doc); !s) return s;
+  return parseFaultsConfig(doc, out);
+}
+
+Status loadMetricsConfig(const std::string& spec, MetricsConfig* out) {
+  return loadWith(spec, out, [](const falcon::Json& doc) {
+    return parseMetricsConfig(doc);
+  });
 }
 
 }  // namespace composim::core

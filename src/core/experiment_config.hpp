@@ -92,6 +92,18 @@ SimTime earliestFaultTime(const FaultsConfig& faults);
 /// Alert rules are validated (telemetry::parseAlertRule) at parse time.
 MetricsConfig parseMetricsConfig(const falcon::Json& doc);
 
+/// Entry points for user-supplied suite, --faults and --metrics
+/// documents: `spec` is inline JSON (text starting with '{') or a path to
+/// a JSON file, parsed with parseExperimentSuite / parseFaultsConfig /
+/// parseMetricsConfig. NotFound when the file cannot be opened;
+/// InvalidArgument for every parse or validation failure, including
+/// documents nested deeper than falcon::Json::kMaxDepth. On error *out is
+/// untouched.
+Status loadExperimentSuite(const std::string& spec,
+                           std::vector<ExperimentSpec>* out);
+Status loadFaultsConfig(const std::string& spec, FaultsConfig* out);
+Status loadMetricsConfig(const std::string& spec, MetricsConfig* out);
+
 /// Whether `spec` can run as a warm-prefix phased experiment: warm_prefix
 /// is set and the pause boundary lands strictly inside the first epoch
 /// and before the first periodic checkpoint — pausing ON a

@@ -69,9 +69,9 @@ SimTime RecoveryOrchestrator::meanMttr() const {
   return n > 0 ? sum / n : 0.0;
 }
 
-void RecoveryOrchestrator::instant(const char* name, ProfileArgs args) {
+void RecoveryOrchestrator::instant(const char* name, const ProfileArgs& args) {
   if (ProfileSink* p = system_.sim().profiler()) {
-    p->instant("recovery", name, std::move(args));
+    p->instant(p->intern("recovery"), p->intern(name), args);
   }
 }
 
@@ -267,7 +267,7 @@ void RecoveryOrchestrator::attachWithRetry(std::size_t inc,
   ++reattach_retries_;
   incidents_[inc].backoff_waited += wait;
   if (ProfileSink* p = system_.sim().profiler()) {
-    p->setCounter("reattach_retries", "count",
+    p->setCounter(p->counterKey("reattach_retries", "count"),
                   static_cast<double>(reattach_retries_));
   }
   instant("attach-retry", {{"backoff_s", wait}});
@@ -284,7 +284,7 @@ void RecoveryOrchestrator::degrade(std::size_t inc, devices::Gpu* failed) {
   incidents_[inc].path = RecoveryIncident::Path::Degraded;
   instant("degrade", {{"gang", gang_.size()}});
   if (ProfileSink* p = system_.sim().profiler()) {
-    p->setCounter("degraded_gang_size", "gpus",
+    p->setCounter(p->counterKey("degraded_gang_size", "gpus"),
                   static_cast<double>(gang_.size()));
   }
 }
@@ -333,9 +333,9 @@ void RecoveryOrchestrator::closeOpenIncidents() {
                           {"device", inc.fault.device_name}});
   }
   if (ProfileSink* p = system_.sim().profiler()) {
-    p->setCounter("lost_iterations", "count",
+    p->setCounter(p->counterKey("lost_iterations", "count"),
                   static_cast<double>(trainer_.lostIterations()));
-    p->setCounter("degraded_gang_size", "gpus",
+    p->setCounter(p->counterKey("degraded_gang_size", "gpus"),
                   static_cast<double>(gang_.size()));
   }
 }

@@ -154,7 +154,7 @@ class RecoveryOrchestrator {
   void closeOpenIncidents();
   /// Next backoff interval: capped, then jittered from the seeded stream.
   SimTime jitteredBackoff(SimTime backoff);
-  void instant(const char* name, ProfileArgs args = {});
+  void instant(const char* name, const ProfileArgs& args = {});
 
   ComposableSystem& system_;
   falcon::HealthMonitor& monitor_;

@@ -143,17 +143,18 @@ void Trainer::start(std::function<void(const TrainingResult&)> done) {
 // Phase spans carry a "bucket" arg classifying what the phase's wall time
 // is ("compute", "sync", "stall", "io") so telemetry::analysis attributes
 // iteration time without hardcoding span names (DESIGN.md §17).
-void Trainer::beginTrackSpan(const char* name, ProfileArgs args) {
+void Trainer::beginTrackSpan(const char* name, const ProfileArgs& args) {
   ++track_depth_;
   if (ProfileSink* sink = sim_.profiler()) {
-    sink->beginSpan(track_, "trainer", name, std::move(args));
+    const ProfileKeys& keys = profile_keys_.get(*sink, track_);
+    sink->beginSpan(keys.track, keys.category, sink->intern(name), args);
   }
 }
 
-void Trainer::endTrackSpan(ProfileArgs args) {
+void Trainer::endTrackSpan(const ProfileArgs& args) {
   --track_depth_;
   if (ProfileSink* sink = sim_.profiler()) {
-    sink->endSpan(track_, std::move(args));
+    sink->endSpan(profile_keys_.get(*sink, track_).track, args);
   }
 }
 
@@ -162,7 +163,8 @@ void Trainer::prefetchNextInput() {
   // spans: they would not nest under the iteration that hides them.
   AsyncSpanId prefetch_span = kInvalidAsyncSpan;
   if (ProfileSink* sink = sim_.profiler()) {
-    prefetch_span = sink->beginAsyncSpan("trainer", "prefetch");
+    const ProfileKeys& keys = profile_keys_.get(*sink, track_);
+    prefetch_span = sink->beginAsyncSpan(keys.category, keys.prefetch);
   }
   pipeline_->requestBatch([this, prefetch_span, gen = gen_] {
     // Batch is staged in host memory: copy each rank's shard to its GPU.
@@ -170,7 +172,8 @@ void Trainer::prefetchNextInput() {
     if (ProfileSink* sink = sim_.profiler()) {
       sink->endAsyncSpan(prefetch_span);
       if (gen == gen_) {
-        h2d_span = sink->beginAsyncSpan("trainer", "h2d",
+        const ProfileKeys& keys = profile_keys_.get(*sink, track_);
+        h2d_span = sink->beginAsyncSpan(keys.category, keys.h2d,
                                         {{"bytes_per_gpu", h2dBytesPerGpu()}});
       }
     }

@@ -239,8 +239,8 @@ class Trainer {
 
   // Profiling: the trainer is a single sequential actor, so its phase
   // spans nest on one track named after the rank-0 GPU node.
-  void beginTrackSpan(const char* name, ProfileArgs args = {});
-  void endTrackSpan(ProfileArgs args = {});
+  void beginTrackSpan(const char* name, const ProfileArgs& args = {});
+  void endTrackSpan(const ProfileArgs& args = {});
 
   void beginIteration();
   void startMicroStep();
@@ -274,6 +274,20 @@ class Trainer {
   TrainerOptions options_;
 
   std::string track_;  // profiler track, derived from the rank-0 GPU node
+  /// Profiler keys, interned once per sink table (ProfileKeyCache).
+  struct ProfileKeys {
+    ProfileKeys() = default;
+    ProfileKeys(ProfileSink& sink, const std::string& track)
+        : track(sink.intern(track)),
+          category(sink.intern("trainer")),
+          prefetch(sink.intern("prefetch")),
+          h2d(sink.intern("h2d")) {}
+    ProfileKey track = kNoProfileKey;
+    ProfileKey category = kNoProfileKey;
+    ProfileKey prefetch = kNoProfileKey;
+    ProfileKey h2d = kNoProfileKey;
+  };
+  ProfileKeyCache<ProfileKeys> profile_keys_;
   std::unique_ptr<collectives::Communicator> comm_;
   std::unique_ptr<DataPipeline> pipeline_;
   std::vector<ModelSpec::MacroGroup> groups_;

@@ -21,21 +21,19 @@ const char* toString(FaultRecord::Kind k) {
 
 void FaultInjector::record(FaultRecord r) {
   if (ProfileSink* p = sim_.profiler()) {
-    ProfileArgs args{{"link", static_cast<double>(r.link)}};
-    if (r.link2 != kInvalidLink) {
-      args.emplace_back("link2", static_cast<double>(r.link2));
-    }
+    ProfileArgs args{{"link", r.link}};
+    if (r.link2 != kInvalidLink) args.push_back({"link2", r.link2});
     if (r.kind == FaultRecord::Kind::Degrade) {
-      args.emplace_back("factor", r.factor);
+      args.push_back({"factor", r.factor});
     }
     if (r.kind == FaultRecord::Kind::ErrorBurst) {
-      args.emplace_back("errors", static_cast<double>(r.errors));
+      args.push_back({"errors", r.errors});
     }
-    p->instant("fault", std::string("fault:") + toString(r.kind),
-               std::move(args));
+    p->instant(p->intern("fault"),
+               p->intern(std::string("fault:") + toString(r.kind)), args);
     if (r.kind != FaultRecord::Kind::Restore) {
       ++faults_injected_;
-      p->setCounter("faults_injected", "count",
+      p->setCounter(p->counterKey("faults_injected", "count"),
                     static_cast<double>(faults_injected_));
     }
   } else if (r.kind != FaultRecord::Kind::Restore) {

@@ -11,24 +11,32 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+FlowNetwork::ProfileKeys::ProfileKeys(ProfileSink& sink)
+    : fabric(sink.intern("fabric")),
+      flow(sink.intern("flow")),
+      unroutable(sink.intern("flow-unroutable")) {}
+
 AsyncSpanId FlowNetwork::beginFlowSpan(NodeId src, NodeId dst, Bytes bytes,
                                        const std::string& tag,
                                        std::uint64_t correlation) {
   ProfileSink* sink = sim_.profiler();
   if (sink == nullptr) return kInvalidAsyncSpan;
+  const ProfileKeys& keys = profile_keys_.get(*sink);
   ProfileArgs args{{"src", topo_.node(src).name},
                    {"dst", topo_.node(dst).name},
                    {"bytes", bytes}};
-  if (correlation != 0) args.emplace_back("corr", correlation);
-  return sink->beginAsyncSpan("fabric", tag.empty() ? "flow" : tag,
-                              std::move(args));
+  if (correlation != 0) args.push_back({"corr", correlation});
+  return sink->beginAsyncSpan(keys.fabric,
+                              tag.empty() ? keys.flow : sink->intern(tag),
+                              args);
 }
 
 FlowId FlowNetwork::admitUnroutable(NodeId src, NodeId dst, FlowCallback done) {
   ++flows_started_;
   ++flows_failed_;
   if (ProfileSink* sink = sim_.profiler()) {
-    sink->instant("fabric", "flow-unroutable",
+    const ProfileKeys& keys = profile_keys_.get(*sink);
+    sink->instant(keys.fabric, keys.unroutable,
                   {{"src", topo_.node(src).name},
                    {"dst", topo_.node(dst).name}});
   }
@@ -409,27 +417,28 @@ void FlowNetwork::collectComponent(LinkId seed) {
             [this](std::uint32_t a, std::uint32_t b) { return slots_[a].id < slots_[b].id; });
 }
 
-const std::string& FlowNetwork::linkCounterName(LinkId l) {
-  const auto li = static_cast<std::size_t>(l);
-  if (link_counter_names_.size() <= li) link_counter_names_.resize(li + 1);
-  std::string& name = link_counter_names_[li];
-  if (name.empty()) {
-    const Link& link = topo_.link(l);
-    name = "link:" + topo_.node(link.src).name + "->" + topo_.node(link.dst).name;
-  }
-  return name;
-}
-
 void FlowNetwork::profileLinkCounters(ProfileSink& sink) {
+  ProfileKeys& keys = profile_keys_.get(sink);
   for (LinkId l : comp_links_) {
     const auto li = static_cast<std::size_t>(l);
     double used = 0.0;
     for (std::uint32_t slot : link_flows_[li]) used += slots_[slot].rate;
     const Bandwidth cap = topo_.link(l).capacity;
-    const std::string& name = linkCounterName(l);
-    sink.setCounter(name, "util_pct", cap > 0.0 ? 100.0 * used / cap : 0.0);
-    sink.setCounter(name, "flows",
-                    static_cast<double>(link_flows_[li].size()));
+    if (keys.links.size() <= li) {
+      keys.links.resize(li + 1, {kNoCounterKey, kNoCounterKey});
+    }
+    auto& [util_key, flows_key] = keys.links[li];
+    if (util_key == kNoCounterKey) {
+      const Link& link = topo_.link(l);
+      std::string name = "link:";
+      name += topo_.node(link.src).name;
+      name += "->";
+      name += topo_.node(link.dst).name;
+      util_key = sink.counterKey(name, "util_pct");
+      flows_key = sink.counterKey(name, "flows");
+    }
+    sink.setCounter(util_key, cap > 0.0 ? 100.0 * used / cap : 0.0);
+    sink.setCounter(flows_key, static_cast<double>(link_flows_[li].size()));
   }
 }
 

@@ -236,7 +236,18 @@ class FlowNetwork {
                             const std::string& tag, std::uint64_t correlation);
   /// Publish utilization/queue counters for the links in comp_links_.
   void profileLinkCounters(ProfileSink& sink);
-  const std::string& linkCounterName(LinkId l);
+
+  /// Profiler keys, interned once per sink table (ProfileKeyCache).
+  struct ProfileKeys {
+    ProfileKeys() = default;
+    explicit ProfileKeys(ProfileSink& sink);
+    ProfileKey fabric = kNoProfileKey;
+    ProfileKey flow = kNoProfileKey;
+    ProfileKey unroutable = kNoProfileKey;
+    /// Each link's "link:<src>-><dst>" (util_pct, flows) counter keys,
+    /// by LinkId, interned on the link's first publish.
+    std::vector<std::pair<CounterKey, CounterKey>> links;
+  };
   /// Re-solve the connected component(s) reachable from `seeds`
   /// (or everything, in full/reference mode). Counts one recomputation.
   void resolveAfterChange(const std::vector<LinkId>& seeds);
@@ -288,7 +299,7 @@ class FlowNetwork {
   std::vector<std::uint32_t> done_scratch_;     // completion-event reuse
   std::vector<LinkId> seed_scratch_;
   std::vector<LinkId> arrival_seeds_;           // startFlow(s) batch seeds
-  std::vector<std::string> link_counter_names_;  // lazy, profiling only
+  ProfileKeyCache<ProfileKeys> profile_keys_;   // profiling only
 
   FlowId next_id_ = 1;
   SimTime last_update_ = 0.0;

@@ -44,7 +44,11 @@ FalconChassis::FalconChassis(Simulator& sim, fabric::Topology& topo,
   }
   for (int p = 0; p < kHostPorts; ++p) {
     auto& port = ports_[static_cast<std::size_t>(p)];
-    port.label = "H" + std::to_string(p + 1);
+    // Built in a fresh string and moved in: assigning into port.label
+    // directly trips a GCC 12 -Wrestrict false positive at -O3.
+    std::string label = "H";
+    label += std::to_string(p + 1);
+    port.label = std::move(label);
     port.drawer = p / 2;  // H1,H2 -> drawer 0; H3,H4 -> drawer 1
   }
 }

@@ -40,17 +40,16 @@ void HealthMonitor::emit(FaultEvent ev) {
   if (ProfileSink* p = sim_.profiler()) {
     ProfileArgs args{{"name", ev.device_name}};
     if (ev.port >= 0) {
-      args.emplace_back("port", static_cast<double>(ev.port));
+      args.push_back({"port", ev.port});
     } else {
-      args.emplace_back("drawer", static_cast<double>(ev.slot.drawer));
-      args.emplace_back("slot", static_cast<double>(ev.slot.index));
+      args.push_back({"drawer", ev.slot.drawer});
+      args.push_back({"slot", ev.slot.index});
     }
-    if (ev.error_delta > 0) {
-      args.emplace_back("error_delta", static_cast<double>(ev.error_delta));
-    }
-    p->instant("health", std::string("detect:") + toString(ev.type),
-               std::move(args));
-    p->setCounter("detections", "count", static_cast<double>(detections_));
+    if (ev.error_delta > 0) args.push_back({"error_delta", ev.error_delta});
+    p->instant(p->intern("health"),
+               p->intern(std::string("detect:") + toString(ev.type)), args);
+    p->setCounter(p->counterKey("detections", "count"),
+                  static_cast<double>(detections_));
   }
   log_.push_back(ev);
 }

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace composim::falcon {
 
@@ -49,25 +48,33 @@ void Json::set(const std::string& key, Json value) {
 
 namespace {
 
+/// Bytes that need an escape in a JSON string: quote, backslash and C0
+/// control characters; everything else (UTF-8 included) passes through.
+bool needsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
 void escapeString(std::string& out, const std::string& s) {
   out += '"';
-  for (char c : s) {
+  const char* run = s.data();  // start of the pending run of safe bytes
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (!needsEscape(c)) continue;
+    out.append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof(esc));
+      }
     }
   }
+  out.append(run, static_cast<std::size_t>(end - run));
   out += '"';
 }
 
@@ -80,53 +87,54 @@ void newlineIndent(std::string& out, int indent, int depth) {
 }  // namespace
 
 void Json::dumpTo(std::string& out, int indent, int depth) const {
-  if (isNull()) {
-    out += "null";
-  } else if (isBool()) {
-    out += asBool() ? "true" : "false";
-  } else if (isInt()) {
-    out += std::to_string(std::get<std::int64_t>(value_));
-  } else if (isDouble()) {
-    const double d = std::get<double>(value_);
-    if (std::isfinite(d)) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      out += buf;
+  if (const auto* str = std::get_if<std::string>(&value_)) {
+    escapeString(out, *str);
+  } else if (const auto* d = std::get_if<double>(&value_)) {
+    if (std::isfinite(*d)) {
+      // The standard defines to_chars(general, 17) as printf's "%.17g".
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), *d,
+                                     std::chars_format::general, 17);
+      out.append(buf, static_cast<std::size_t>(res.ptr - buf));
     } else {
       out += "null";  // JSON has no Inf/NaN
     }
-  } else if (isString()) {
-    escapeString(out, asString());
-  } else if (isArray()) {
-    const auto& arr = asArray();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i > 0) out += ',';
-      newlineIndent(out, indent, depth + 1);
-      arr[i].dumpTo(out, indent, depth + 1);
-    }
-    newlineIndent(out, indent, depth);
-    out += ']';
-  } else {
-    const auto& obj = asObject();
-    if (obj.empty()) {
+  } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), *i);
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  } else if (const auto* obj = std::get_if<JsonObject>(&value_)) {
+    if (obj->empty()) {
       out += "{}";
       return;
     }
     out += '{';
-    for (std::size_t i = 0; i < obj.size(); ++i) {
-      if (i > 0) out += ',';
+    for (std::size_t k = 0; k < obj->size(); ++k) {
+      if (k > 0) out += ',';
       newlineIndent(out, indent, depth + 1);
-      escapeString(out, obj[i].first);
+      escapeString(out, (*obj)[k].first);
       out += indent < 0 ? ":" : ": ";
-      obj[i].second.dumpTo(out, indent, depth + 1);
+      (*obj)[k].second.dumpTo(out, indent, depth + 1);
     }
     newlineIndent(out, indent, depth);
     out += '}';
+  } else if (const auto* arr = std::get_if<JsonArray>(&value_)) {
+    if (arr->empty()) {
+      out += "[]";
+      return;
+    }
+    out += '[';
+    for (std::size_t k = 0; k < arr->size(); ++k) {
+      if (k > 0) out += ',';
+      newlineIndent(out, indent, depth + 1);
+      (*arr)[k].dumpTo(out, indent, depth + 1);
+    }
+    newlineIndent(out, indent, depth);
+    out += ']';
+  } else if (const auto* b = std::get_if<bool>(&value_)) {
+    out += *b ? "true" : "false";
+  } else {
+    out += "null";
   }
 }
 
@@ -292,7 +300,22 @@ class Parser {
     }
   }
 
+  /// Counts one level of array/object nesting for the duration of a
+  /// parseObject/parseArray call. The parser recurses per level, so the
+  /// cap keeps hostile input from overflowing the stack.
+  struct Nesting {
+    explicit Nesting(Parser& p) : parser(p) {
+      if (++parser.depth_ > Json::kMaxDepth) {
+        parser.fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                    " levels");
+      }
+    }
+    ~Nesting() { --parser.depth_; }
+    Parser& parser;
+  };
+
   Json parseObject() {
+    const Nesting level(*this);
     expect('{');
     Json obj = Json::object();
     skipWs();
@@ -310,6 +333,7 @@ class Parser {
   }
 
   Json parseArray() {
+    const Nesting level(*this);
     expect('[');
     Json arr = Json::array();
     skipWs();
@@ -324,6 +348,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -73,7 +73,11 @@ class Json {
   /// Serialize; indent < 0 means compact single-line output.
   std::string dump(int indent = 2) const;
 
-  /// Parse a JSON document; throws JsonError with position info.
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr int kMaxDepth = 1024;
+
+  /// Parse a JSON document; throws JsonError with position info, also
+  /// for documents nested deeper than kMaxDepth.
   static Json parse(const std::string& text);
 
   bool operator==(const Json& other) const = default;

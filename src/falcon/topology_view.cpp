@@ -73,8 +73,13 @@ std::string renderPortTraffic(const FalconChassis& chassis,
       if (!info.occupied) continue;
       const auto& up = topo.link(info.link_up);      // device -> switch
       const auto& down = topo.link(info.link_down);  // switch -> device
-      t.addRow({"d" + std::to_string(d) + "/s" + std::to_string(s) + " " +
-                    info.device_name,
+      std::string label = "d";
+      label += std::to_string(d);
+      label += "/s";
+      label += std::to_string(s);
+      label += ' ';
+      label += info.device_name;
+      t.addRow({std::move(label),
                 formatBytes(down.counters.bytes), formatBytes(up.counters.bytes),
                 std::to_string(up.counters.errors + down.counters.errors),
                 (up.up && down.up) ? "up" : "DOWN"});

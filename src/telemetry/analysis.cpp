@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 
 namespace composim::telemetry::analysis {
 namespace {
@@ -13,19 +15,51 @@ namespace {
 // against accumulated float noise, not a real tolerance.
 constexpr double kEps = 1e-12;
 
-double argNum(const ProfileArgs& args, const char* key, double def = 0.0) {
-  for (const ProfileArg& a : args) {
-    if (!a.is_string && a.key == key) return a.num;
+using Arg = Profiler::Arg;
+using Args = std::span<const Arg>;
+
+/// Keys of the strings the analyzer matches on, looked up once so the
+/// replay compares ids. A string the trace never interned gets
+/// kNoProfileKey, which matches nothing.
+struct Keys {
+  explicit Keys(const Profiler& prof)
+      : corr(prof.find("corr")),
+        src(prof.find("src")),
+        dst(prof.find("dst")),
+        contended_s(prof.find("contended_s")),
+        util_pct(prof.find("util_pct")),
+        flows(prof.find("flows")),
+        bucket(prof.find("bucket")),
+        iter(prof.find("iter")),
+        algorithm(prof.find("algorithm")),
+        fabric(prof.find("fabric")),
+        iteration(prof.find("iteration")),
+        compute(prof.find("compute")),
+        sync(prof.find("sync")),
+        stall(prof.find("stall")) {}
+  ProfileKey corr, src, dst, contended_s, util_pct, flows, bucket, iter,
+      algorithm, fabric, iteration, compute, sync, stall;
+};
+
+/// Whether `key` is a real key equal to `want` (kNoProfileKey never
+/// matches, not even itself).
+bool is(ProfileKey key, ProfileKey want) {
+  return key != kNoProfileKey && key == want;
+}
+
+double argNum(Args args, ProfileKey key, double def = 0.0) {
+  for (const Arg& a : args) {
+    if (!a.isString() && is(a.key, key)) return a.num;
   }
   return def;
 }
 
-std::string argStr(const ProfileArgs& args, const char* key,
-                   std::string def = {}) {
-  for (const ProfileArg& a : args) {
-    if (a.is_string && a.key == key) return a.str;
+/// The string value of the first string arg named `key`, as its key.
+ProfileKey argStr(Args args, ProfileKey key) {
+  for (const Arg& a : args) {
+    if (a.isString() && is(a.key, key)) return a.str;
   }
-  return def;
+  return kNoProfileKey;
 }
 
 bool startsWith(const std::string& s, const char* prefix) {
@@ -36,21 +70,21 @@ bool startsWith(const std::string& s, const char* prefix) {
 struct TrackSpan {
   std::uint32_t tid = 0;
   int depth = 0;  // 1-based nesting depth on its track
-  std::string name;
+  ProfileKey name = kNoProfileKey;
   SimTime start = 0.0;
   SimTime end = 0.0;
-  ProfileArgs begin_args;
+  Args begin_args;
 };
 
 /// A completed b/e async span (fabric flows, prefetch/h2d pipelines).
 struct AsyncSpan {
-  std::string category;
-  std::string name;
+  ProfileKey category = kNoProfileKey;
+  ProfileKey name = kNoProfileKey;
   SimTime start = 0.0;
   SimTime end = 0.0;
   std::uint64_t corr = 0;
-  std::string src;
-  std::string dst;
+  ProfileKey src = kNoProfileKey;
+  ProfileKey dst = kNoProfileKey;
   double contended_s = 0.0;
   double actual_s = 0.0;  // end - start
 };
@@ -65,44 +99,63 @@ struct CounterPoint {
 struct Trace {
   std::vector<TrackSpan> spans;                    // in end-record order
   std::vector<AsyncSpan> async_spans;              // in end-record order
-  std::map<std::string, std::vector<CounterPoint>> link_points;
+  std::map<ProfileKey, std::vector<CounterPoint>> link_points;  // by name
   SimTime end_time = 0.0;
 };
 
-Trace parseTrace(const Profiler& prof) {
+/// Per-track flags for the track-name prefixes the analyzer keys on.
+struct TrackKinds {
+  std::vector<char> trainer;      // "trainer/..."
+  std::vector<char> collectives;  // "collectives/..."
+  std::vector<char> link;         // "link:..." counters
+};
+
+TrackKinds classifyTracks(const Profiler& prof) {
+  TrackKinds k;
+  for (const ProfileKey track : prof.tracks()) {
+    const std::string& name = prof.str(track);
+    k.trainer.push_back(startsWith(name, "trainer/"));
+    k.collectives.push_back(startsWith(name, "collectives/"));
+    k.link.push_back(startsWith(name, "link:"));
+  }
+  return k;
+}
+
+Trace parseTrace(const Profiler& prof, const Keys& key,
+                 const TrackKinds& kinds) {
   Trace tr;
   struct OpenSpan {
-    std::string name;
+    ProfileKey name = kNoProfileKey;
     SimTime start = 0.0;
-    ProfileArgs args;
+    Args args;
   };
-  std::map<std::uint32_t, std::vector<OpenSpan>> open;  // per-track stacks
+  std::vector<std::vector<OpenSpan>> open(prof.tracks().size());
   struct OpenAsync {
-    std::string category;
-    std::string name;
+    ProfileKey category = kNoProfileKey;
+    ProfileKey name = kNoProfileKey;
     SimTime start = 0.0;
-    ProfileArgs args;
+    Args args;
   };
-  std::map<AsyncSpanId, OpenAsync> open_async;
+  std::unordered_map<AsyncSpanId, OpenAsync> open_async;
   SimTime last = 0.0;
   for (const Profiler::Record& r : prof.records()) {
     last = std::max(last, r.time);
     switch (r.phase) {
       case 'B':
-        open[r.tid].push_back(OpenSpan{r.name, r.time, r.args});
+        open[r.tid].push_back(OpenSpan{r.name, r.time, prof.args(r)});
         break;
       case 'E': {
         auto& stack = open[r.tid];
         if (stack.empty()) break;  // unbalanced prefix (forked trace tail)
-        OpenSpan& top = stack.back();
+        const OpenSpan& top = stack.back();
         tr.spans.push_back(TrackSpan{r.tid, static_cast<int>(stack.size()),
-                                     top.name, top.start, r.time,
-                                     std::move(top.args)});
+                                     top.name, top.start, r.time, top.args});
         stack.pop_back();
         break;
       }
       case 'b':
-        open_async.emplace(r.id, OpenAsync{r.category, r.name, r.time, r.args});
+        open_async.emplace(
+            r.id, OpenAsync{r.category, r.name, r.time, prof.args(r)});
         break;
       case 'e': {
         auto it = open_async.find(r.id);
@@ -114,20 +167,23 @@ Trace parseTrace(const Profiler& prof) {
         s.start = b.start;
         s.end = r.time;
         s.actual_s = std::max(0.0, r.time - b.start);
-        s.corr = static_cast<std::uint64_t>(argNum(b.args, "corr", 0.0));
-        s.src = argStr(b.args, "src");
-        s.dst = argStr(b.args, "dst");
-        s.contended_s = argNum(r.args, "contended_s", 0.0);
-        tr.async_spans.push_back(std::move(s));
+        s.corr = static_cast<std::uint64_t>(argNum(b.args, key.corr, 0.0));
+        s.src = argStr(b.args, key.src);
+        s.dst = argStr(b.args, key.dst);
+        s.contended_s = argNum(prof.args(r), key.contended_s, 0.0);
+        tr.async_spans.push_back(s);
         open_async.erase(it);
         break;
       }
       case 'C':
-        if (startsWith(r.name, "link:") && !r.args.empty()) {
-          const ProfileArg& a = r.args.front();
-          const int series = a.key == "util_pct" ? 0 : a.key == "flows" ? 1 : -1;
+        if (kinds.link[r.tid] && r.args_count > 0) {
+          const Arg& a = prof.args(r).front();
+          const int series = is(a.key, key.util_pct) ? 0
+                             : is(a.key, key.flows)  ? 1
+                                                     : -1;
           if (series >= 0) {
-            tr.link_points[r.name].push_back(CounterPoint{r.time, series, a.num});
+            tr.link_points[r.name].push_back(
+                CounterPoint{r.time, series, a.num});
           }
         }
         break;
@@ -233,11 +289,13 @@ const std::vector<std::pair<const char*, double Buckets::*>>& bucketFields() {
 RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   RunAnalysis out;
   out.name = std::move(name);
-  const Trace tr = parseTrace(prof);
-  const std::vector<std::string>& tracks = prof.trackNames();
-  auto trackName = [&](std::uint32_t tid) -> const std::string& {
+  const Keys key(prof);
+  const TrackKinds kinds = classifyTracks(prof);
+  const Trace tr = parseTrace(prof, key, kinds);
+  // A key's string, or "" for a missing one (an absent arg).
+  auto text = [&prof](ProfileKey k) -> const std::string& {
     static const std::string kEmpty;
-    return tid < tracks.size() ? tracks[tid] : kEmpty;
+    return k == kNoProfileKey ? kEmpty : prof.str(k);
   };
 
   // Pick the trainer track with the most iteration spans (tie: lowest
@@ -245,7 +303,7 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   // custom harness runs several.
   std::map<std::uint32_t, std::size_t> iter_count;
   for (const TrackSpan& s : tr.spans) {
-    if (s.name == "iteration" && startsWith(trackName(s.tid), "trainer/")) {
+    if (is(s.name, key.iteration) && kinds.trainer[s.tid]) {
       ++iter_count[s.tid];
     }
   }
@@ -261,7 +319,9 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
 
   std::vector<const TrackSpan*> iterations;
   for (const TrackSpan& s : tr.spans) {
-    if (s.tid == iter_tid && s.name == "iteration") iterations.push_back(&s);
+    if (s.tid == iter_tid && is(s.name, key.iteration)) {
+      iterations.push_back(&s);
+    }
   }
   std::sort(iterations.begin(), iterations.end(),
             [](const TrackSpan* a, const TrackSpan* b) {
@@ -276,26 +336,29 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   IntervalSet comm_set;
   std::vector<const TrackSpan*> op_spans;
   for (const TrackSpan& s : tr.spans) {
-    const std::string& track = trackName(s.tid);
-    if (startsWith(track, "trainer/") &&
-        argStr(s.begin_args, "bucket") == "compute") {
+    if (kinds.trainer[s.tid] &&
+        is(argStr(s.begin_args, key.bucket), key.compute)) {
       compute_set.spans.emplace_back(s.start, s.end);
-    } else if (startsWith(track, "collectives/") && s.depth == 1) {
+    } else if (kinds.collectives[s.tid] && s.depth == 1) {
       comm_set.spans.emplace_back(s.start, s.end);
       op_spans.push_back(&s);
     }
   }
   for (const AsyncSpan& s : tr.async_spans) {
-    if (s.category == "fabric") comm_set.spans.emplace_back(s.start, s.end);
+    if (is(s.category, key.fabric)) {
+      comm_set.spans.emplace_back(s.start, s.end);
+    }
   }
 
+  // Per-span totals, keyed by display name; fabric flows total under
+  // "flow:<name>".
   std::map<std::string, double> span_total_s;
   const SimTime window_start = iterations.front()->start;
   const SimTime window_end = iterations.back()->end;
 
   for (const TrackSpan* it : iterations) {
     IterationAnalysis ia;
-    ia.iter = static_cast<std::int64_t>(argNum(it->begin_args, "iter", 0.0));
+    ia.iter = static_cast<std::int64_t>(argNum(it->begin_args, key.iter, 0.0));
     ia.start = it->start;
     ia.end = it->end;
     ia.buckets.wall = std::max(0.0, it->end - it->start);
@@ -309,7 +372,7 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
     double contended = 0.0;
     double actual = 0.0;
     for (const AsyncSpan& s : tr.async_spans) {
-      if (s.category != "fabric") continue;
+      if (!is(s.category, key.fabric)) continue;
       if (s.end <= it->start + kEps || s.end > it->end + kEps) continue;
       contended += s.contended_s;
       actual += s.actual_s;
@@ -329,12 +392,13 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
     for (const TrackSpan& s : tr.spans) {
       if (s.tid != iter_tid || s.depth != it->depth + 1) continue;
       if (s.start < it->start - kEps || s.end > it->end + kEps) continue;
+      const ProfileKey bucket = argStr(s.begin_args, key.bucket);
       PathItem item;
-      item.name = s.name;
-      item.bucket = argStr(s.begin_args, "bucket", "other");
+      item.name = text(s.name);
+      item.bucket = bucket == kNoProfileKey ? "other" : text(bucket);
       item.start = s.start;
       item.end = s.end;
-      if (item.bucket == "sync") {
+      if (is(bucket, key.sync)) {
         // Join to the last collective op finishing under this phase, then
         // through its correlation id to the flow that bounded it.
         const TrackSpan* op = nullptr;
@@ -343,10 +407,11 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
           if (op == nullptr || o->end > op->end) op = o;
         }
         if (op != nullptr) {
-          std::string algo = argStr(op->begin_args, "algorithm");
-          item.detail = op->name + (algo.empty() ? "" : "[" + algo + "]");
+          const std::string& algo =
+              text(argStr(op->begin_args, key.algorithm));
+          item.detail = text(op->name) + (algo.empty() ? "" : "[" + algo + "]");
           const auto corr =
-              static_cast<std::uint64_t>(argNum(op->begin_args, "corr", 0.0));
+              static_cast<std::uint64_t>(argNum(op->begin_args, key.corr, 0.0));
           if (corr != 0) {
             const AsyncSpan* lastFlow = nullptr;
             for (const AsyncSpan& f : tr.async_spans) {
@@ -354,12 +419,12 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
               if (lastFlow == nullptr || f.end > lastFlow->end) lastFlow = &f;
             }
             if (lastFlow != nullptr) {
-              item.detail +=
-                  " -> last flow " + lastFlow->src + "->" + lastFlow->dst;
+              item.detail += " -> last flow " + text(lastFlow->src) + "->" +
+                             text(lastFlow->dst);
             }
           }
         }
-      } else if (item.bucket == "stall") {
+      } else if (is(bucket, key.stall)) {
         // Name what the stall was waiting on: the last async span (h2d
         // flow, prefetch) resolving inside the phase.
         const AsyncSpan* lastAsync = nullptr;
@@ -368,9 +433,10 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
           if (lastAsync == nullptr || f.end > lastAsync->end) lastAsync = &f;
         }
         if (lastAsync != nullptr) {
-          item.detail = "waiting on " + lastAsync->name;
-          if (!lastAsync->src.empty()) {
-            item.detail += " " + lastAsync->src + "->" + lastAsync->dst;
+          item.detail = "waiting on " + text(lastAsync->name);
+          if (!text(lastAsync->src).empty()) {
+            item.detail += " " + text(lastAsync->src) + "->" +
+                           text(lastAsync->dst);
           }
         }
       }
@@ -411,13 +477,13 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   // below the trainer-phase level.
   for (const TrackSpan* o : op_spans) {
     if (o->end > window_start + kEps && o->end <= window_end + kEps) {
-      span_total_s[o->name] += std::max(0.0, o->end - o->start);
+      span_total_s[text(o->name)] += std::max(0.0, o->end - o->start);
     }
   }
   for (const AsyncSpan& s : tr.async_spans) {
-    if (s.category == "fabric" && s.end > window_start + kEps &&
+    if (is(s.category, key.fabric) && s.end > window_start + kEps &&
         s.end <= window_end + kEps) {
-      span_total_s["flow:" + s.name] += s.actual_s;
+      span_total_s["flow:" + text(s.name)] += s.actual_s;
     }
   }
   for (const auto& [span, total] : span_total_s) {
@@ -428,7 +494,7 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   // and integrate utilization while >= 2 flows shared the link.
   for (const auto& [link, points] : tr.link_points) {
     LinkContention lc;
-    lc.link = link;
+    lc.link = text(link);
     double util = 0.0;
     double flows = 0.0;
     SimTime t = points.empty() ? tr.end_time : points.front().time;
@@ -444,7 +510,7 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
       (p.series == 0 ? util : flows) = p.value;
     }
     integrate(tr.end_time);
-    lc.util_mean_pct = prof.counterMean(link, "util_pct");
+    lc.util_mean_pct = prof.counterMean(lc.link, "util_pct");
     if (lc.busy_s > 0.0) out.links.push_back(std::move(lc));
   }
   std::sort(out.links.begin(), out.links.end(),

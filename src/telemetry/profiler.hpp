@@ -10,14 +10,21 @@
 // tests and reports can ask for a mean utilization without replaying the
 // trace.
 //
+// Records are small plain structs: track, category and name are keys into
+// one string table the profiler owns, and arguments live in one flat arena
+// with interned keys (DESIGN.md §10). Strings are materialized only at
+// export.
+//
 // Everything is a no-op while disabled, and components only reach the
 // profiler through Simulator::profiler() (nullptr when absent), so an
 // untraced run pays one branch per potential record.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,51 +39,33 @@ class Profiler final : public ProfileSink {
  public:
   /// Construction does NOT install the profiler; call
   /// sim.setProfiler(&profiler) to start receiving component spans.
-  explicit Profiler(Simulator& sim) : sim_(&sim) {}
+  explicit Profiler(Simulator& sim);
 
   void setEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  /// RAII complete-span handle for synchronous scopes that drive the
-  /// simulator (an experiment run, a measurement window). Records a span
-  /// from construction to end()/destruction on `track`.
-  class Span {
-   public:
-    Span() = default;
-    Span(Span&& other) noexcept { *this = std::move(other); }
-    Span& operator=(Span&& other) noexcept;
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-    ~Span() { end(); }
-    /// Close early; extra args are merged into the closing record.
-    void end(ProfileArgs args = {});
-
-   private:
-    friend class Profiler;
-    Span(Profiler* prof, std::string track) : prof_(prof), track_(std::move(track)) {}
-    Profiler* prof_ = nullptr;
-    std::string track_;
-  };
-
-  /// Open a RAII span on `track` (defaults to the category name).
-  Span span(const char* category, std::string name, ProfileArgs args = {},
-            std::string track = {});
-
   // --- ProfileSink ---
-  void beginSpan(const std::string& track, const char* category,
-                 std::string name, ProfileArgs args = {}) override;
-  void endSpan(const std::string& track, ProfileArgs args = {}) override;
-  AsyncSpanId beginAsyncSpan(const char* category, std::string name,
-                             ProfileArgs args = {}) override;
-  void endAsyncSpan(AsyncSpanId id, ProfileArgs args = {}) override;
-  void setCounter(const std::string& counter, const std::string& series,
-                  double value) override;
-  void instant(const char* category, std::string name,
-               ProfileArgs args = {}) override;
+  ProfileKey intern(std::string_view s) override;
+  CounterKey counterKey(std::string_view counter,
+                        std::string_view series) override;
+  void beginSpan(ProfileKey track, ProfileKey category, ProfileKey name,
+                 const ProfileArgs& args = {}) override;
+  void endSpan(ProfileKey track, const ProfileArgs& args = {}) override;
+  AsyncSpanId beginAsyncSpan(ProfileKey category, ProfileKey name,
+                             const ProfileArgs& args = {}) override;
+  void endAsyncSpan(AsyncSpanId id, const ProfileArgs& args = {}) override;
+  void setCounter(CounterKey counter, double value) override;
+  void instant(ProfileKey category, ProfileKey name,
+               const ProfileArgs& args = {}) override;
 
   std::uint64_t newCorrelation() override {
     return recording() ? next_corr_++ : 0;
   }
+
+  /// The string an interned key stands for.
+  const std::string& str(ProfileKey key) const { return *strings_[key]; }
+  /// The key `s` is interned under, or kNoProfileKey if it never was.
+  ProfileKey find(std::string_view s) const;
 
   /// Number of records captured so far (spans count begin+end separately).
   std::size_t recordCount() const { return records_.size(); }
@@ -97,14 +86,12 @@ class Profiler final : public ProfileSink {
   /// Whether the counter series was ever set. counterValue/counterMean
   /// return 0.0 both for "never updated" and for a genuine 0.0; callers
   /// that need to tell the two apart check this first.
-  bool hasCounter(const std::string& counter, const std::string& series) const;
+  bool hasCounter(std::string_view counter, std::string_view series) const;
   /// Latest value of a counter series (0 if never set).
-  double counterValue(const std::string& counter,
-                      const std::string& series) const;
+  double counterValue(std::string_view counter, std::string_view series) const;
   /// Time-weighted mean of a counter series from its first update to
   /// now() (or to the finalize() time once finalized). 0 if never set.
-  double counterMean(const std::string& counter,
-                     const std::string& series) const;
+  double counterMean(std::string_view counter, std::string_view series) const;
 
   /// Freeze the trace: closes the counter integrals at the current time
   /// and detaches from the Simulator, so the Profiler may safely outlive
@@ -133,42 +120,65 @@ class Profiler final : public ProfileSink {
   /// (start, depth, name, seq) ordering restricted to valid traces.
   std::vector<std::size_t> exportOrder() const;
 
-  /// Opaque full-trace snapshot (records, track table, open async spans,
-  /// counter integrals). A fork restores it into a fresh Profiler so the
-  /// tail appends to the warmed prefix's trace exactly as a cold run
-  /// would; open B records and async begins carry over and are closed by
-  /// the tail. Copy-on-fork rather than serialize: the record vector is
-  /// value-type all the way down and the tail mutates it in place.
+  /// Opaque full-trace snapshot (string table, records, arg arena, track
+  /// table, open async spans, counter integrals). A fork restores it into
+  /// a fresh Profiler so the tail appends to the warmed prefix's trace
+  /// exactly as a cold run would; open B records and async begins carry
+  /// over and are closed by the tail. Copy-on-fork rather than serialize:
+  /// everything is flat value-type data and the tail mutates it in place.
   struct State;
   State state() const;
   void setState(const State& st);
+
+  /// One argument in the arena: an interned key and either a number or
+  /// an interned string value.
+  struct Arg {
+    ProfileKey key = kNoProfileKey;
+    ProfileKey str = kNoProfileKey;  // kNoProfileKey: numeric
+    double num = 0.0;
+    bool isString() const { return str != kNoProfileKey; }
+  };
 
   /// One captured event, exposed read-only so telemetry::analysis can
   /// replay the trace (span trees, causal joins, bucket sweeps) without a
   /// JSON round-trip. Records are stored in recording order; use
   /// exportOrder() for the canonical cross-track presentation order.
   struct Record {
-    char phase = 'B';  // B/E nested, b/e async, C counter, i instant
     SimTime time = 0.0;
-    std::uint32_t tid = 0;
     AsyncSpanId id = kInvalidAsyncSpan;
-    std::string category;
-    std::string name;
-    ProfileArgs args;
+    std::uint32_t tid = 0;                 // index into tracks()
+    ProfileKey category = kNoProfileKey;   // none on 'E' records
+    ProfileKey name = kNoProfileKey;       // none on 'E' records
+    std::uint32_t args_begin = 0;          // first Arg in the arena
+    std::uint32_t args_count = 0;
+    char phase = 'B';  // B/E nested, b/e async, C counter, i instant
   };
   const std::vector<Record>& records() const { return records_; }
-  /// Track names indexed by Record::tid.
-  const std::vector<std::string>& trackNames() const { return track_names_; }
+  /// A record's arguments, in emission order.
+  std::span<const Arg> args(const Record& r) const {
+    return {args_.data() + r.args_begin, r.args_count};
+  }
+  /// Track name keys indexed by Record::tid (first-use order).
+  const std::vector<ProfileKey>& tracks() const { return tracks_; }
   /// The trace's end time once finalized (== the Simulator clock at
   /// finalize()); 0 before that.
   SimTime endTime() const { return end_time_; }
 
  private:
   struct CounterState {
+    ProfileKey counter = kNoProfileKey;
+    ProfileKey series = kNoProfileKey;
+    bool set = false;  // updated at least once
     double value = 0.0;
     SimTime since = 0.0;
     SimTime first = 0.0;
     double weighted_sum = 0.0;  // integral of value dt up to `since`
+  };
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
   };
 
   bool recording() const { return enabled_ && sim_ != nullptr; }
@@ -176,17 +186,31 @@ class Profiler final : public ProfileSink {
     return max_records_ > 0 && records_.size() >= max_records_;
   }
   SimTime now() const { return sim_ != nullptr ? sim_->now() : end_time_; }
-  std::uint32_t trackId(const std::string& track);
+  std::uint32_t trackId(ProfileKey track);
+  void push(char phase, std::uint32_t tid, ProfileKey category,
+            ProfileKey name, AsyncSpanId id, const ProfileArgs& args);
+  const CounterState* findCounter(std::string_view counter,
+                                  std::string_view series) const;
+  /// Rebuild the lookup indexes from the string, track and counter
+  /// tables after they were replaced.
+  void reindex();
 
   Simulator* sim_;  // null after finalize()
   bool enabled_ = true;
   SimTime end_time_ = 0.0;
+  // String table: keys_ owns the strings (node-based, so their addresses
+  // are stable); strings_[key] points at the string interned as `key`.
+  std::unordered_map<std::string, ProfileKey, StringHash, std::equal_to<>>
+      keys_;
+  std::vector<const std::string*> strings_;
+  ProfileKey counter_category_;  // "counter", the category of 'C' records
   std::vector<Record> records_;
-  std::vector<std::string> track_names_;  // index = tid
-  std::unordered_map<std::string, std::uint32_t> track_ids_;
-  std::unordered_map<AsyncSpanId, std::size_t> open_async_;  // id -> begin idx
-  // Ordered so export and mean queries iterate deterministically.
-  std::map<std::string, std::map<std::string, CounterState>> counters_;
+  std::vector<Arg> args_;
+  std::vector<ProfileKey> tracks_;          // tid -> name key
+  std::vector<std::uint32_t> track_of_key_;  // name key -> tid (or none)
+  std::unordered_map<AsyncSpanId, std::size_t> open_async_;  // id -> begin
+  std::vector<CounterState> counters_;       // by CounterKey
+  std::unordered_map<std::uint64_t, CounterKey> counter_keys_;
   AsyncSpanId next_async_ = 1;
   std::uint64_t next_corr_ = 1;
   // Max-record drop policy (0 = unbounded). drop_depth_[tid] counts open
@@ -194,21 +218,22 @@ class Profiler final : public ProfileSink {
   // suppressed too and the recorded stream stays balanced.
   std::size_t max_records_ = 0;
   std::uint64_t dropped_records_ = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> drop_depth_;
+  std::vector<std::uint32_t> drop_depth_;  // by tid
 };
 
 struct Profiler::State {
   bool enabled = true;
+  std::vector<std::string> strings;  // by key
   std::vector<Record> records;
-  std::vector<std::string> track_names;
-  std::unordered_map<std::string, std::uint32_t> track_ids;
+  std::vector<Arg> args;
+  std::vector<ProfileKey> tracks;
   std::unordered_map<AsyncSpanId, std::size_t> open_async;
-  std::map<std::string, std::map<std::string, CounterState>> counters;
+  std::vector<CounterState> counters;
   AsyncSpanId next_async = 1;
   std::uint64_t next_corr = 1;
   std::size_t max_records = 0;
   std::uint64_t dropped_records = 0;
-  std::unordered_map<std::uint32_t, std::uint32_t> drop_depth;
+  std::vector<std::uint32_t> drop_depth;
 };
 
 }  // namespace composim::telemetry

@@ -70,7 +70,12 @@ std::string barChart(const std::vector<std::pair<std::string, double>>& entries,
     const int bars = static_cast<int>(std::lround(
         std::fabs(value) / maxValue * static_cast<double>(maxWidth)));
     out.append(static_cast<std::size_t>(bars), value < 0.0 ? '<' : '#');
-    out += " " + fmt(value) + (unit.empty() ? "" : " " + unit);
+    out += ' ';
+    out += fmt(value);
+    if (!unit.empty()) {
+      out += ' ';
+      out += unit;
+    }
     out += '\n';
   }
   return out;

@@ -478,7 +478,7 @@ std::string recoveryFingerprint(const ExperimentResult& r) {
   s += std::to_string(r.recovery.final_gang_size) + "|";
   s += toString(r.recovery.terminal_state);
   for (const auto& f : r.recovery.fault_history) {
-    s += "|" + std::to_string(f.time);
+    s += std::string("|").append(std::to_string(f.time));
   }
   return s;
 }

@@ -22,9 +22,10 @@ TEST_P(ChassisFuzz, InvariantsSurviveRandomOperations) {
 
   // Hosts on all four ports.
   for (int p = 0; p < FalconChassis::kHostPorts; ++p) {
-    const auto h = topo.addNode("h" + std::to_string(p),
+    const auto h = topo.addNode(std::string("h").append(std::to_string(p)),
                                 fabric::NodeKind::CpuRootComplex);
-    ASSERT_TRUE(chassis.connectHost(p, h, "h" + std::to_string(p)));
+    ASSERT_TRUE(chassis.connectHost(
+        p, h, std::string("h").append(std::to_string(p))));
   }
 
   int installed = 0;
@@ -115,9 +116,10 @@ TEST_P(ChassisFaultFuzz, InvariantsAndStatusCodesSurviveFaultStorm) {
       0.3, static_cast<std::uint64_t>(GetParam()));
 
   for (int p = 0; p < FalconChassis::kHostPorts; ++p) {
-    const auto h = topo.addNode("h" + std::to_string(p),
+    const auto h = topo.addNode(std::string("h").append(std::to_string(p)),
                                 fabric::NodeKind::CpuRootComplex);
-    ASSERT_TRUE(chassis.connectHost(p, h, "h" + std::to_string(p)));
+    ASSERT_TRUE(chassis.connectHost(
+        p, h, std::string("h").append(std::to_string(p))));
   }
 
   int retryable_attaches = 0;

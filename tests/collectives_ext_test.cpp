@@ -19,7 +19,8 @@ struct Star {
     const auto sw = topo.addNode("sw", fabric::NodeKind::PcieSwitch);
     const auto spec = fabric::catalog::pcie4_x16_slot();
     for (int i = 0; i < n; ++i) {
-      const auto g = topo.addNode("g" + std::to_string(i), fabric::NodeKind::Gpu);
+      const auto g = topo.addNode(std::string("g").append(std::to_string(i)),
+                                  fabric::NodeKind::Gpu);
       topo.addDuplexLink(g, sw, spec.capacityPerDirection, spec.latency, spec.kind);
       gpus.push_back(g);
     }
@@ -93,7 +94,8 @@ TEST(ConcurrentCommunicators, IndependentGroupsOverlap) {
   for (int g = 0; g < 2; ++g) {
     const auto sw = topo.addNode("sw" + std::to_string(g), fabric::NodeKind::PcieSwitch);
     for (int i = 0; i < 4; ++i) {
-      const auto n = topo.addNode("g" + std::to_string(g) + std::to_string(i),
+      const auto n = topo.addNode(
+          std::string("g").append(std::to_string(g)) + std::to_string(i),
                                   fabric::NodeKind::Gpu);
       topo.addDuplexLink(n, sw, spec.capacityPerDirection, spec.latency, spec.kind);
       (g == 0 ? groupA : groupB).push_back(n);

@@ -26,7 +26,8 @@ struct PcieStar {
     const NodeId sw = topo.addNode("sw", NodeKind::PcieSwitch);
     const auto spec = fabric::catalog::pcie4_x16_slot();
     for (int i = 0; i < n; ++i) {
-      const NodeId g = topo.addNode("g" + std::to_string(i), NodeKind::Gpu);
+      const NodeId g = topo.addNode(std::string("g").append(std::to_string(i)),
+                                    NodeKind::Gpu);
       topo.addDuplexLink(g, sw, spec.capacityPerDirection, spec.latency, spec.kind);
       gpus.push_back(g);
     }
@@ -42,7 +43,8 @@ struct NvlinkHost {
 
   NvlinkHost() {
     for (int i = 0; i < 8; ++i) {
-      gpus.push_back(topo.addNode("g" + std::to_string(i), NodeKind::Gpu));
+      gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                  NodeKind::Gpu));
     }
     fabric::buildHybridCubeMesh(topo, gpus);
   }

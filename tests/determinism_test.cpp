@@ -56,8 +56,8 @@ TEST(Determinism, FlowHeavySimulationIsBitIdentical) {
     const auto hub = topo.addNode("hub", fabric::NodeKind::PcieSwitch);
     std::vector<fabric::NodeId> leaves;
     for (int i = 0; i < 8; ++i) {
-      leaves.push_back(
-          topo.addNode("l" + std::to_string(i), fabric::NodeKind::Gpu));
+      leaves.push_back(topo.addNode(std::string("l").append(std::to_string(i)),
+                                    fabric::NodeKind::Gpu));
       topo.addDuplexLink(leaves.back(), hub, units::GBps(10), 0.0,
                          fabric::LinkKind::PCIe4);
     }

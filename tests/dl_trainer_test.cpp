@@ -26,7 +26,7 @@ ModelSpec tinyModel() {
   m.paper_epochs = 1;
   for (int i = 0; i < 8; ++i) {
     LayerSpec l;
-    l.name = "l" + std::to_string(i);
+    l.name = std::string("l").append(std::to_string(i));
     l.kind = LayerKind::Conv;
     l.params = 1000000;
     l.forward_flops = 5e8;

@@ -97,7 +97,8 @@ TEST(CollectivesEdge, TreeHandlesNonPowerOfTwoRanks) {
     const auto spec = fabric::catalog::pcie4_x16_slot();
     std::vector<fabric::NodeId> gpus;
     for (int i = 0; i < n; ++i) {
-      gpus.push_back(topo.addNode("g" + std::to_string(i), fabric::NodeKind::Gpu));
+      gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                  fabric::NodeKind::Gpu));
       topo.addDuplexLink(gpus.back(), sw, spec.capacityPerDirection,
                          spec.latency, spec.kind);
     }

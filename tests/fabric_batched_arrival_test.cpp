@@ -230,7 +230,8 @@ TEST(BatchedArrivalApi, OneRecomputationPerBatchAndAlignedIds) {
   const NodeId hub = topo.addNode("hub", NodeKind::PcieSwitch);
   std::vector<NodeId> gpus;
   for (int i = 0; i < 8; ++i) {
-    gpus.push_back(topo.addNode("g" + std::to_string(i), NodeKind::Gpu));
+    gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                NodeKind::Gpu));
     topo.addDuplexLink(gpus.back(), hub, units::GBps(10), 0.0, LinkKind::PCIe4);
   }
   const NodeId island = topo.addNode("island", NodeKind::Gpu);  // unroutable

@@ -24,7 +24,8 @@ TEST_P(FlowConservation, BytesDeliveredEqualBytesRequested) {
   std::vector<NodeId> nodes;
   std::vector<LinkId> uplinks;
   for (int i = 0; i < 5; ++i) {
-    nodes.push_back(topo.addNode("n" + std::to_string(i), NodeKind::Gpu));
+    nodes.push_back(topo.addNode(std::string("n").append(std::to_string(i)),
+                                 NodeKind::Gpu));
     auto [up, down] = topo.addDuplexLink(
         nodes.back(), hub, units::GBps(rng.uniform(1.0, 8.0)), 1e-6,
         LinkKind::PCIe4);
@@ -75,7 +76,8 @@ TEST_P(RingSizeSweep, BusBandwidthBoundedByProtocolRate) {
   const NodeId sw = topo.addNode("sw", NodeKind::PcieSwitch);
   std::vector<NodeId> gpus;
   for (int i = 0; i < n; ++i) {
-    gpus.push_back(topo.addNode("g" + std::to_string(i), NodeKind::Gpu));
+    gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                NodeKind::Gpu));
     topo.addDuplexLink(gpus.back(), sw, spec.capacityPerDirection, spec.latency,
                        spec.kind);
   }

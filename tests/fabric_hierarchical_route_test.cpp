@@ -203,7 +203,8 @@ TEST_P(RandomizedEquivalence, MatchesFlatOracleIncludingDownLinks) {
   for (int d = 0; d < domains; ++d) {
     const int count = rng.range(3, 7);
     for (int i = 0; i < count; ++i) {
-      const NodeId n = t.addNode("d" + std::to_string(d) + "n" + std::to_string(i),
+      const NodeId n = t.addNode(
+          std::string("d").append(std::to_string(d)) + "n" + std::to_string(i),
                                  NodeKind::Gpu);
       if (d > 0) t.setNodeDomain(n, d);
       members[static_cast<std::size_t>(d)].push_back(n);

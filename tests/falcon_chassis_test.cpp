@@ -17,7 +17,8 @@ struct ChassisFixture : ::testing::Test {
   fabric::NodeId hostC = topo.addNode("hostC", fabric::NodeKind::CpuRootComplex);
 
   fabric::NodeId addGpu(SlotId slot) {
-    const std::string name = "g" + std::to_string(slot.drawer) + "_" +
+    const std::string name =
+        std::string("g").append(std::to_string(slot.drawer)) + "_" +
                              std::to_string(slot.index);
     const fabric::NodeId n = topo.addNode(name, fabric::NodeKind::Gpu);
     EXPECT_TRUE(chassis.installDevice(slot, DeviceType::Gpu, name, n));

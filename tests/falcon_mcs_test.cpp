@@ -21,7 +21,7 @@ struct McsFixture : ::testing::Test {
     ASSERT_TRUE(mcs.addUser("bob", Role::User));
     ASSERT_TRUE(chassis.connectHost(0, host, "host"));
     for (int s = 0; s < 4; ++s) {
-      const std::string name = "g" + std::to_string(s);
+      const std::string name = std::string("g").append(std::to_string(s));
       const fabric::NodeId n = topo.addNode(name, fabric::NodeKind::Gpu);
       ASSERT_TRUE(chassis.installDevice({0, s}, DeviceType::Gpu, name, n));
     }

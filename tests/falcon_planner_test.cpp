@@ -17,7 +17,7 @@ struct PlannerFixture : ::testing::Test {
     ASSERT_TRUE(chassis.connectHost(0, hostA, "hostA"));  // H1, drawer 0
     ASSERT_TRUE(chassis.connectHost(1, hostB, "hostB"));  // H2, drawer 0
     for (int s = 0; s < 6; ++s) {
-      const std::string name = "g" + std::to_string(s);
+      const std::string name = std::string("g").append(std::to_string(s));
       const fabric::NodeId n = topo.addNode(name, fabric::NodeKind::Gpu);
       ASSERT_TRUE(chassis.installDevice({0, s}, DeviceType::Gpu, name, n));
     }

@@ -20,7 +20,7 @@ struct TwoChipFixture : ::testing::Test {
 
   void installEight() {
     for (int s = 0; s < 8; ++s) {
-      const std::string name = "g" + std::to_string(s);
+      const std::string name = std::string("g").append(std::to_string(s));
       const fabric::NodeId n = topo.addNode(name, fabric::NodeKind::Gpu);
       ASSERT_TRUE(chassis.installDevice({0, s}, DeviceType::Gpu, name, n));
       gpus.push_back(n);

@@ -1,7 +1,15 @@
 // Tests for the minimal JSON reader/writer used by configuration
-// import/export.
+// import/export, and for the nesting cap every user-supplied JSON input
+// (suite, --faults, --metrics, graph: files) is parsed under.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
+#include "core/experiment_config.hpp"
+#include "dl/graph_ir/loader.hpp"
+#include "dl/workload_registry.hpp"
 #include "falcon/json.hpp"
 
 namespace composim::falcon {
@@ -121,6 +129,101 @@ TEST(Json, PushOntoArray) {
   a.push("two");
   EXPECT_EQ(a.asArray().size(), 2u);
   EXPECT_THROW(Json(1).push(2), JsonError);
+}
+
+/// `depth` nested arrays around a 1.
+std::string nestedArrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonDepth, ThousandLevelsParse) {
+  Json v = Json::parse(nestedArrays(1000));
+  int depth = 0;
+  while (v.isArray()) {
+    Json inner = v.asArray().at(0);  // copy before replacing the parent
+    v = std::move(inner);
+    ++depth;
+  }
+  EXPECT_EQ(depth, 1000);
+  EXPECT_EQ(v.asInt(), 1);
+}
+
+TEST(JsonDepth, CapIsExact) {
+  EXPECT_NO_THROW(Json::parse(nestedArrays(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(nestedArrays(Json::kMaxDepth + 1)), JsonError);
+  // Objects and arrays count toward the same cap.
+  std::string mixed;
+  for (int i = 0; i <= Json::kMaxDepth / 2; ++i) mixed += "{\"k\":[";
+  EXPECT_THROW(Json::parse(mixed), JsonError);
+}
+
+TEST(JsonDepth, MillionLevelsThrowInsteadOfCrashing) {
+  // Unterminated, like a hostile input: the cap trips long before the
+  // parser could run out of stack.
+  const std::string deep(1000000, '[');
+  try {
+    Json::parse(deep);
+    FAIL() << "parse accepted 1,000,000 nested arrays";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Inline spec text: an object whose first value nests a million deep.
+std::string deepSpec(const char* key) {
+  return std::string("{\"") + key + "\": " + std::string(1000000, '[');
+}
+
+TEST(JsonDepth, SuiteLoaderReturnsInvalidArgument) {
+  std::vector<core::ExperimentSpec> specs;
+  const Status st = core::loadExperimentSuite(deepSpec("experiments"), &specs);
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  EXPECT_TRUE(specs.empty());
+}
+
+TEST(JsonDepth, FaultsLoaderReturnsInvalidArgument) {
+  core::FaultsConfig faults;
+  const Status st = core::loadFaultsConfig(deepSpec("gpu_falloffs"), &faults);
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  EXPECT_FALSE(faults.enabled);
+}
+
+TEST(JsonDepth, MetricsLoaderReturnsInvalidArgument) {
+  core::MetricsConfig metrics;
+  const Status st = core::loadMetricsConfig(deepSpec("alerts"), &metrics);
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+}
+
+TEST(JsonDepth, GraphLoaderReturnsInvalidArgument) {
+  const std::string path = ::testing::TempDir() + "deep.graph.json";
+  {
+    std::ofstream out(path);
+    out << deepSpec("ops");
+  }
+  dl::graph_ir::Graph g;
+  EXPECT_EQ(dl::graph_ir::loadGraphFile(path, &g).code,
+            StatusCode::InvalidArgument);
+  // The same file through a workload reference.
+  dl::ModelSpec model;
+  const Status st =
+      dl::WorkloadRegistry::instance().resolve("graph:" + path, &model);
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  std::remove(path.c_str());
+}
+
+TEST(JsonDepth, SpecLoadersKeepTheirOtherCodes) {
+  core::FaultsConfig faults;
+  EXPECT_EQ(core::loadFaultsConfig("no/such/faults.json", &faults).code,
+            StatusCode::NotFound);
+  EXPECT_EQ(core::loadFaultsConfig(R"({"bogus": 1})", &faults).code,
+            StatusCode::InvalidArgument);
+  core::MetricsConfig metrics;
+  EXPECT_TRUE(core::loadMetricsConfig(R"({"scrape_interval": 0.5})",
+                                      &metrics).ok);
+  EXPECT_DOUBLE_EQ(metrics.scrape_interval, 0.5);
 }
 
 }  // namespace

@@ -78,7 +78,8 @@ TEST(HybridCubeMesh, BuildWiresDuplexNvlinks) {
   Topology topo;
   std::vector<NodeId> gpus;
   for (int i = 0; i < 8; ++i) {
-    gpus.push_back(topo.addNode("g" + std::to_string(i), NodeKind::Gpu));
+    gpus.push_back(topo.addNode(std::string("g").append(std::to_string(i)),
+                                NodeKind::Gpu));
   }
   const auto links = buildHybridCubeMesh(topo, gpus);
   EXPECT_EQ(links.size(), hybridCubeMesh(8).size());

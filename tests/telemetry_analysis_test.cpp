@@ -13,6 +13,7 @@
 #include "core/experiment.hpp"
 #include "core/sweep_runner.hpp"
 #include "dl/zoo.hpp"
+#include "profile_emit.hpp"
 #include "telemetry/analysis.hpp"
 #include "telemetry/profiler.hpp"
 
@@ -38,36 +39,36 @@ void buildSyntheticTrace(Simulator& sim, Profiler& prof) {
   const std::string trainer = "trainer/gpu0";
   const std::string coll = "collectives/gpu0 x2";
   sim.schedule(0.0, [&prof, trainer] {
-    prof.beginSpan(trainer, "trainer", "iteration", {{"iter", 4}});
-    prof.beginSpan(trainer, "trainer", "forward", {{"bucket", "compute"}});
+    beginSpan(prof, trainer, "trainer", "iteration", {{"iter", 4}});
+    beginSpan(prof, trainer, "trainer", "forward", {{"bucket", "compute"}});
   });
   sim.schedule(3.0, [&prof, trainer] {
-    prof.endSpan(trainer);
-    prof.beginSpan(trainer, "trainer", "backward", {{"bucket", "compute"}});
+    endSpan(prof, trainer);
+    beginSpan(prof, trainer, "trainer", "backward", {{"bucket", "compute"}});
   });
   sim.schedule(5.0, [&prof, coll, flow] {
-    prof.beginSpan(coll, "collective", "allReduce",
-                   {{"algorithm", "ring"}, {"corr", 7}});
-    *flow = prof.beginAsyncSpan(
-        "fabric", "nccl",
+    beginSpan(prof, coll, "collective", "allReduce",
+              {{"algorithm", "ring"}, {"corr", 7}});
+    *flow = beginAsyncSpan(
+        prof, "fabric", "nccl",
         {{"src", "gpu0"}, {"dst", "gpu1"}, {"bytes", 100}, {"corr", 7}});
   });
   sim.schedule(6.0, [&prof, trainer] {
-    prof.endSpan(trainer);
-    prof.beginSpan(trainer, "trainer", "gradient-sync", {{"bucket", "sync"}});
+    endSpan(prof, trainer);
+    beginSpan(prof, trainer, "trainer", "gradient-sync", {{"bucket", "sync"}});
   });
   sim.schedule(8.0, [&prof, coll, flow] {
     prof.endAsyncSpan(*flow, {{"contended_s", 1.5}});
-    prof.endSpan(coll);
+    endSpan(prof, coll);
     delete flow;
   });
   sim.schedule(9.0, [&prof, trainer] {
-    prof.endSpan(trainer);
-    prof.beginSpan(trainer, "trainer", "optimizer", {{"bucket", "compute"}});
+    endSpan(prof, trainer);
+    beginSpan(prof, trainer, "trainer", "optimizer", {{"bucket", "compute"}});
   });
   sim.schedule(10.0, [&prof, trainer] {
-    prof.endSpan(trainer);
-    prof.endSpan(trainer);  // iteration
+    endSpan(prof, trainer);
+    endSpan(prof, trainer);  // iteration
   });
 }
 
@@ -127,16 +128,16 @@ TEST(Analysis, LinkContentionReplaysCounterSeries) {
   // Need one iteration so the analysis is non-empty.
   buildSyntheticTrace(sim, prof);
   sim.schedule(0.0, [&] {
-    prof.setCounter(link, "util_pct", 80.0);
-    prof.setCounter(link, "flows", 1.0);
+    setCounter(prof, link, "util_pct", 80.0);
+    setCounter(prof, link, "flows", 1.0);
   });
   sim.schedule(2.0, [&] {
-    prof.setCounter(link, "util_pct", 100.0);
-    prof.setCounter(link, "flows", 2.0);
+    setCounter(prof, link, "util_pct", 100.0);
+    setCounter(prof, link, "flows", 2.0);
   });
   sim.schedule(6.0, [&] {
-    prof.setCounter(link, "util_pct", 0.0);
-    prof.setCounter(link, "flows", 0.0);
+    setCounter(prof, link, "util_pct", 0.0);
+    setCounter(prof, link, "flows", 0.0);
   });
   sim.run();
   prof.finalize();  // trace ends at t = 10

@@ -10,12 +10,14 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/composable_system.hpp"
 #include "core/experiment.hpp"
 #include "dl/trainer.hpp"
 #include "dl/zoo.hpp"
+#include "profile_emit.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace composim::telemetry {
@@ -31,10 +33,10 @@ TEST(Profiler, TrackSpansRecordBeginEndAtSimTime) {
   Profiler prof(sim);
   sim.setProfiler(&prof);
   sim.schedule(1.0, [&] {
-    auto s = prof.span("test", "outer");
-    prof.beginSpan("test", "test", "inner");
-    s.end();  // E records close LIFO per track: this closes "inner"
-    sim.schedule(0.5, [&prof] { prof.endSpan("test"); });
+    beginSpan(prof, "test", "test", "outer");
+    beginSpan(prof, "test", "test", "inner");
+    endSpan(prof, "test");  // E records close LIFO per track: "inner"
+    sim.schedule(0.5, [&prof] { endSpan(prof, "test"); });
   });
   sim.run();
   // Records: B outer, B inner, E (s.end at t=1), E (scheduled at t=1.5)
@@ -57,8 +59,8 @@ TEST(Profiler, AsyncSpansPairByCorrelationId) {
   Simulator sim;
   Profiler prof(sim);
   sim.setProfiler(&prof);
-  const AsyncSpanId a = prof.beginAsyncSpan("net", "flowA");
-  const AsyncSpanId b = prof.beginAsyncSpan("net", "flowB");
+  const AsyncSpanId a = beginAsyncSpan(prof, "net", "flowA");
+  const AsyncSpanId b = beginAsyncSpan(prof, "net", "flowB");
   EXPECT_NE(a, kInvalidAsyncSpan);
   EXPECT_NE(a, b);
   sim.schedule(2.0, [&] {
@@ -86,12 +88,12 @@ TEST(Profiler, CountersDedupAndIntegrate) {
   Simulator sim;
   Profiler prof(sim);
   sim.setProfiler(&prof);
-  prof.setCounter("link", "util", 50.0);
+  setCounter(prof, "link", "util", 50.0);
   sim.schedule(1.0, [&] {
-    prof.setCounter("link", "util", 50.0);  // unchanged: no record
-    prof.setCounter("link", "util", 100.0);
+    setCounter(prof, "link", "util", 50.0);  // unchanged: no record
+    setCounter(prof, "link", "util", 100.0);
   });
-  sim.schedule(2.0, [&] { prof.setCounter("link", "util", 0.0); });
+  sim.schedule(2.0, [&] { setCounter(prof, "link", "util", 0.0); });
   sim.run();
   EXPECT_EQ(prof.recordCount(), 3u);  // the duplicate was dropped
   EXPECT_DOUBLE_EQ(prof.counterValue("link", "util"), 0.0);
@@ -105,7 +107,7 @@ TEST(Profiler, HasCounterDistinguishesUnsetFromZero) {
   Simulator sim;
   Profiler prof(sim);
   sim.setProfiler(&prof);
-  prof.setCounter("link", "util", 0.0);
+  setCounter(prof, "link", "util", 0.0);
   // counterValue returns 0.0 either way; hasCounter tells them apart.
   EXPECT_DOUBLE_EQ(prof.counterValue("link", "util"), 0.0);
   EXPECT_DOUBLE_EQ(prof.counterValue("link", "flows"), 0.0);
@@ -120,13 +122,13 @@ TEST(Profiler, FinalizeFreezesAndDetaches) {
   Simulator sim;
   auto prof = std::make_shared<Profiler>(sim);
   sim.setProfiler(prof.get());
-  sim.schedule(1.0, [&] { prof->setCounter("c", "v", 10.0); });
+  sim.schedule(1.0, [&] { setCounter(*prof, "c", "v", 10.0); });
   sim.run();
   prof->finalize();
   const std::size_t n = prof->recordCount();
   // Recording stops after finalize.
-  prof->instant("x", "late");
-  prof->setCounter("c", "v", 99.0);
+  instant(*prof, "x", "late");
+  setCounter(*prof, "c", "v", 99.0);
   EXPECT_EQ(prof->recordCount(), n);
   EXPECT_DOUBLE_EQ(prof->counterValue("c", "v"), 10.0);
 }
@@ -136,17 +138,23 @@ TEST(Profiler, DisabledProfilerAddsZeroRecords) {
   Profiler prof(sim);
   prof.setEnabled(false);
   sim.setProfiler(&prof);
-  auto s = prof.span("cat", "noop");
-  prof.beginSpan("t", "cat", "x");
-  prof.endSpan("t");
-  EXPECT_EQ(prof.beginAsyncSpan("cat", "y"), kInvalidAsyncSpan);
+  beginSpan(prof, "t", "cat", "x");
+  endSpan(prof, "t");
+  EXPECT_EQ(beginAsyncSpan(prof, "cat", "y"), kInvalidAsyncSpan);
   prof.endAsyncSpan(1);
-  prof.setCounter("c", "v", 1.0);
-  prof.instant("cat", "z");
-  s.end();
+  setCounter(prof, "c", "v", 1.0);
+  instant(prof, "cat", "z");
   EXPECT_EQ(prof.recordCount(), 0u);
   const falcon::Json doc = prof.chromeTrace();
   EXPECT_EQ(doc.at("traceEvents").asArray().size(), 1u);  // process metadata
+}
+
+TEST(Profiler, ProfileArgsHoldSixAndRejectASeventh) {
+  ProfileArgs args{{"a", 1}, {"b", 2}, {"c", 3}, {"d", "x"}, {"e", 5}};
+  args.push_back({"f", 6});
+  EXPECT_EQ(args.size(), ProfileArgs::kCapacity);
+  EXPECT_THROW(args.push_back({"g", 7}), std::length_error);
+  EXPECT_EQ(args.size(), ProfileArgs::kCapacity);
 }
 
 TEST(Profiler, MaxRecordsDropsNewSpansWhole) {
@@ -154,21 +162,21 @@ TEST(Profiler, MaxRecordsDropsNewSpansWhole) {
   Profiler prof(sim);
   prof.setMaxRecords(4);
   sim.setProfiler(&prof);
-  prof.beginSpan("t", "c", "a");
-  prof.beginSpan("t", "c", "b");
-  prof.setCounter("lnk", "util", 50.0);
-  prof.instant("c", "mark");  // 4 records: at capacity from here on
+  beginSpan(prof, "t", "c", "a");
+  beginSpan(prof, "t", "c", "b");
+  setCounter(prof, "lnk", "util", 50.0);
+  instant(prof, "c", "mark");  // 4 records: at capacity from here on
   EXPECT_EQ(prof.recordCount(), 4u);
 
   // New work past the cap is dropped whole.
-  prof.beginSpan("t", "c", "dropped");
-  prof.instant("c", "late");
-  EXPECT_EQ(prof.beginAsyncSpan("c", "flow"), kInvalidAsyncSpan);
+  beginSpan(prof, "t", "c", "dropped");
+  instant(prof, "c", "late");
+  EXPECT_EQ(beginAsyncSpan(prof, "c", "flow"), kInvalidAsyncSpan);
   sim.schedule(1.0, [&] {
-    prof.setCounter("lnk", "util", 100.0);  // record dropped, integral kept
-    prof.endSpan("t");  // closes "dropped": suppressed with its begin
-    prof.endSpan("t");  // closes "b": begin was recorded, so this appends
-    prof.endSpan("t");  // closes "a": appends (bounded overshoot)
+    setCounter(prof, "lnk", "util", 100.0);  // record dropped, integral kept
+    endSpan(prof, "t");  // closes "dropped": suppressed with its begin
+    endSpan(prof, "t");  // closes "b": begin was recorded, so this appends
+    endSpan(prof, "t");  // closes "a": appends (bounded overshoot)
   });
   sim.run();
   EXPECT_EQ(prof.recordCount(), 6u);
@@ -197,12 +205,12 @@ TEST(ProfilerTrace, CollidingTimestampsExportInDocumentedOrder) {
   // export must group them by track (time, track id, sequence) instead
   // of leaking the event-execution interleaving.
   auto record = [](Profiler& prof) {
-    prof.beginSpan("beta", "c", "b1");
-    prof.beginSpan("alpha", "c", "a1");
-    prof.endSpan("beta");
-    prof.endSpan("alpha");
-    prof.beginSpan("beta", "c", "b2");
-    prof.endSpan("beta");
+    beginSpan(prof, "beta", "c", "b1");
+    beginSpan(prof, "alpha", "c", "a1");
+    endSpan(prof, "beta");
+    endSpan(prof, "alpha");
+    beginSpan(prof, "beta", "c", "b2");
+    endSpan(prof, "beta");
   };
   Simulator sim;
   Profiler prof(sim);
