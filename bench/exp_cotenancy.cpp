@@ -13,7 +13,7 @@
 #include "collectives/communicator.hpp"
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "telemetry/report.hpp"
 
 using namespace composim;

@@ -11,7 +11,7 @@
 #include "bench/bench_util.hpp"
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "telemetry/report.hpp"
 
 using namespace composim;

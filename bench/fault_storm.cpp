@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_recovery.json";
 
   dl::ModelSpec model;
-  for (const auto& m : dl::benchmarkZoo()) {
+  for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
     if (m.name == "BERT-L") model = m;
   }
 

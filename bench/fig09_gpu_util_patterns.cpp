@@ -17,7 +17,7 @@ using namespace composim;
 int main() {
   bench::banner("Fig 9", "GPU Utilization Patterns for the DL Benchmarks");
 
-  for (const auto& model : dl::benchmarkZoo()) {
+  for (const auto& model : dl::WorkloadRegistry::instance().paperZoo()) {
     core::ExperimentOptions opt;
     // The NLP runs are only 2 epochs; give them more iterations so the
     // plateau dominates the inter-epoch checkpoint dip, as it does in a

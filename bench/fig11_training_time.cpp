@@ -20,7 +20,7 @@ using namespace composim;
 int main(int argc, char** argv) {
   bench::banner("Fig 11", "Percentage Change of Training Time vs localGPUs");
 
-  const auto models = dl::benchmarkZoo();
+  const auto models = dl::WorkloadRegistry::instance().paperZoo();
   const std::vector<core::SystemConfig> configs = {
       core::SystemConfig::LocalGpus, core::SystemConfig::HybridGpus,
       core::SystemConfig::FalconGpus};

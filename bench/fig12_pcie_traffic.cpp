@@ -16,7 +16,7 @@ using namespace composim;
 int main(int argc, char** argv) {
   bench::banner("Fig 12", "PCIe Data Transfer Rate for Falcon-attached GPUs");
 
-  const auto models = dl::benchmarkZoo();
+  const auto models = dl::WorkloadRegistry::instance().paperZoo();
   const std::vector<core::SystemConfig> configs = {
       core::SystemConfig::HybridGpus, core::SystemConfig::FalconGpus};
   const auto results =

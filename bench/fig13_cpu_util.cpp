@@ -16,7 +16,7 @@ using namespace composim;
 int main(int argc, char** argv) {
   bench::banner("Fig 13", "CPU Utilization of the DL Benchmarks");
 
-  const auto models = dl::benchmarkZoo();
+  const auto models = dl::WorkloadRegistry::instance().paperZoo();
   const auto configs = core::gpuConfigs();
   const auto results =
       bench::figureMatrix(bench::jobsFromArgs(argc, argv), models, configs);

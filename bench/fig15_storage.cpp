@@ -21,7 +21,7 @@ int main() {
 
   telemetry::Table t({"Benchmark", "localGPUs (s)", "localNVMe %", "falconNVMe %"});
   std::vector<std::pair<std::string, double>> bars;
-  for (const auto& model : dl::benchmarkZoo()) {
+  for (const auto& model : dl::WorkloadRegistry::instance().paperZoo()) {
     core::ExperimentOptions opt;
     opt.trainer.max_iterations_per_epoch = 15;
     const auto base = core::Experiment::run(core::SystemConfig::LocalGpus, model, opt);

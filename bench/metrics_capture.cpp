@@ -4,8 +4,9 @@
 // error storm scheduled mid-run and SLO alert rules attached, then writes
 // the pipeline's two exports — Prometheus text exposition and the JSONL
 // time-series dump — to the paths given as argv[1]/argv[2], plus a
-// BENCH_metrics.json summary to argv[3]. Paired with metrics_validate by
-// the bench_metrics_validate ctest: capture here, structural checks there.
+// BENCH_metrics.json summary to argv[3]. The metrics ctest runs
+// bench_json_validate over the two exports: capture here, structural
+// checks there.
 //
 // The run doubles as an acceptance gate (exit nonzero on violation):
 //   (a) the ECC storm raises a firing `ecc_errors_total rate > 0` alert

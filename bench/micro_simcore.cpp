@@ -17,7 +17,7 @@
 #include "collectives/communicator.hpp"
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/link_catalog.hpp"
 #include "fabric/nvlink_mesh.hpp"
 #include "falcon/json.hpp"

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "telemetry/report.hpp"
 
 using namespace composim;
@@ -21,7 +21,7 @@ int main() {
   bench::banner("Table II", "Characteristics of the Evaluated DL Benchmarks");
   telemetry::Table t({"Benchmarks", "Domain", "Dataset", "Parameters", "Depth",
                       "Fwd GFLOPs/sample", "Layer objects"});
-  for (const auto& m : dl::benchmarkZoo()) {
+  for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
     const double millions = static_cast<double>(m.totalParams()) / 1e6;
     t.addRow({m.name, toString(m.domain), m.dataset,
               telemetry::fmt(millions, 1) + "M",

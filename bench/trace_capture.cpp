@@ -1,11 +1,11 @@
 // Runs a short traced experiment (BERT-L, localGPUs, DDP) with the
 // span profiler enabled and writes the Chrome trace_event export to the
-// path given as argv[1]. Paired with trace_validate by the
-// bench_trace_validate ctest: capture here, structural checks there.
+// path given as argv[1]. The trace ctest runs bench_json_validate over
+// it: capture here, structural checks there.
 #include <cstdio>
 
 #include "core/experiment.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "telemetry/profiler.hpp"
 
 using namespace composim;

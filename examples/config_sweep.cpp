@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   dl::ModelSpec model;
   bool found = false;
-  for (const auto& m : dl::benchmarkZoo()) {
+  for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
     if (m.name == wanted) {
       model = m;
       found = true;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   }
   if (!found) {
     std::fprintf(stderr, "unknown benchmark '%s'; options:\n", wanted.c_str());
-    for (const auto& m : dl::benchmarkZoo()) {
+    for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
       std::fprintf(stderr, "  %s\n", m.name.c_str());
     }
     return 1;

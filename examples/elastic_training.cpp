@@ -12,7 +12,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 using namespace composim;
 

@@ -10,7 +10,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/failures.hpp"
 #include "falcon/topology_view.hpp"
 

@@ -35,6 +35,10 @@ std::vector<SystemConfig> storageConfigs() {
           SystemConfig::FalconNvme};
 }
 
+std::size_t trainingGpuCount(SystemConfig c) {
+  return c == SystemConfig::AllGpus16 ? 16 : 8;
+}
+
 ComposableSystem::ComposableSystem(SystemConfig config) : config_(config) {
   net_ = std::make_unique<fabric::FlowNetwork>(sim_, topo_);
   buildHost();

@@ -49,6 +49,9 @@ std::vector<SystemConfig> allConfigs();
 std::vector<SystemConfig> gpuConfigs();
 /// The three storage-comparison configurations (Fig 15).
 std::vector<SystemConfig> storageConfigs();
+/// How many GPUs `c` trains on: ComposableSystem(c).trainingGpus().size()
+/// without building the system.
+std::size_t trainingGpuCount(SystemConfig c);
 
 class ComposableSystem {
  public:

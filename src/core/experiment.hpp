@@ -14,7 +14,7 @@
 #include "core/composable_system.hpp"
 #include "core/recovery_orchestrator.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/failures.hpp"
 #include "telemetry/analysis.hpp"
 #include "telemetry/metrics_pipeline.hpp"

@@ -35,6 +35,17 @@ devices::Precision precisionFromName(const std::string& name) {
   throw std::invalid_argument("unknown precision '" + name + "'");
 }
 
+/// An int-typed suite field; out-of-int-range values throw instead of
+/// wrapping.
+int intField(const falcon::Json& v, const char* key) {
+  const std::int64_t x = v.asInt();
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string(key) + " out of int range");
+  }
+  return static_cast<int>(x);
+}
+
 }  // namespace
 
 namespace {
@@ -299,13 +310,14 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
     dl::workload(s.workload);  // validate early (throws with known names)
     s.config = configFromName(e.at("config").asString());
     if (const auto* v = e.find("epochs")) {
-      s.options.trainer.epochs = static_cast<int>(v->asInt());
+      s.options.trainer.epochs = intField(*v, "epochs");
     }
     if (const auto* v = e.find("iterations_cap")) {
-      s.options.trainer.max_iterations_per_epoch = static_cast<int>(v->asInt());
+      s.options.trainer.max_iterations_per_epoch =
+          intField(*v, "iterations_cap");
     }
     if (const auto* v = e.find("batch_per_gpu")) {
-      s.options.trainer.batch_per_gpu = static_cast<int>(v->asInt());
+      s.options.trainer.batch_per_gpu = intField(*v, "batch_per_gpu");
     }
     if (const auto* v = e.find("strategy")) {
       s.options.trainer.strategy = strategyFromName(v->asString());
@@ -317,7 +329,8 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
       s.options.trainer.sharded = v->asBool();
     }
     if (const auto* v = e.find("accumulation")) {
-      s.options.trainer.gradient_accumulation_steps = static_cast<int>(v->asInt());
+      s.options.trainer.gradient_accumulation_steps =
+          intField(*v, "accumulation");
     }
     if (const auto* v = e.find("sample_interval")) {
       s.options.sample_interval = v->asDouble();
@@ -329,7 +342,11 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
       s.options.analysis = v->asBool();
     }
     if (const auto* v = e.find("trace_max_records")) {
-      s.options.trace_max_records = static_cast<std::size_t>(v->asInt());
+      const std::int64_t cap = v->asInt();
+      if (cap < 0) {
+        throw std::invalid_argument("trace_max_records must be >= 0");
+      }
+      s.options.trace_max_records = static_cast<std::size_t>(cap);
     }
     if (const auto* v = e.find("warm_prefix")) {
       s.options.warm_prefix = v->asInt();
@@ -351,31 +368,6 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
   return specs;
 }
 
-namespace {
-
-/// Iterations the trainer will simulate per epoch for this spec — the
-/// same arithmetic as Trainer::iterationsPerEpochFull + the cap.
-std::int64_t simulatedItersPerEpoch(const ExperimentSpec& spec) {
-  const dl::ModelSpec model = dl::workload(spec.workload);
-  const dl::DatasetSpec dataset = dl::datasetFor(model);
-  const int gpu_count = spec.config == SystemConfig::AllGpus16 ? 16 : 8;
-  const int batch_per_gpu = spec.options.trainer.batch_per_gpu > 0
-                                ? spec.options.trainer.batch_per_gpu
-                                : model.paper_batch_per_gpu;
-  const std::int64_t global_batch =
-      static_cast<std::int64_t>(batch_per_gpu) * gpu_count *
-      std::max(1, spec.options.trainer.gradient_accumulation_steps);
-  std::int64_t full =
-      (dataset.train_samples + global_batch - 1) / global_batch;
-  if (spec.options.trainer.max_iterations_per_epoch > 0) {
-    full = std::min<std::int64_t>(
-        full, spec.options.trainer.max_iterations_per_epoch);
-  }
-  return full;
-}
-
-}  // namespace
-
 bool warmPrefixApplicable(const ExperimentSpec& spec) {
   const std::int64_t w = spec.options.warm_prefix;
   if (w <= 0) return false;
@@ -388,7 +380,11 @@ bool warmPrefixApplicable(const ExperimentSpec& spec) {
       w >= spec.options.trainer.checkpoint_every_iters) {
     return false;
   }
-  return w < simulatedItersPerEpoch(spec);
+  const dl::ModelSpec model = dl::workload(spec.workload);
+  return w < dl::epochIterations(model, dl::datasetFor(model),
+                                 spec.options.trainer,
+                                 trainingGpuCount(spec.config))
+                 .simulated;
 }
 
 std::string warmPrefixKey(const ExperimentSpec& spec) {

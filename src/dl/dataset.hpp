@@ -34,11 +34,4 @@ struct DatasetSpec {
   Bytes totalSizeOnDisk() const { return train_samples * disk_bytes_per_sample; }
 };
 
-namespace datasets {
-
-DatasetSpec imagenet();
-DatasetSpec coco();
-DatasetSpec squadV11();
-
-}  // namespace datasets
 }  // namespace composim::dl

@@ -30,8 +30,7 @@ Trainer::Trainer(Simulator& sim, fabric::FlowNetwork& net,
       host_memory_(hostMemory), storage_(storage), model_(std::move(model)),
       dataset_(std::move(dataset)), options_(options), rng_(options.seed) {
   if (gpus_.empty()) throw std::invalid_argument("Trainer: no GPUs");
-  batch_per_gpu_ = options_.batch_per_gpu > 0 ? options_.batch_per_gpu
-                                              : model_.paper_batch_per_gpu;
+  batch_per_gpu_ = effectiveBatchPerGpu(model_, options_);
   epochs_ = options_.epochs > 0 ? options_.epochs : model_.paper_epochs;
 
   std::vector<fabric::NodeId> ranks;
@@ -100,12 +99,32 @@ int Trainer::maxFeasibleBatchPerGpu() const {
   return feasible;
 }
 
-std::int64_t Trainer::iterationsPerEpochFull() const {
+int effectiveBatchPerGpu(const ModelSpec& model,
+                         const TrainerOptions& options) {
+  return options.batch_per_gpu > 0 ? options.batch_per_gpu
+                                   : model.paper_batch_per_gpu;
+}
+
+EpochIterations epochIterations(const ModelSpec& model,
+                                const DatasetSpec& dataset,
+                                const TrainerOptions& options,
+                                std::size_t gpus) {
   const std::int64_t global_batch =
-      static_cast<std::int64_t>(batch_per_gpu_) *
-      static_cast<std::int64_t>(gpus_.size()) *
-      std::max(1, options_.gradient_accumulation_steps);
-  return (dataset_.train_samples + global_batch - 1) / global_batch;
+      static_cast<std::int64_t>(effectiveBatchPerGpu(model, options)) *
+      static_cast<std::int64_t>(gpus) *
+      std::max(1, options.gradient_accumulation_steps);
+  EpochIterations out;
+  out.full = (dataset.train_samples + global_batch - 1) / global_batch;
+  out.simulated = out.full;
+  if (options.max_iterations_per_epoch > 0) {
+    out.simulated = std::min<std::int64_t>(out.full,
+                                           options.max_iterations_per_epoch);
+  }
+  return out;
+}
+
+std::int64_t Trainer::iterationsPerEpochFull() const {
+  return epochIterations(model_, dataset_, options_, gpus_.size()).full;
 }
 
 void Trainer::start(std::function<void(const TrainingResult&)> done) {
@@ -129,11 +148,8 @@ void Trainer::start(std::function<void(const TrainingResult&)> done) {
   host_base_memory_ = units::GiB(10) + units::GiB(1.5) * static_cast<Bytes>(gpus_.size());
   cpu_.allocateMemory(host_base_memory_);
 
-  iters_per_epoch_sim_ = iterationsPerEpochFull();
-  if (options_.max_iterations_per_epoch > 0) {
-    iters_per_epoch_sim_ =
-        std::min<std::int64_t>(iters_per_epoch_sim_, options_.max_iterations_per_epoch);
-  }
+  iters_per_epoch_sim_ =
+      epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
 
   pipeline_->start();
   prefetchNextInput();
@@ -549,11 +565,8 @@ void Trainer::recomposeGang() {
 
   input_ready_ = false;
   input_waiter_ = nullptr;
-  iters_per_epoch_sim_ = iterationsPerEpochFull();
-  if (options_.max_iterations_per_epoch > 0) {
-    iters_per_epoch_sim_ = std::min<std::int64_t>(
-        iters_per_epoch_sim_, options_.max_iterations_per_epoch);
-  }
+  iters_per_epoch_sim_ =
+      epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
 }
 
 bool Trainer::requestRestore(std::vector<devices::Gpu*> gpus,
@@ -724,11 +737,8 @@ void Trainer::restoreRun(const State& st,
 
   // Re-derive the loss curve from the captured noise draws under THIS
   // trainer's planned total, which may differ from the prefix donor's.
-  iters_per_epoch_sim_ = iterationsPerEpochFull();
-  if (options_.max_iterations_per_epoch > 0) {
-    iters_per_epoch_sim_ =
-        std::min<std::int64_t>(iters_per_epoch_sim_, options_.max_iterations_per_epoch);
-  }
+  iters_per_epoch_sim_ =
+      epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
   loss_noise_ = st.loss_noise;
   const double total =
       static_cast<double>(iters_per_epoch_sim_) * std::max(1, epochs_);

@@ -70,6 +70,22 @@ struct TrainerOptions {
   std::uint64_t seed = 42;
 };
 
+/// The per-GPU batch a trainer runs: options.batch_per_gpu, or the
+/// model's paper batch when unset.
+int effectiveBatchPerGpu(const ModelSpec& model, const TrainerOptions& options);
+
+/// Iterations per epoch on `gpus` ranks. `full` is ceil(train_samples /
+/// global batch), with global batch = per-GPU batch x gpus x accumulation
+/// steps; `simulated` is `full` capped by max_iterations_per_epoch.
+struct EpochIterations {
+  std::int64_t full = 0;
+  std::int64_t simulated = 0;
+};
+EpochIterations epochIterations(const ModelSpec& model,
+                                const DatasetSpec& dataset,
+                                const TrainerOptions& options,
+                                std::size_t gpus);
+
 struct TrainingResult {
   bool completed = false;
   std::string error;                  // set when aborted (e.g. GPU OOM)

@@ -23,12 +23,49 @@ ModelSpec lowered() {
   return m;
 }
 
+DatasetSpec imagenet() {
+  DatasetSpec d;
+  d.name = "ImageNet";
+  d.train_samples = 1281167;
+  d.disk_bytes_per_sample = units::KB(110);
+  d.read_amplification = 1.0;
+  d.uncached_read_fraction = 0.05;  // 756 GB hosts keep ImageNet warm
+  d.cpu_preprocess_per_sample = units::milliseconds(2.5);  // decode + augment
+  d.device_bytes_per_sample = 3LL * 224 * 224 * 2;
+  return d;
+}
+
+DatasetSpec coco() {
+  DatasetSpec d;
+  d.name = "Coco";
+  d.train_samples = 118287;
+  d.disk_bytes_per_sample = units::KB(163);
+  d.read_amplification = 4.0;  // YOLOv5 mosaic loads 4 images per sample
+  d.uncached_read_fraction = 1.0;  // amplified random reads defeat caching
+  // Mosaic + letterbox + HSV augmentation over four source images.
+  d.cpu_preprocess_per_sample = units::milliseconds(20.0);
+  d.device_bytes_per_sample = 3LL * 640 * 640 * 2;
+  return d;
+}
+
+DatasetSpec squadV11() {
+  DatasetSpec d;
+  d.name = "SQuAD v1.1";
+  d.train_samples = 88608;  // tokenized features from the 87.6k questions
+  d.disk_bytes_per_sample = units::KB(2.5);
+  d.read_amplification = 1.0;
+  d.uncached_read_fraction = 0.02;  // tokenized features, fully cached
+  d.cpu_preprocess_per_sample = units::milliseconds(0.05);
+  d.device_bytes_per_sample = 3LL * 384 * 4;
+  return d;
+}
+
 }  // namespace
 
 WorkloadRegistry::WorkloadRegistry() {
-  datasets_.push_back(datasets::imagenet());
-  datasets_.push_back(datasets::coco());
-  datasets_.push_back(datasets::squadV11());
+  datasets_.push_back(imagenet());
+  datasets_.push_back(coco());
+  datasets_.push_back(squadV11());
 
   const auto builtin = [this](std::string name, std::string dataset,
                               std::string description, bool paper,
@@ -199,6 +236,15 @@ ModelSpec workload(const std::string& ref) {
     throw std::invalid_argument(s.toString());
   }
   return m;
+}
+
+DatasetSpec datasetFor(const ModelSpec& model) {
+  DatasetSpec d;
+  if (const Status s = WorkloadRegistry::instance().dataset(model.dataset, &d);
+      !s) {
+    throw std::invalid_argument("datasetFor: " + s.detail);
+  }
+  return d;
 }
 
 }  // namespace composim::dl

@@ -10,8 +10,8 @@
 // graph file may carry its dataset inline — so a JSON-only workload
 // trains end to end without touching C++.
 //
-// This replaces the seven free factory functions in dl/zoo.hpp, which
-// remain as thin deprecated wrappers over registry lookup.
+// Table II itself is paperZoo() (paper order); datasetFor() maps a model
+// to the dataset it trains on.
 #pragma once
 
 #include <functional>
@@ -31,7 +31,7 @@ class WorkloadRegistry {
     std::string name;         // unique lookup key (== factory's model name)
     std::string dataset;      // dataset registry key the workload trains on
     std::string description;  // one line for listings
-    bool paper_benchmark = false;  // member of Table II (benchmarkZoo order)
+    bool paper_benchmark = false;  // member of Table II (paperZoo order)
     std::function<ModelSpec()> factory;
   };
 
@@ -87,5 +87,9 @@ class WorkloadRegistry {
 /// std::invalid_argument on failure — the pre-registry ergonomics for
 /// examples, benches and tests.
 ModelSpec workload(const std::string& ref);
+
+/// The dataset `model` trains on (registry lookup by ModelSpec::dataset);
+/// throws std::invalid_argument for an unregistered dataset.
+DatasetSpec datasetFor(const ModelSpec& model);
 
 }  // namespace composim::dl

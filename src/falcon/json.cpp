@@ -9,6 +9,11 @@ namespace composim::falcon {
 std::int64_t Json::asInt() const {
   if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
   if (const auto* d = std::get_if<double>(&value_)) {
+    // [-2^63, 2^63) is exactly the range whose truncation fits int64; NaN
+    // fails both comparisons.
+    if (!(*d >= -0x1p63 && *d < 0x1p63)) {
+      throw JsonError("Json: number out of integer range");
+    }
     return static_cast<std::int64_t>(*d);
   }
   throw JsonError("Json: not a number");

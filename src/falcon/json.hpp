@@ -53,6 +53,8 @@ class Json {
   bool isObject() const { return std::holds_alternative<JsonObject>(value_); }
 
   bool asBool() const { return get<bool>("bool"); }
+  /// Doubles truncate toward zero; a non-finite double or one outside
+  /// the int64 range throws JsonError.
   std::int64_t asInt() const;
   double asDouble() const;
   const std::string& asString() const { return get<std::string>("string"); }

@@ -5,7 +5,7 @@
 #include "core/experiment_config.hpp"
 #include "devices/nic.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 namespace composim::core {
 namespace {
@@ -14,6 +14,7 @@ TEST(AllGpus16, ComposesSixteenGpus) {
   ComposableSystem sys(SystemConfig::AllGpus16);
   const auto gpus = sys.trainingGpus();
   ASSERT_EQ(gpus.size(), 16u);
+  EXPECT_EQ(trainingGpuCount(SystemConfig::AllGpus16), 16u);
   EXPECT_EQ(sys.trainingStorage().name(), "nvme.local");
   // All 8 falcon GPUs attached across both drawers.
   EXPECT_EQ(sys.chassis().devicesAssignedTo(0).size(), 4u);
@@ -183,7 +184,7 @@ TEST(ExperimentConfig, NameResolutionCoversAllConfigs) {
     EXPECT_EQ(configFromName(toString(c)), c);
   }
   EXPECT_EQ(configFromName("allGPUs16"), SystemConfig::AllGpus16);
-  for (const auto& m : dl::benchmarkZoo()) {
+  for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
     EXPECT_EQ(benchmarkFromName(m.name).name, m.name);
   }
 }

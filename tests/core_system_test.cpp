@@ -21,6 +21,7 @@ TEST(ComposableSystem, EveryConfigTrainsOnEightGpus) {
   for (const auto c : allConfigs()) {
     ComposableSystem sys(c);
     EXPECT_EQ(sys.trainingGpus().size(), 8u) << toString(c);
+    EXPECT_EQ(trainingGpuCount(c), 8u) << toString(c);
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 namespace composim::dl {
 namespace {

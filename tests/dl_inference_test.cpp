@@ -3,7 +3,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/inference.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 namespace composim::dl {
 namespace {

@@ -2,7 +2,7 @@
 // the architecture arithmetic.
 #include <gtest/gtest.h>
 
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 namespace composim::dl {
 namespace {
@@ -55,7 +55,7 @@ TEST(Zoo, DomainsAndDatasetsMatchTableII) {
 }
 
 TEST(Zoo, ZooOrderMatchesTableII) {
-  const auto zoo = benchmarkZoo();
+  const auto zoo = WorkloadRegistry::instance().paperZoo();
   ASSERT_EQ(zoo.size(), 5u);
   EXPECT_EQ(zoo[0].name, "MobileNetV2");
   EXPECT_EQ(zoo[1].name, "ResNet-50");
@@ -86,7 +86,7 @@ TEST(Zoo, GradientBytesFollowPrecision) {
 }
 
 TEST(Model, PartitionConservesTotals) {
-  for (const auto& m : benchmarkZoo()) {
+  for (const auto& m : WorkloadRegistry::instance().paperZoo()) {
     for (int groups : {1, 4, 12, 1000}) {
       const auto parts = m.partition(groups);
       std::int64_t params = 0;
@@ -115,12 +115,13 @@ TEST(Model, PartitionBalancesFlops) {
 }
 
 TEST(Datasets, SpecsMatchPublicNumbers) {
-  const auto in = datasets::imagenet();
+  const auto in = datasetFor(workload("ResNet-50"));
+  EXPECT_EQ(in.name, "ImageNet");
   EXPECT_EQ(in.train_samples, 1281167);
-  const auto coco = datasets::coco();
+  const auto coco = datasetFor(workload("YOLOv5-L"));
   EXPECT_EQ(coco.train_samples, 118287);
   EXPECT_DOUBLE_EQ(coco.read_amplification, 4.0);  // mosaic
-  const auto squad = datasets::squadV11();
+  const auto squad = datasetFor(workload("BERT"));
   EXPECT_GT(squad.train_samples, 87000);
   // Storage pressure ordering: COCO(mosaic) >> ImageNet(cached) >> SQuAD.
   EXPECT_GT(coco.storageBytesPerSample(), in.storageBytesPerSample() * 10);
@@ -128,7 +129,7 @@ TEST(Datasets, SpecsMatchPublicNumbers) {
 }
 
 TEST(Datasets, DatasetForResolvesEveryBenchmark) {
-  for (const auto& m : benchmarkZoo()) {
+  for (const auto& m : WorkloadRegistry::instance().paperZoo()) {
     EXPECT_EQ(datasetFor(m).name, m.dataset);
   }
   ModelSpec bogus;

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "dl/pipeline.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/link_catalog.hpp"
 
 namespace composim::dl {

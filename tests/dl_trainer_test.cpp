@@ -4,7 +4,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 
 namespace composim::dl {
 namespace {
@@ -184,7 +184,7 @@ TEST_F(TrainerFixture, MemoryPlannerMatchesPaperBertBatches) {
 
 TEST_F(TrainerFixture, PaperBatchesFitForAllBenchmarks) {
   auto gpus = sys.trainingGpus();
-  for (const auto& m : benchmarkZoo()) {
+  for (const auto& m : WorkloadRegistry::instance().paperZoo()) {
     TrainerOptions opt;
     Trainer t(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
               sys.hostMemory(), sys.trainingStorage(), m, datasetFor(m), opt);

@@ -6,7 +6,7 @@
 #include "core/recommender.hpp"
 #include "dl/inference.hpp"
 #include "dl/pipeline.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/link_catalog.hpp"
 #include "falcon/json.hpp"
 
@@ -179,7 +179,7 @@ TEST(InferenceEdge, ZeroRequestsCompletesImmediately) {
 }
 
 TEST(ZooEdge, EveryModelHasPositiveCharacteristics) {
-  auto models = dl::benchmarkZoo();
+  auto models = dl::WorkloadRegistry::instance().paperZoo();
   models.push_back(dl::workload("GPT-2-medium"));
   models.push_back(dl::workload("ViT-B/16"));
   for (const auto& m : models) {

@@ -3,6 +3,8 @@
 // (suite, --faults, --metrics, graph: files) is parsed under.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -30,6 +32,14 @@ TEST(Json, IntAndDoubleInterconvert) {
   EXPECT_DOUBLE_EQ(Json(std::int64_t{7}).asDouble(), 7.0);
   EXPECT_EQ(Json(2.9).asInt(), 2);
   EXPECT_THROW(Json("x").asInt(), JsonError);
+  // Doubles whose truncation does not fit int64 throw rather than invoke
+  // an out-of-range conversion.
+  EXPECT_EQ(Json(-0x1p63).asInt(), INT64_MIN);
+  EXPECT_THROW(Json(0x1p63).asInt(), JsonError);
+  EXPECT_THROW(Json::parse("1e300").asInt(), JsonError);
+  EXPECT_THROW(Json::parse("-99999999999999999999").asInt(), JsonError);
+  EXPECT_THROW(Json(std::nan("")).asInt(), JsonError);
+  EXPECT_THROW(Json(HUGE_VAL).asInt(), JsonError);
 }
 
 TEST(Json, ObjectInsertOrderPreserved) {
@@ -182,6 +192,48 @@ TEST(JsonDepth, SuiteLoaderReturnsInvalidArgument) {
   const Status st = core::loadExperimentSuite(deepSpec("experiments"), &specs);
   EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
   EXPECT_TRUE(specs.empty());
+}
+
+/// A one-experiment suite whose entry ends with `extra` (a JSON member).
+Status loadSuiteWith(const std::string& extra) {
+  std::string suite =
+      R"({"experiments": [{"name": "x", "workload": "ResNet-50", )"
+      R"("config": "localGPUs", )";
+  suite += extra;
+  suite += "}]}";
+  std::vector<core::ExperimentSpec> specs;
+  return core::loadExperimentSuite(suite, &specs);
+}
+
+TEST(JsonDepth, SuiteLoaderAcceptsInRangeNumbers) {
+  // The skeleton loads, so each rejection below is its field's doing.
+  EXPECT_TRUE(loadSuiteWith(R"("epochs": 1e0, "trace_max_records": 0)").ok);
+}
+
+TEST(JsonDepth, SuiteExponentOutOfRangeIsInvalidArgument) {
+  const Status st = loadSuiteWith(R"("epochs": 1e300)");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+}
+
+TEST(JsonDepth, SuiteIntegerOverflowingInt64IsInvalidArgument) {
+  const Status st = loadSuiteWith(R"("epochs": 99999999999999999999)");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+}
+
+TEST(JsonDepth, SuiteIntFieldOutsideIntRangeIsInvalidArgument) {
+  for (const char* field :
+       {"epochs", "iterations_cap", "batch_per_gpu", "accumulation"}) {
+    std::string member = "\"";
+    member += field;
+    member += "\": 4294967296";
+    EXPECT_EQ(loadSuiteWith(member).code, StatusCode::InvalidArgument)
+        << field;
+  }
+}
+
+TEST(JsonDepth, SuiteNegativeTraceMaxRecordsIsInvalidArgument) {
+  const Status st = loadSuiteWith(R"("trace_max_records": -1)");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
 }
 
 TEST(JsonDepth, FaultsLoaderReturnsInvalidArgument) {

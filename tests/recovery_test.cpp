@@ -16,7 +16,7 @@ ExperimentOptions baseOptions() {
 }
 
 dl::ModelSpec testModel() {
-  for (const auto& m : dl::benchmarkZoo()) {
+  for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
     if (m.name == "ResNet-50") return m;
   }
   throw std::runtime_error("ResNet-50 missing from the zoo");

@@ -12,7 +12,7 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep_runner.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "profile_emit.hpp"
 #include "telemetry/analysis.hpp"
 #include "telemetry/profiler.hpp"

@@ -16,7 +16,7 @@
 #include "core/composable_system.hpp"
 #include "core/experiment.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "profile_emit.hpp"
 #include "telemetry/profiler.hpp"
 

@@ -6,7 +6,7 @@
 
 #include "core/composable_system.hpp"
 #include "dl/trainer.hpp"
-#include "dl/zoo.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/bandwidth_probe.hpp"
 #include "telemetry/run_tracker.hpp"
 

@@ -1,7 +1,6 @@
-// WorkloadRegistry: the name -> ModelSpec front door that replaced the
-// zoo's free factory functions — lookup, registration, dataset
-// association, "graph:<path>" resolution, and the deprecated wrappers'
-// equivalence contract.
+// WorkloadRegistry: the name -> ModelSpec front door for workloads —
+// lookup, registration, dataset association and "graph:<path>"
+// resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "dl/workload_registry.hpp"
-#include "dl/zoo.hpp"
 
 namespace composim {
 namespace {
@@ -37,17 +35,6 @@ TEST(WorkloadRegistry, UnknownNameIsNotFoundAndListsKnown) {
   EXPECT_EQ(s.code, StatusCode::NotFound);
   EXPECT_NE(s.detail.find("ResNet-50"), std::string::npos) << s.detail;
   EXPECT_NE(s.detail.find("graph:<path>"), std::string::npos) << s.detail;
-}
-
-TEST(WorkloadRegistry, BenchmarkZooMatchesPaperZoo) {
-  const auto zoo = dl::benchmarkZoo();
-  const auto paper = dl::WorkloadRegistry::instance().paperZoo();
-  ASSERT_EQ(zoo.size(), 5u);
-  ASSERT_EQ(paper.size(), 5u);
-  for (std::size_t i = 0; i < zoo.size(); ++i) {
-    EXPECT_EQ(zoo[i].name, paper[i].name);
-    EXPECT_EQ(zoo[i].totalParams(), paper[i].totalParams());
-  }
 }
 
 TEST(WorkloadRegistry, LookupResolvesEveryZooModelByName) {
