@@ -439,6 +439,9 @@ void Trainer::endIteration() {
       // (warmPrefixApplicable) this point is strictly inside an epoch and
       // not an iteration-count checkpoint, so the suppressed continuation
       // is exactly the beginIteration() that resumeTraining() will issue.
+      // One-shot: a restore that rewinds below the boundary re-crosses it
+      // and must train on, not pause again with nobody left to resume.
+      pause_at_ = 0;
       paused_ = true;
       if (on_paused_) {
         auto cb = std::move(on_paused_);

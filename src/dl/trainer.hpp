@@ -138,7 +138,9 @@ class Trainer {
   /// continues only when resumeTraining() is called. The caller must pick
   /// a boundary that falls strictly inside an epoch and before any
   /// iteration-count checkpoint (see core::warmPrefixApplicable) so the
-  /// paused continuation is exactly beginIteration().
+  /// paused continuation is exactly beginIteration(). The pause fires
+  /// once: a later crossing of the same count (a restore rewinding below
+  /// it) trains on.
   void pauseAfter(std::int64_t iterations, std::function<void()> onPaused);
 
   bool paused() const { return paused_; }
@@ -334,7 +336,8 @@ class Trainer {
   bool checkpointing_ = false;
   bool started_ = false;
   // Warm-prefix pause: when armed, the end of iteration `pause_at_` stops
-  // the training loop instead of beginning the next iteration.
+  // the training loop instead of beginning the next iteration. Disarmed
+  // (0) once it fires.
   std::int64_t pause_at_ = 0;
   std::function<void()> on_paused_;
   bool paused_ = false;

@@ -57,7 +57,7 @@ namespace {
 /// control characters; everything else (UTF-8 included) passes through.
 bool needsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
 
-void escapeString(std::string& out, const std::string& s) {
+void escapeString(std::string& out, std::string_view s) {
   out += '"';
   const char* run = s.data();  // start of the pending run of safe bytes
   const char* const end = s.data() + s.size();
@@ -83,69 +83,157 @@ void escapeString(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void newlineIndent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
-}
-
 }  // namespace
 
-void Json::dumpTo(std::string& out, int indent, int depth) const {
-  if (const auto* str = std::get_if<std::string>(&value_)) {
-    escapeString(out, *str);
-  } else if (const auto* d = std::get_if<double>(&value_)) {
-    if (std::isfinite(*d)) {
-      // The standard defines to_chars(general, 17) as printf's "%.17g".
-      char buf[32];
-      const auto res = std::to_chars(buf, buf + sizeof(buf), *d,
-                                     std::chars_format::general, 17);
-      out.append(buf, static_cast<std::size_t>(res.ptr - buf));
-    } else {
-      out += "null";  // JSON has no Inf/NaN
-    }
-  } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), *i);
-    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
-  } else if (const auto* obj = std::get_if<JsonObject>(&value_)) {
-    if (obj->empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    for (std::size_t k = 0; k < obj->size(); ++k) {
-      if (k > 0) out += ',';
-      newlineIndent(out, indent, depth + 1);
-      escapeString(out, (*obj)[k].first);
-      out += indent < 0 ? ":" : ": ";
-      (*obj)[k].second.dumpTo(out, indent, depth + 1);
-    }
-    newlineIndent(out, indent, depth);
-    out += '}';
-  } else if (const auto* arr = std::get_if<JsonArray>(&value_)) {
-    if (arr->empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (std::size_t k = 0; k < arr->size(); ++k) {
-      if (k > 0) out += ',';
-      newlineIndent(out, indent, depth + 1);
-      (*arr)[k].dumpTo(out, indent, depth + 1);
-    }
-    newlineIndent(out, indent, depth);
-    out += ']';
-  } else if (const auto* b = std::get_if<bool>(&value_)) {
-    out += *b ? "true" : "false";
+void JsonWriter::newlineIndent(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::beforeValue() {
+  if (stack_.empty()) {
+    if (wrote_root_) throw JsonError("JsonWriter: second top-level value");
+    wrote_root_ = true;
+    return;
+  }
+  Level& top = stack_.back();
+  if (top.object) {
+    if (!key_pending_) throw JsonError("JsonWriter: object member without a key");
+    key_pending_ = false;
+    return;
+  }
+  if (!top.empty) out_ += ',';
+  top.empty = false;
+  newlineIndent(stack_.size());
+}
+
+void JsonWriter::open(char bracket, bool object) {
+  beforeValue();
+  out_ += bracket;
+  stack_.push_back(Level{object});
+}
+
+void JsonWriter::close(char bracket, bool object) {
+  if (stack_.empty() || stack_.back().object != object || key_pending_) {
+    throw JsonError(std::string("JsonWriter: unmatched '") + bracket + "'");
+  }
+  const bool empty = stack_.back().empty;
+  stack_.pop_back();
+  if (!empty) newlineIndent(stack_.size());
+  out_ += bracket;
+}
+
+void JsonWriter::beforeKey() {
+  if (stack_.empty() || !stack_.back().object || key_pending_) {
+    throw JsonError("JsonWriter: key outside an object");
+  }
+  Level& top = stack_.back();
+  if (!top.empty) out_ += ',';
+  top.empty = false;
+  newlineIndent(stack_.size());
+}
+
+void JsonWriter::afterKey() {
+  if (indent_ < 0) {
+    out_ += ':';
   } else {
-    out += "null";
+    out_.append(": ", 2);
+  }
+  key_pending_ = true;
+}
+
+void JsonWriter::key(std::string_view k) {
+  beforeKey();
+  escapeString(out_, k);
+  afterKey();
+}
+
+void JsonWriter::quotedKey(std::string_view quoted) {
+  beforeKey();
+  out_.append(quoted);
+  afterKey();
+}
+
+void JsonWriter::value(std::string_view s) {
+  beforeValue();
+  escapeString(out_, s);
+}
+
+void JsonWriter::quotedValue(std::string_view quoted) {
+  beforeValue();
+  out_.append(quoted);
+}
+
+void JsonWriter::value(double d) {
+  beforeValue();
+  if (!std::isfinite(d)) {
+    out_.append("null", 4);  // JSON has no Inf/NaN
+    return;
+  }
+  // The standard defines to_chars(general, 17) as printf's "%.17g".
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
+  out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+void JsonWriter::value(std::int64_t i) {
+  beforeValue();
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), i);
+  out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+void JsonWriter::value(bool b) {
+  beforeValue();
+  if (b) {
+    out_.append("true", 4);
+  } else {
+    out_.append("false", 5);
+  }
+}
+
+void JsonWriter::null() {
+  beforeValue();
+  out_.append("null", 4);
+}
+
+std::string JsonWriter::quote(std::string_view s) {
+  std::string out;
+  escapeString(out, s);
+  return out;
+}
+
+void Json::write(JsonWriter& w) const {
+  if (const auto* str = std::get_if<std::string>(&value_)) {
+    w.value(*str);
+  } else if (const auto* d = std::get_if<double>(&value_)) {
+    w.value(*d);
+  } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    w.value(*i);
+  } else if (const auto* obj = std::get_if<JsonObject>(&value_)) {
+    w.beginObject();
+    for (const auto& [k, v] : *obj) {
+      w.key(k);
+      v.write(w);
+    }
+    w.endObject();
+  } else if (const auto* arr = std::get_if<JsonArray>(&value_)) {
+    w.beginArray();
+    for (const Json& v : *arr) v.write(w);
+    w.endArray();
+  } else if (const auto* b = std::get_if<bool>(&value_)) {
+    w.value(*b);
+  } else {
+    w.null();
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dumpTo(out, indent, 0);
+  JsonWriter w(out, indent);
+  write(w);
   return out;
 }
 

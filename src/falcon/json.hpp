@@ -1,8 +1,11 @@
-// composim: minimal JSON value type with writer and parser.
+// composim: minimal JSON value type, streaming writer and parser.
 //
 // Supports the subset needed for Falcon configuration import/export
 // (objects, arrays, strings, doubles, integers, booleans, null). Object
 // keys keep insertion order so exported configurations diff cleanly.
+// JsonWriter is the one serializer: Json::dump walks the document through
+// it, and exporters too large for a document (the Chrome trace) stream
+// through it directly, so both produce the same bytes for the same data.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -25,6 +29,69 @@ using JsonObject = std::vector<std::pair<std::string, Json>>;
 class JsonError : public std::runtime_error {
  public:
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Appends one JSON document to a caller-owned string as it is described:
+/// begin/end containers, keys, scalar values. Formatting matches
+/// Json::dump exactly: with indent < 0 the output is compact; otherwise
+/// each member sits on its own line indented `indent` spaces per level,
+/// keys are followed by ": ", and empty containers print as {} / [].
+/// Doubles print as printf's "%.17g" (non-finite ones as null), integers
+/// exactly, and strings escape quote, backslash and C0 bytes.
+///
+/// Misplaced calls (a value where a key is due, an end that does not
+/// match its begin, a second top-level value) throw JsonError. The
+/// writer holds a reference to `out`, which must outlive it.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = -1)
+      : out_(out), indent_(indent) {}
+
+  void beginObject() { open('{', true); }
+  void endObject() { close('}', true); }
+  void beginArray() { open('[', false); }
+  void endArray() { close(']', false); }
+
+  /// The next member's key; only inside an object, before each value.
+  void key(std::string_view k);
+  /// A key already escaped and quoted, as quote() returns it. Lets a
+  /// caller that writes one string many times escape it once.
+  void quotedKey(std::string_view quoted);
+
+  void value(std::string_view s);
+  void value(const char* s) { value(std::string_view(s)); }
+  void value(double d);
+  void value(std::int64_t i);
+  void value(int i) { value(static_cast<std::int64_t>(i)); }
+  void value(bool b);
+  void null();
+  /// A string value already escaped and quoted, as quote() returns it.
+  void quotedValue(std::string_view quoted);
+
+  /// `s` as a JSON string literal: quoted and escaped.
+  static std::string quote(std::string_view s);
+
+ private:
+  struct Level {
+    bool object = false;
+    bool empty = true;
+  };
+  void open(char bracket, bool object);
+  void close(char bracket, bool object);
+  /// Separator and indentation before an array element; in an object,
+  /// checks that the value's key was written.
+  void beforeValue();
+  /// Separator and indentation before an object member's key, and the
+  /// colon after it.
+  void beforeKey();
+  void afterKey();
+  void newlineIndent(std::size_t depth);
+
+  std::string& out_;
+  int indent_;
+  std::vector<Level> stack_;
+  bool key_pending_ = false;  // a key was written; its value is due
+  bool wrote_root_ = false;  // the one top-level value has begun
 };
 
 class Json {
@@ -96,7 +163,7 @@ class Json {
     throw JsonError(std::string("Json: not a ") + what);
   }
 
-  void dumpTo(std::string& out, int indent, int depth) const;
+  void write(JsonWriter& w) const;
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
                JsonArray, JsonObject>

@@ -4,12 +4,25 @@
 #include <fstream>
 #include <utility>
 
+#include "falcon/json.hpp"
+
 namespace composim::telemetry {
 
 namespace {
 
 constexpr int kTracePid = 1;
 constexpr std::uint32_t kNoTrack = UINT32_MAX;
+
+// Trace event field keys, already quoted for JsonWriter::quotedKey.
+constexpr std::string_view kPh = R"("ph")";
+constexpr std::string_view kTs = R"("ts")";
+constexpr std::string_view kPid = R"("pid")";
+constexpr std::string_view kTid = R"("tid")";
+constexpr std::string_view kName = R"("name")";
+constexpr std::string_view kCat = R"("cat")";
+constexpr std::string_view kId = R"("id")";
+constexpr std::string_view kScope = R"("s")";
+constexpr std::string_view kArgs = R"("args")";
 
 }  // namespace
 
@@ -277,77 +290,111 @@ std::vector<std::size_t> Profiler::exportOrder() const {
   return order;
 }
 
-falcon::Json Profiler::chromeTrace() const {
-  using falcon::Json;
-  using falcon::JsonArray;
-  using falcon::JsonObject;
-  // Built field by field into reserved containers: events never repeat a
-  // field, so Json::set's duplicate-key scan is only needed for args.
-  auto metadata = [](std::int64_t tid, const char* name,
-                     const std::string& value) {
-    JsonObject args;
-    args.emplace_back("name", value);
-    JsonObject meta;
-    meta.reserve(5);
-    meta.emplace_back("ph", "M");
-    meta.emplace_back("pid", kTracePid);
-    meta.emplace_back("tid", tid);
-    meta.emplace_back("name", name);
-    meta.emplace_back("args", std::move(args));
-    return Json(std::move(meta));
+std::string ChromeTrace::dump(int indent) const {
+  const Profiler& p = profiler_;
+  std::string out;
+  // Traces run 150 bytes a record compact and 250 indented; reserving a
+  // little more saves the regrowth copies (untouched capacity is never
+  // paged in).
+  out.reserve(p.records().size() * (indent < 0 ? 192 : 320) + 4096);
+  falcon::JsonWriter w(out, indent);
+  // Each interned string is escaped once per dump, on first use.
+  std::vector<std::string> quoted;
+  auto q = [&](ProfileKey key) -> const std::string& {
+    if (key >= quoted.size()) quoted.resize(key + 1);
+    std::string& s = quoted[key];
+    if (s.empty()) s = falcon::JsonWriter::quote(p.str(key));
+    return s;
   };
-  JsonArray events;
-  events.reserve(1 + tracks_.size() + records_.size());
+  // One member under an already-quoted key.
+  auto field = [&w](std::string_view key, auto value) {
+    w.quotedKey(key);
+    w.value(value);
+  };
+  auto quotedField = [&w](std::string_view key, std::string_view quoted) {
+    w.quotedKey(key);
+    w.quotedValue(quoted);
+  };
+  auto metadata = [&](std::int64_t tid, const char* name,
+                      std::string_view quoted_value) {
+    w.beginObject();
+    field(kPh, "M");
+    field(kPid, kTracePid);
+    field(kTid, tid);
+    field(kName, name);
+    w.quotedKey(kArgs);
+    w.beginObject();
+    quotedField(kName, quoted_value);
+    w.endObject();
+    w.endObject();
+  };
+
+  w.beginObject();
+  w.key("traceEvents");
+  w.beginArray();
   // Process + per-track thread names so Perfetto labels the rows.
-  events.push_back(metadata(0, "process_name", "composim"));
-  for (std::size_t tid = 0; tid < tracks_.size(); ++tid) {
-    events.push_back(metadata(static_cast<std::int64_t>(tid), "thread_name",
-                              str(tracks_[tid])));
+  metadata(0, "process_name", R"("composim")");
+  for (std::size_t tid = 0; tid < p.tracks().size(); ++tid) {
+    metadata(static_cast<std::int64_t>(tid), "thread_name",
+             q(p.tracks()[tid]));
   }
-  auto nonEmpty = [this](ProfileKey key) {
-    return key != kNoProfileKey && !str(key).empty();
+  auto nonEmpty = [&p](ProfileKey key) {
+    return key != kNoProfileKey && !p.str(key).empty();
   };
-  for (const std::size_t idx : exportOrder()) {
-    const Record& r = records_[idx];
-    const bool has_name = nonEmpty(r.name);
-    const bool has_cat = nonEmpty(r.category);
-    const bool has_id = r.id != kInvalidAsyncSpan;
-    const bool has_scope = r.phase == 'i';
-    const bool has_args = r.args_count > 0;
-    JsonObject ev;
-    ev.reserve(4 + has_name + has_cat + has_id + has_scope + has_args);
-    ev.emplace_back("ph", std::string(1, r.phase));
-    ev.emplace_back("ts", r.time * 1e6);  // trace_event timestamps are us
-    ev.emplace_back("pid", kTracePid);
-    ev.emplace_back("tid", static_cast<std::int64_t>(r.tid));
-    if (has_name) ev.emplace_back("name", str(r.name));
-    if (has_cat) ev.emplace_back("cat", str(r.category));
-    if (has_id) ev.emplace_back("id", static_cast<std::int64_t>(r.id));
-    if (has_scope) ev.emplace_back("s", "t");  // instant scope: thread
-    if (has_args) {
-      Json args = Json::object();
-      args.asObject().reserve(r.args_count);
-      for (const Arg& a : this->args(r)) {
-        // set(): a repeated key overwrites the earlier value in place.
-        args.set(str(a.key), a.isString() ? Json(str(a.str)) : Json(a.num));
+  for (const std::size_t idx : p.exportOrder()) {
+    const Profiler::Record& r = p.records()[idx];
+    w.beginObject();
+    const char phase[] = {'"', r.phase, '"'};
+    quotedField(kPh, std::string_view(phase, sizeof(phase)));
+    field(kTs, r.time * 1e6);  // trace_event timestamps are us
+    field(kPid, kTracePid);
+    field(kTid, static_cast<std::int64_t>(r.tid));
+    if (nonEmpty(r.name)) quotedField(kName, q(r.name));
+    if (nonEmpty(r.category)) quotedField(kCat, q(r.category));
+    if (r.id != kInvalidAsyncSpan) {
+      field(kId, static_cast<std::int64_t>(r.id));
+    }
+    if (r.phase == 'i') field(kScope, "t");  // instant scope: thread
+    const std::span<const Profiler::Arg> args = p.args(r);
+    if (!args.empty()) {
+      w.quotedKey(kArgs);
+      w.beginObject();
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        // A repeated key keeps its first position and takes its last
+        // value (falcon::Json::set's overwrite-in-place).
+        const ProfileKey key = args[i].key;
+        const auto same_key = [key](const Profiler::Arg& a) {
+          return a.key == key;
+        };
+        if (std::any_of(args.begin(), args.begin() + i, same_key)) continue;
+        const Profiler::Arg& last =
+            *std::find_if(args.rbegin(), args.rend(), same_key);
+        if (last.isString()) {
+          quotedField(q(key), q(last.str));
+        } else {
+          field(q(key), last.num);
+        }
       }
-      ev.emplace_back("args", std::move(args));
+      w.endObject();
     }
-    events.emplace_back(std::move(ev));
+    w.endObject();
   }
-  Json doc = Json::object();
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ms");
-  doc.set("otherData", [this] {
-    Json d = Json::object();
-    d.set("producer", "composim.telemetry.Profiler");
-    if (max_records_ > 0) {
-      d.set("max_records", static_cast<std::int64_t>(max_records_));
-      d.set("dropped_records", static_cast<std::int64_t>(dropped_records_));
-    }
-    return d;
-  }());
-  return doc;
+  w.endArray();
+  w.key("displayTimeUnit");
+  w.value("ms");
+  w.key("otherData");
+  w.beginObject();
+  w.key("producer");
+  w.value("composim.telemetry.Profiler");
+  if (p.maxRecords() > 0) {
+    w.key("max_records");
+    w.value(static_cast<std::int64_t>(p.maxRecords()));
+    w.key("dropped_records");
+    w.value(static_cast<std::int64_t>(p.droppedRecords()));
+  }
+  w.endObject();
+  w.endObject();
+  return out;
 }
 
 Status Profiler::writeChromeTrace(const std::string& path, int indent) const {

@@ -13,7 +13,7 @@
 // Records are small plain structs: track, category and name are keys into
 // one string table the profiler owns, and arguments live in one flat arena
 // with interned keys (DESIGN.md §10). Strings are materialized only at
-// export.
+// export, which streams the trace text straight from the records.
 //
 // Everything is a no-op while disabled, and components only reach the
 // profiler through Simulator::profiler() (nullptr when absent), so an
@@ -29,11 +29,30 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "falcon/json.hpp"
 #include "sim/profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace composim::telemetry {
+
+class Profiler;
+
+/// A Profiler's Chrome trace_event JSON, serialized on demand straight
+/// from its records. A view, not a copy: it refers to the profiler and
+/// reads the records when dump() runs, so it must not outlive the
+/// profiler, and a dump shows the records as of the dump. Take it and
+/// dump it in one expression (`prof.chromeTrace().dump(-1)`).
+class [[nodiscard]] ChromeTrace {
+ public:
+  explicit ChromeTrace(const Profiler& profiler) : profiler_(profiler) {}
+
+  /// The trace text; indent < 0 means compact single-line output. Bytes
+  /// are exactly those falcon::Json::dump(indent) gives for the same
+  /// document (both go through falcon::JsonWriter).
+  std::string dump(int indent = 2) const;
+
+ private:
+  const Profiler& profiler_;
+};
 
 class Profiler final : public ProfileSink {
  public:
@@ -99,11 +118,11 @@ class Profiler final : public ProfileSink {
   /// caller this way). Recording stops.
   void finalize();
 
-  /// The trace as a Chrome trace_event JSON document. Events are emitted
-  /// in the documented deterministic export order (see exportOrder()), so
-  /// identical runs produce byte-identical traces even when many tracks
-  /// record at the same simulated timestamp.
-  falcon::Json chromeTrace() const;
+  /// The trace as Chrome trace_event JSON (a view; see ChromeTrace).
+  /// Events are emitted in the documented deterministic export order (see
+  /// exportOrder()), so identical runs produce byte-identical traces even
+  /// when many tracks record at the same simulated timestamp.
+  ChromeTrace chromeTrace() const { return ChromeTrace(*this); }
   /// Write chromeTrace() to `path`; Internal status on I/O failure.
   Status writeChromeTrace(const std::string& path, int indent = -1) const;
 

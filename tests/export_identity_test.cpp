@@ -1,5 +1,7 @@
 // Byte-identity tests for the export path: the JSON writer's number and
-// string formatting against their printf-era definitions, and golden
+// string formatting against their printf-era definitions, the streaming
+// writer against documents dumped through Json, hand-driven Chrome traces
+// against text recorded from the document-building exporter, and golden
 // digests of a traced BERT-L run's Chrome trace and analysis JSON. The
 // digests pin every exported byte, so any change to the profiler's record
 // layout or the writer must reproduce them exactly.
@@ -16,6 +18,7 @@
 
 #include "core/experiment.hpp"
 #include "falcon/json.hpp"
+#include "profile_emit.hpp"
 #include "telemetry/analysis.hpp"
 #include "telemetry/profiler.hpp"
 
@@ -23,6 +26,9 @@ namespace composim {
 namespace {
 
 using falcon::Json;
+using falcon::JsonArray;
+using falcon::JsonObject;
+using telemetry::Profiler;
 
 std::string printfG17(double d) {
   char buf[48];
@@ -150,6 +156,436 @@ TEST(JsonWriter, EscapesEveryByte) {
   EXPECT_EQ(obj.dump(-1), member);
 }
 
+// --- the streaming writer is Json::dump's serializer ---
+
+TEST(JsonWriter, StreamedDocumentMatchesJsonDump) {
+  Json inner = Json::object();
+  inner.set("empty_obj", Json::object());
+  inner.set("empty_arr", Json::array());
+  inner.set("esc\"key\n", "v\\al\x01");
+  Json list = Json::array();
+  list.push(1);
+  list.push(-2.5);
+  list.push(std::numeric_limits<double>::quiet_NaN());
+  list.push(true);
+  list.push(nullptr);
+  list.push(std::move(inner));
+  list.push(Json::array());
+  Json doc = Json::object();
+  doc.set("list", std::move(list));
+  doc.set("n", std::int64_t{INT64_MIN});
+  doc.set("deep", Json(JsonArray{Json(JsonArray{Json(JsonObject{})})}));
+
+  for (const int indent : {-1, 0, 2, 4}) {
+    std::string out;
+    falcon::JsonWriter w(out, indent);
+    w.beginObject();
+    w.key("list");
+    w.beginArray();
+    w.value(1);
+    w.value(-2.5);
+    w.value(std::numeric_limits<double>::quiet_NaN());
+    w.value(true);
+    w.null();
+    w.beginObject();
+    w.key("empty_obj");
+    w.beginObject();
+    w.endObject();
+    w.key("empty_arr");
+    w.beginArray();
+    w.endArray();
+    w.quotedKey(falcon::JsonWriter::quote("esc\"key\n"));
+    w.quotedValue(falcon::JsonWriter::quote("v\\al\x01"));
+    w.endObject();
+    w.beginArray();
+    w.endArray();
+    w.endArray();
+    w.key("n");
+    w.value(std::int64_t{INT64_MIN});
+    w.key("deep");
+    w.beginArray();
+    w.beginArray();
+    w.beginObject();
+    w.endObject();
+    w.endArray();
+    w.endArray();
+    w.endObject();
+    EXPECT_EQ(out, doc.dump(indent)) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, MisplacedCallsThrow) {
+  std::string out;
+  falcon::JsonWriter object_value(out);
+  object_value.beginObject();
+  EXPECT_THROW(object_value.value(1), falcon::JsonError);  // no key
+  EXPECT_THROW(object_value.endArray(), falcon::JsonError);
+
+  falcon::JsonWriter array_key(out);
+  array_key.beginArray();
+  EXPECT_THROW(array_key.key("k"), falcon::JsonError);
+  EXPECT_THROW(array_key.endObject(), falcon::JsonError);
+
+  falcon::JsonWriter dangling_key(out);
+  dangling_key.beginObject();
+  dangling_key.key("k");
+  EXPECT_THROW(dangling_key.key("j"), falcon::JsonError);
+  EXPECT_THROW(dangling_key.endObject(), falcon::JsonError);
+
+  falcon::JsonWriter two_roots(out);
+  two_roots.value(1);
+  EXPECT_THROW(two_roots.value(2), falcon::JsonError);
+  EXPECT_THROW(falcon::JsonWriter(out).endObject(), falcon::JsonError);
+}
+
+// --- Chrome export rules on a hand-driven profiler ---
+//
+// The golden run above never repeats an argument key, escapes a string,
+// records a non-finite number or hits a record cap. These traces do, and
+// their expected text was recorded from the document-building exporter
+// that preceded the streaming one.
+
+// Strings carry a quote, a backslash, a newline and a C0 byte (0x01).
+void recordEdgeCases(Simulator& sim, Profiler& prof) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string track = "tr\"ack\\1\n\x01";
+  sim.schedule(1.0 / 3.0, [&, track] {
+    beginSpan(prof, track, "c\"at", "sp\\an\n\x01",
+              {{"k", 1}, {"q\"\x01", "v\\al\n\x1f"}, {"k", 2.5}});
+    // A repeated key keeps its first position and takes the last value,
+    // across value kinds too.
+    beginSpan(prof, track, "", "", {{"s", "first"}, {"n", 7}, {"s", 3}});
+    endSpan(prof, track, {{"done", true}});
+    instant(prof, "marks", "odd numbers",
+            {{"nan", nan}, {"inf", inf}, {"ninf", -inf}, {"tiny", 1e-300}});
+  });
+  sim.schedule(0.5, [&, track] {
+    const AsyncSpanId id = beginAsyncSpan(prof, "net", "flow\"0", {{"bytes", 1e9}});
+    setCounter(prof, "link\\0", "util_pct", 12.5);
+    setCounter(prof, "link\\0", "util_pct", inf);
+    sim.schedule(0.25, [&, id, track] {
+      prof.endAsyncSpan(id, {{"ok", 1}, {"ok", 0}});
+      setCounter(prof, "link\\0", "util_pct", nan);
+      endSpan(prof, track);
+    });
+  });
+  sim.run();
+}
+
+// A capped trace: otherData reports the cap and the drops.
+void recordCapped(Simulator& sim, Profiler& prof) {
+  prof.setMaxRecords(3);
+  beginSpan(prof, "t", "c", "outer");
+  instant(prof, "c", "mark");
+  beginSpan(prof, "t", "c", "inner");  // 3 records: at the cap from here
+  setCounter(prof, "lnk", "util", 50.0);
+  beginSpan(prof, "t", "c", "dropped");
+  sim.schedule(2.0, [&] {
+    endSpan(prof, "t");  // closes "dropped": suppressed with its begin
+    endSpan(prof, "t");
+    endSpan(prof, "t");
+  });
+  sim.run();
+}
+
+constexpr const char* kEdgeCasesCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"tr\"ack\\1\n\u0001"}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"marks"}},{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"net"}},{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"link\\0"}},{"ph":"B","ts":333333.33333333331,"pid":1,"tid":0,"name":"sp\\an\n\u0001","cat":"c\"at","args":{"k":2.5,"q\"\u0001":"v\\al\n\u001f"}},{"ph":"B","ts":333333.33333333331,"pid":1,"tid":0,"args":{"s":3,"n":7}},{"ph":"E","ts":333333.33333333331,"pid":1,"tid":0,"args":{"done":1}},{"ph":"i","ts":333333.33333333331,"pid":1,"tid":1,"name":"odd numbers","cat":"marks","s":"t","args":{"nan":null,"inf":null,"ninf":null,"tiny":1e-300}},{"ph":"b","ts":500000,"pid":1,"tid":2,"name":"flow\"0","cat":"net","id":1,"args":{"bytes":1000000000}},{"ph":"C","ts":500000,"pid":1,"tid":3,"name":"link\\0","cat":"counter","args":{"util_pct":12.5}},{"ph":"C","ts":500000,"pid":1,"tid":3,"name":"link\\0","cat":"counter","args":{"util_pct":null}},{"ph":"E","ts":750000,"pid":1,"tid":0},{"ph":"e","ts":750000,"pid":1,"tid":2,"name":"flow\"0","cat":"net","id":1,"args":{"ok":0}},{"ph":"C","ts":750000,"pid":1,"tid":3,"name":"link\\0","cat":"counter","args":{"util_pct":null}}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler"}})json";
+
+constexpr const char* kEdgeCasesIndented = R"json({
+  "traceEvents": [
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "composim"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "thread_name",
+      "args": {
+        "name": "tr\"ack\\1\n\u0001"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 1,
+      "name": "thread_name",
+      "args": {
+        "name": "marks"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 2,
+      "name": "thread_name",
+      "args": {
+        "name": "net"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 3,
+      "name": "thread_name",
+      "args": {
+        "name": "link\\0"
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 0,
+      "name": "sp\\an\n\u0001",
+      "cat": "c\"at",
+      "args": {
+        "k": 2.5,
+        "q\"\u0001": "v\\al\n\u001f"
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "s": 3,
+        "n": 7
+      }
+    },
+    {
+      "ph": "E",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "done": 1
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 333333.33333333331,
+      "pid": 1,
+      "tid": 1,
+      "name": "odd numbers",
+      "cat": "marks",
+      "s": "t",
+      "args": {
+        "nan": null,
+        "inf": null,
+        "ninf": null,
+        "tiny": 1e-300
+      }
+    },
+    {
+      "ph": "b",
+      "ts": 500000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow\"0",
+      "cat": "net",
+      "id": 1,
+      "args": {
+        "bytes": 1000000000
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 500000,
+      "pid": 1,
+      "tid": 3,
+      "name": "link\\0",
+      "cat": "counter",
+      "args": {
+        "util_pct": 12.5
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 500000,
+      "pid": 1,
+      "tid": 3,
+      "name": "link\\0",
+      "cat": "counter",
+      "args": {
+        "util_pct": null
+      }
+    },
+    {
+      "ph": "E",
+      "ts": 750000,
+      "pid": 1,
+      "tid": 0
+    },
+    {
+      "ph": "e",
+      "ts": 750000,
+      "pid": 1,
+      "tid": 2,
+      "name": "flow\"0",
+      "cat": "net",
+      "id": 1,
+      "args": {
+        "ok": 0
+      }
+    },
+    {
+      "ph": "C",
+      "ts": 750000,
+      "pid": 1,
+      "tid": 3,
+      "name": "link\\0",
+      "cat": "counter",
+      "args": {
+        "util_pct": null
+      }
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "producer": "composim.telemetry.Profiler"
+  }
+})json";
+
+constexpr const char* kCappedCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"t"}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"c"}},{"ph":"B","ts":0,"pid":1,"tid":0,"name":"outer","cat":"c"},{"ph":"B","ts":0,"pid":1,"tid":0,"name":"inner","cat":"c"},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"mark","cat":"c","s":"t"},{"ph":"E","ts":2000000,"pid":1,"tid":0},{"ph":"E","ts":2000000,"pid":1,"tid":0}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler","max_records":3,"dropped_records":3}})json";
+
+constexpr const char* kCappedIndented = R"json({
+  "traceEvents": [
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "composim"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "thread_name",
+      "args": {
+        "name": "t"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 1,
+      "name": "thread_name",
+      "args": {
+        "name": "c"
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 0,
+      "pid": 1,
+      "tid": 0,
+      "name": "outer",
+      "cat": "c"
+    },
+    {
+      "ph": "B",
+      "ts": 0,
+      "pid": 1,
+      "tid": 0,
+      "name": "inner",
+      "cat": "c"
+    },
+    {
+      "ph": "i",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "mark",
+      "cat": "c",
+      "s": "t"
+    },
+    {
+      "ph": "E",
+      "ts": 2000000,
+      "pid": 1,
+      "tid": 0
+    },
+    {
+      "ph": "E",
+      "ts": 2000000,
+      "pid": 1,
+      "tid": 0
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "producer": "composim.telemetry.Profiler",
+    "max_records": 3,
+    "dropped_records": 3
+  }
+})json";
+
+constexpr const char* kEmptyCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler"}})json";
+
+constexpr const char* kEmptyIndented = R"json({
+  "traceEvents": [
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "composim"
+      }
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "producer": "composim.telemetry.Profiler"
+  }
+})json";
+
+std::string traceOf(void (*record)(Simulator&, Profiler&), int indent) {
+  Simulator sim;
+  Profiler prof(sim);
+  sim.setProfiler(&prof);
+  if (record != nullptr) record(sim, prof);
+  prof.finalize();
+  return prof.chromeTrace().dump(indent);
+}
+
+void expectEveryIndentMatchesDocument(void (*record)(Simulator&, Profiler&)) {
+  // Other indents: the same bytes as the parsed document dumped there.
+  const Json doc = Json::parse(traceOf(record, -1));
+  for (const int indent : {0, 1, 4}) {
+    EXPECT_EQ(traceOf(record, indent), doc.dump(indent)) << "indent " << indent;
+  }
+}
+
+TEST(ChromeExport, EdgeCasesMatchRecordedText) {
+  EXPECT_EQ(traceOf(recordEdgeCases, -1), kEdgeCasesCompact);
+  EXPECT_EQ(traceOf(recordEdgeCases, 2), kEdgeCasesIndented);
+  expectEveryIndentMatchesDocument(recordEdgeCases);
+}
+
+TEST(ChromeExport, CappedTraceMatchesRecordedText) {
+  EXPECT_EQ(traceOf(recordCapped, -1), kCappedCompact);
+  EXPECT_EQ(traceOf(recordCapped, 2), kCappedIndented);
+  expectEveryIndentMatchesDocument(recordCapped);
+}
+
+TEST(ChromeExport, EmptyTraceMatchesRecordedText) {
+  EXPECT_EQ(traceOf(nullptr, -1), kEmptyCompact);
+  EXPECT_EQ(traceOf(nullptr, 2), kEmptyIndented);
+  expectEveryIndentMatchesDocument(nullptr);
+}
+
 // --- golden digests of a traced run ---
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -171,7 +607,7 @@ TEST(ExportGolden, TracedBertFalconRunMatchesRecordedDigests) {
       core::Experiment::run(core::SystemConfig::FalconGpus, options);
   ASSERT_TRUE(r.profiler);
   ASSERT_TRUE(r.analysis);
-  const Json trace = r.profiler->chromeTrace();
+  const telemetry::ChromeTrace trace = r.profiler->chromeTrace();
   const std::string compact = trace.dump(-1);
   const std::string indented = trace.dump(2);
   const std::string analysis =

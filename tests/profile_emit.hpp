@@ -1,10 +1,12 @@
 // Test helpers that emit through a Profiler's key-based ProfileSink API by
 // string, interning on every call. Components intern once and cache their
-// keys; tests favour readable call sites instead.
+// keys; tests favour readable call sites instead. traceDocument() reads a
+// profiler's Chrome trace back as a document for tests that inspect it.
 #pragma once
 
 #include <string_view>
 
+#include "falcon/json.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace composim::telemetry {
@@ -34,6 +36,11 @@ inline void instant(Profiler& p, std::string_view category,
 inline void setCounter(Profiler& p, std::string_view counter,
                        std::string_view series, double value) {
   p.setCounter(p.counterKey(counter, series), value);
+}
+
+/// The exported Chrome trace, parsed.
+inline falcon::Json traceDocument(const Profiler& p) {
+  return falcon::Json::parse(p.chromeTrace().dump(-1));
 }
 
 }  // namespace composim::telemetry

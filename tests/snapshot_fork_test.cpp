@@ -248,6 +248,37 @@ TEST(SnapshotFork, ForkedVariantMatchesWholeColdVariant) {
   expectResultsIdentical(cold.finish(), forked);
 }
 
+TEST(SnapshotFork, ColdPhasedRestoreBelowBoundaryCompletes) {
+  // A GPU falls off after the warm-prefix boundary (iteration 150, about
+  // t = 19.4 s) and the recovery rewinds to a checkpoint below it. The
+  // tail re-crosses iteration 150, which must not pause the run again:
+  // the cold phased path (runExperimentSpec -> WarmedExperiment::finish)
+  // used to stall there until the watchdog tripped.
+  core::ExperimentSpec spec = specWith(200, 1, 150);
+  spec.options.faults.enabled = true;
+  spec.options.faults.spare_gpus = 1;
+  spec.options.faults.gpu_falloffs.push_back({0, 22.0});
+  spec.options.watchdog = 400.0;
+
+  const core::ExperimentResult cold = core::runExperimentSpec(spec);
+  EXPECT_TRUE(cold.training.completed);
+  EXPECT_EQ(cold.training.iterations_run, 200);
+  EXPECT_EQ(cold.training.restores, 1);
+
+  core::WarmedExperiment donor(spec.config, dl::workload(spec.workload),
+                               spec.options);
+  const core::ExperimentResult forked =
+      core::WarmedExperiment::resumeFromSnapshot(
+          spec.config, dl::workload(spec.workload), spec.options,
+          donor.snapshot());
+  EXPECT_EQ(cold.training.iterations_run, forked.training.iterations_run);
+  EXPECT_EQ(cold.training.restores, forked.training.restores);
+  EXPECT_EQ(cold.training.lost_iterations, forked.training.lost_iterations);
+  EXPECT_EQ(cold.training.extrapolated_total_time,
+            forked.training.extrapolated_total_time);
+  expectResultsIdentical(cold, forked);
+}
+
 // --- Twin-run sweeps: fork vs cold across the full artifact set ---
 
 struct SweepArtifacts {

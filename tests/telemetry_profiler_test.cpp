@@ -41,7 +41,7 @@ TEST(Profiler, TrackSpansRecordBeginEndAtSimTime) {
   sim.run();
   // Records: B outer, B inner, E (s.end at t=1), E (scheduled at t=1.5)
   ASSERT_EQ(prof.recordCount(), 4u);
-  const falcon::Json doc = prof.chromeTrace();
+  const falcon::Json doc = traceDocument(prof);
   const auto& events = doc.at("traceEvents").asArray();
   // 1 process_name + 1 thread_name metadata, then the 4 records.
   ASSERT_EQ(events.size(), 6u);
@@ -68,7 +68,7 @@ TEST(Profiler, AsyncSpansPairByCorrelationId) {
     prof.endAsyncSpan(a);
   });
   sim.run();
-  const falcon::Json doc = prof.chromeTrace();
+  const falcon::Json doc = traceDocument(prof);
   const auto& events = doc.at("traceEvents").asArray();
   // metadata (process + 1 track) + b,b,e,e
   ASSERT_EQ(events.size(), 6u);
@@ -145,7 +145,7 @@ TEST(Profiler, DisabledProfilerAddsZeroRecords) {
   setCounter(prof, "c", "v", 1.0);
   instant(prof, "cat", "z");
   EXPECT_EQ(prof.recordCount(), 0u);
-  const falcon::Json doc = prof.chromeTrace();
+  const falcon::Json doc = traceDocument(prof);
   EXPECT_EQ(doc.at("traceEvents").asArray().size(), 1u);  // process metadata
 }
 
@@ -187,7 +187,7 @@ TEST(Profiler, MaxRecordsDropsNewSpansWhole) {
   EXPECT_DOUBLE_EQ(prof.counterMean("lnk", "util"), 50.0);
 
   // The exported stream is still balanced.
-  const falcon::Json trace = prof.chromeTrace();
+  const falcon::Json trace = traceDocument(prof);
   std::map<std::int64_t, int> depth;
   for (const auto& e : trace.at("traceEvents").asArray()) {
     const std::string ph = e.at("ph").asString();
