@@ -160,11 +160,6 @@ void JsonWriter::value(std::string_view s) {
   escapeString(out_, s);
 }
 
-void JsonWriter::quotedValue(std::string_view quoted) {
-  beforeValue();
-  out_.append(quoted);
-}
-
 void JsonWriter::value(double d) {
   beforeValue();
   if (!std::isfinite(d)) {
@@ -197,12 +192,6 @@ void JsonWriter::value(bool b) {
 void JsonWriter::null() {
   beforeValue();
   out_.append("null", 4);
-}
-
-std::string JsonWriter::quote(std::string_view s) {
-  std::string out;
-  escapeString(out, s);
-  return out;
 }
 
 void Json::write(JsonWriter& w) const {

@@ -54,8 +54,8 @@ class JsonWriter {
 
   /// The next member's key; only inside an object, before each value.
   void key(std::string_view k);
-  /// A key already escaped and quoted, as quote() returns it. Lets a
-  /// caller that writes one string many times escape it once.
+  /// A key already escaped and quoted, such as the constant R"("ph")":
+  /// written as is, for keys a caller writes many times.
   void quotedKey(std::string_view quoted);
 
   void value(std::string_view s);
@@ -65,11 +65,6 @@ class JsonWriter {
   void value(int i) { value(static_cast<std::int64_t>(i)); }
   void value(bool b);
   void null();
-  /// A string value already escaped and quoted, as quote() returns it.
-  void quotedValue(std::string_view quoted);
-
-  /// `s` as a JSON string literal: quoted and escaped.
-  static std::string quote(std::string_view s);
 
  private:
   struct Level {

@@ -298,25 +298,13 @@ std::string ChromeTrace::dump(int indent) const {
   // paged in).
   out.reserve(p.records().size() * (indent < 0 ? 192 : 320) + 4096);
   falcon::JsonWriter w(out, indent);
-  // Each interned string is escaped once per dump, on first use.
-  std::vector<std::string> quoted;
-  auto q = [&](ProfileKey key) -> const std::string& {
-    if (key >= quoted.size()) quoted.resize(key + 1);
-    std::string& s = quoted[key];
-    if (s.empty()) s = falcon::JsonWriter::quote(p.str(key));
-    return s;
-  };
   // One member under an already-quoted key.
   auto field = [&w](std::string_view key, auto value) {
     w.quotedKey(key);
     w.value(value);
   };
-  auto quotedField = [&w](std::string_view key, std::string_view quoted) {
-    w.quotedKey(key);
-    w.quotedValue(quoted);
-  };
   auto metadata = [&](std::int64_t tid, const char* name,
-                      std::string_view quoted_value) {
+                      std::string_view value) {
     w.beginObject();
     field(kPh, "M");
     field(kPid, kTracePid);
@@ -324,7 +312,7 @@ std::string ChromeTrace::dump(int indent) const {
     field(kName, name);
     w.quotedKey(kArgs);
     w.beginObject();
-    quotedField(kName, quoted_value);
+    field(kName, value);
     w.endObject();
     w.endObject();
   };
@@ -333,10 +321,10 @@ std::string ChromeTrace::dump(int indent) const {
   w.key("traceEvents");
   w.beginArray();
   // Process + per-track thread names so Perfetto labels the rows.
-  metadata(0, "process_name", R"("composim")");
+  metadata(0, "process_name", "composim");
   for (std::size_t tid = 0; tid < p.tracks().size(); ++tid) {
     metadata(static_cast<std::int64_t>(tid), "thread_name",
-             q(p.tracks()[tid]));
+             p.str(p.tracks()[tid]));
   }
   auto nonEmpty = [&p](ProfileKey key) {
     return key != kNoProfileKey && !p.str(key).empty();
@@ -344,13 +332,12 @@ std::string ChromeTrace::dump(int indent) const {
   for (const std::size_t idx : p.exportOrder()) {
     const Profiler::Record& r = p.records()[idx];
     w.beginObject();
-    const char phase[] = {'"', r.phase, '"'};
-    quotedField(kPh, std::string_view(phase, sizeof(phase)));
+    field(kPh, std::string_view(&r.phase, 1));
     field(kTs, r.time * 1e6);  // trace_event timestamps are us
     field(kPid, kTracePid);
     field(kTid, static_cast<std::int64_t>(r.tid));
-    if (nonEmpty(r.name)) quotedField(kName, q(r.name));
-    if (nonEmpty(r.category)) quotedField(kCat, q(r.category));
+    if (nonEmpty(r.name)) field(kName, std::string_view(p.str(r.name)));
+    if (nonEmpty(r.category)) field(kCat, std::string_view(p.str(r.category)));
     if (r.id != kInvalidAsyncSpan) {
       field(kId, static_cast<std::int64_t>(r.id));
     }
@@ -369,10 +356,11 @@ std::string ChromeTrace::dump(int indent) const {
         if (std::any_of(args.begin(), args.begin() + i, same_key)) continue;
         const Profiler::Arg& last =
             *std::find_if(args.rbegin(), args.rend(), same_key);
+        w.key(p.str(key));
         if (last.isString()) {
-          quotedField(q(key), q(last.str));
+          w.value(std::string_view(p.str(last.str)));
         } else {
-          field(q(key), last.num);
+          w.value(last.num);
         }
       }
       w.endObject();

@@ -15,6 +15,8 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "falcon/json.hpp"
@@ -194,8 +196,8 @@ TEST(JsonWriter, StreamedDocumentMatchesJsonDump) {
     w.key("empty_arr");
     w.beginArray();
     w.endArray();
-    w.quotedKey(falcon::JsonWriter::quote("esc\"key\n"));
-    w.quotedValue(falcon::JsonWriter::quote("v\\al\x01"));
+    w.quotedKey(R"("esc\"key\n")");
+    w.value("v\\al\x01");
     w.endObject();
     w.beginArray();
     w.endArray();
@@ -241,9 +243,9 @@ TEST(JsonWriter, MisplacedCallsThrow) {
 // --- Chrome export rules on a hand-driven profiler ---
 //
 // The golden run above never repeats an argument key, escapes a string,
-// records a non-finite number or hits a record cap. These traces do, and
-// their expected text was recorded from the document-building exporter
-// that preceded the streaming one.
+// records a non-finite number, hits a record cap or writes one string in
+// several roles. These traces do, and their expected text was recorded
+// from the document-building exporter that preceded the streaming one.
 
 // Strings carry a quote, a backslash, a newline and a C0 byte (0x01).
 void recordEdgeCases(Simulator& sim, Profiler& prof) {
@@ -286,6 +288,31 @@ void recordCapped(Simulator& sim, Profiler& prof) {
     endSpan(prof, "t");
     endSpan(prof, "t");
   });
+  sim.run();
+}
+
+// Strings written again in other roles: argument values first written
+// as a track, a category or a name, under keys interned after them, and
+// a value first written as a key. Twenty-four fresh keys make any
+// per-dump table of escaped strings grow several times mid-trace.
+void recordReusedStrings(Simulator& sim, Profiler& prof) {
+  const std::string track = "lane\"0";
+  const std::string category = "c\\at";
+  const std::string name = "step\n1";
+  std::vector<std::string> keys;
+  for (int i = 0; i < 24; ++i) {
+    keys.push_back(std::string("k\"").append(std::to_string(i)));
+  }
+  const std::string_view values[] = {track, category, name, keys[0]};
+  beginSpan(prof, track, category, name);
+  for (std::size_t first = 0; first < keys.size(); first += 6) {
+    ProfileArgs args;
+    for (std::size_t i = first; i < first + 6; ++i) {
+      args.push_back({keys[i], values[i % 4]});
+    }
+    instant(prof, category, name, args);
+  }
+  sim.schedule(1.0, [&] { endSpan(prof, track, {{keys[23], track}}); });
   sim.run();
 }
 
@@ -551,6 +578,129 @@ constexpr const char* kEmptyIndented = R"json({
   }
 })json";
 
+constexpr const char* kReusedStringsCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"lane\"0"}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"c\\at"}},{"ph":"B","ts":0,"pid":1,"tid":0,"name":"step\n1","cat":"c\\at"},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"step\n1","cat":"c\\at","s":"t","args":{"k\"0":"lane\"0","k\"1":"c\\at","k\"2":"step\n1","k\"3":"k\"0","k\"4":"lane\"0","k\"5":"c\\at"}},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"step\n1","cat":"c\\at","s":"t","args":{"k\"6":"step\n1","k\"7":"k\"0","k\"8":"lane\"0","k\"9":"c\\at","k\"10":"step\n1","k\"11":"k\"0"}},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"step\n1","cat":"c\\at","s":"t","args":{"k\"12":"lane\"0","k\"13":"c\\at","k\"14":"step\n1","k\"15":"k\"0","k\"16":"lane\"0","k\"17":"c\\at"}},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"step\n1","cat":"c\\at","s":"t","args":{"k\"18":"step\n1","k\"19":"k\"0","k\"20":"lane\"0","k\"21":"c\\at","k\"22":"step\n1","k\"23":"k\"0"}},{"ph":"E","ts":1000000,"pid":1,"tid":0,"args":{"k\"23":"lane\"0"}}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler"}})json";
+
+constexpr const char* kReusedStringsIndented = R"json({
+  "traceEvents": [
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "process_name",
+      "args": {
+        "name": "composim"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "name": "thread_name",
+      "args": {
+        "name": "lane\"0"
+      }
+    },
+    {
+      "ph": "M",
+      "pid": 1,
+      "tid": 1,
+      "name": "thread_name",
+      "args": {
+        "name": "c\\at"
+      }
+    },
+    {
+      "ph": "B",
+      "ts": 0,
+      "pid": 1,
+      "tid": 0,
+      "name": "step\n1",
+      "cat": "c\\at"
+    },
+    {
+      "ph": "i",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "step\n1",
+      "cat": "c\\at",
+      "s": "t",
+      "args": {
+        "k\"0": "lane\"0",
+        "k\"1": "c\\at",
+        "k\"2": "step\n1",
+        "k\"3": "k\"0",
+        "k\"4": "lane\"0",
+        "k\"5": "c\\at"
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "step\n1",
+      "cat": "c\\at",
+      "s": "t",
+      "args": {
+        "k\"6": "step\n1",
+        "k\"7": "k\"0",
+        "k\"8": "lane\"0",
+        "k\"9": "c\\at",
+        "k\"10": "step\n1",
+        "k\"11": "k\"0"
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "step\n1",
+      "cat": "c\\at",
+      "s": "t",
+      "args": {
+        "k\"12": "lane\"0",
+        "k\"13": "c\\at",
+        "k\"14": "step\n1",
+        "k\"15": "k\"0",
+        "k\"16": "lane\"0",
+        "k\"17": "c\\at"
+      }
+    },
+    {
+      "ph": "i",
+      "ts": 0,
+      "pid": 1,
+      "tid": 1,
+      "name": "step\n1",
+      "cat": "c\\at",
+      "s": "t",
+      "args": {
+        "k\"18": "step\n1",
+        "k\"19": "k\"0",
+        "k\"20": "lane\"0",
+        "k\"21": "c\\at",
+        "k\"22": "step\n1",
+        "k\"23": "k\"0"
+      }
+    },
+    {
+      "ph": "E",
+      "ts": 1000000,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "k\"23": "lane\"0"
+      }
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "producer": "composim.telemetry.Profiler"
+  }
+})json";
+
 std::string traceOf(void (*record)(Simulator&, Profiler&), int indent) {
   Simulator sim;
   Profiler prof(sim);
@@ -578,6 +728,12 @@ TEST(ChromeExport, CappedTraceMatchesRecordedText) {
   EXPECT_EQ(traceOf(recordCapped, -1), kCappedCompact);
   EXPECT_EQ(traceOf(recordCapped, 2), kCappedIndented);
   expectEveryIndentMatchesDocument(recordCapped);
+}
+
+TEST(ChromeExport, ReusedStringsMatchRecordedText) {
+  EXPECT_EQ(traceOf(recordReusedStrings, -1), kReusedStringsCompact);
+  EXPECT_EQ(traceOf(recordReusedStrings, 2), kReusedStringsIndented);
+  expectEveryIndentMatchesDocument(recordReusedStrings);
 }
 
 TEST(ChromeExport, EmptyTraceMatchesRecordedText) {
