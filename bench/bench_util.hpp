@@ -1,16 +1,17 @@
-// composim bench: shared helpers for the table/figure reproduction
-// binaries. Each binary prints the paper artifact it regenerates plus the
-// paper's reference values so the shape comparison is one glance.
+// composim bench: shared helpers for the bench binaries — the banner each
+// one prints, the `--jobs` worker count, and the measurement matrix.
 //
 // Every bench that replays independent experiments takes `--jobs N` (or
-// the COMPOSIM_JOBS environment variable) and fans them out through the
-// core::WorkStealingPool; results come back in submission order, so the
+// the COMPOSIM_JOBS environment variable) and fans them out through
+// core::sweepOrdered; results come back in submission order, so the
 // printed artifact is byte-identical at any job count.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -26,30 +27,42 @@ inline void banner(const std::string& artifact, const std::string& caption) {
   std::printf("================================================================\n\n");
 }
 
+/// Reports a command-line error and exits 2: "<program>: <message>", then
+/// "usage: <program> <usage>".
+[[noreturn]] inline void usageError(std::string_view argv0, std::string_view usage,
+                                    const std::string& message) {
+  const std::string program(argv0.substr(argv0.rfind('/') + 1));  // npos + 1 == 0
+  std::fprintf(stderr, "%s: %s\nusage: %s %s\n", program.c_str(), message.c_str(),
+               program.c_str(), std::string(usage).c_str());
+  std::exit(2);
+}
+
 /// Worker count for a bench: `--jobs N` wins, then COMPOSIM_JOBS, then 0
-/// (auto = hardware_concurrency, resolved by the pool).
-inline int jobsFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--jobs") return std::atoi(argv[i + 1]);
+/// (auto = hardware_concurrency, resolved by the pool). A missing value, or
+/// one that is not a non-negative integer, is a usage error.
+inline int jobsFromArgs(int argc, char** argv, std::string_view usage = "[--jobs N]") {
+  std::string source = "COMPOSIM_JOBS";
+  const char* text = std::getenv("COMPOSIM_JOBS");
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) != "--jobs") continue;
+    if (i + 1 == argc) usageError(argv[0], usage, "--jobs needs a worker count (0 = auto)");
+    source = "--jobs";
+    text = argv[i + 1];
+    break;
   }
-  if (const char* env = std::getenv("COMPOSIM_JOBS")) return std::atoi(env);
-  return 0;
+  if (text == nullptr) return 0;
+  const std::string_view value(text);
+  int jobs = -1;
+  const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), jobs);
+  if (ec != std::errc{} || end != value.data() + value.size() || jobs < 0) {
+    usageError(argv[0], usage, source + " '" + text + "' is not a worker count (0 = auto)");
+  }
+  return jobs;
 }
 
-/// Fan `count` independent measurements across `jobs` workers and return
-/// their values in submission order. `fn(i)` must build its whole
-/// simulation stack locally (no shared mutable state) — every bench
-/// measurement already does, since each one constructs a private
-/// ComposableSystem/Trainer.
-template <typename Fn>
-auto sweep(int jobs, std::size_t count, Fn&& fn)
-    -> decltype(core::sweepOrdered(jobs, count, static_cast<Fn&&>(fn))) {
-  return core::sweepOrdered(jobs, count, static_cast<Fn&&>(fn));
-}
-
-/// The benches' staple shape: a (benchmark x configuration) measurement
-/// matrix with shared options, returned row-major in (model-major,
-/// config-minor) order — result[m * configs.size() + c].
+/// A (benchmark x configuration) measurement matrix with shared options,
+/// returned row-major in (model-major, config-minor) order —
+/// result[m * configs.size() + c].
 inline std::vector<core::ExperimentResult> experimentMatrix(
     int jobs, const std::vector<dl::ModelSpec>& models,
     const std::vector<core::SystemConfig>& configs,
@@ -59,18 +72,6 @@ inline std::vector<core::ExperimentResult> experimentMatrix(
         return core::Experiment::run(configs[i % configs.size()],
                                      models[i / configs.size()], opt);
       });
-}
-
-/// The Fig 10/12/13/14 staple: the same matrix at the short capped run
-/// every per-metric figure uses (15 iterations of a single epoch — the
-/// steady-state pattern, not the wall-clock, is the artifact).
-inline std::vector<core::ExperimentResult> figureMatrix(
-    int jobs, const std::vector<dl::ModelSpec>& models,
-    const std::vector<core::SystemConfig>& configs) {
-  core::ExperimentOptions opt;
-  opt.trainer.max_iterations_per_epoch = 15;
-  opt.trainer.epochs = 1;
-  return experimentMatrix(jobs, models, configs, opt);
 }
 
 }  // namespace composim::bench

@@ -69,13 +69,13 @@ double tenantAIteration(bool neighborActive) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = bench::jobsFromArgs(argc, argv);
   bench::banner("Co-tenancy study",
                 "Advanced mode: two tenants sharing the Falcon 4016");
 
   // The idle and contended testbeds are independent simulations.
-  const auto pair =
-      bench::sweep(bench::jobsFromArgs(argc, argv), 2,
-                   [](std::size_t i) { return tenantAIteration(i == 1); });
+  const auto pair = core::sweepOrdered(
+      jobs, 2, [](std::size_t i) { return tenantAIteration(i == 1); });
   const double alone = pair[0];
   const double contended = pair[1];
   std::printf("Tenant A BERT-large iteration, drawer-1 tenant idle   : %s\n",

@@ -57,6 +57,7 @@ double throughput(core::ComposableSystem& sys, std::vector<devices::Gpu*> gpus,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = bench::jobsFromArgs(argc, argv);
   bench::banner("Heterogeneous pool",
                 "4x V100 + 4x composed P100 vs homogeneous pools (ResNet-50)");
 
@@ -64,8 +65,8 @@ int main(int argc, char** argv) {
 
   // Three independent testbeds: each lambda builds its own system so the
   // pools can be measured on worker threads.
-  const auto sps = bench::sweep(
-      bench::jobsFromArgs(argc, argv), 3, [&model](std::size_t i) {
+  const auto sps = core::sweepOrdered(
+      jobs, 3, [&model](std::size_t i) {
         if (i == 0) {
           core::ComposableSystem homo8(core::SystemConfig::LocalGpus);
           return throughput(homo8, homo8.trainingGpus(), model);

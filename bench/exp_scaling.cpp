@@ -37,6 +37,7 @@ double throughput(const dl::ModelSpec& model, int gpuCount) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = bench::jobsFromArgs(argc, argv);
   bench::banner("Scaling study",
                 "Throughput vs GPU count, composing past the 8-GPU host");
 
@@ -44,9 +45,8 @@ int main(int argc, char** argv) {
   const std::vector<int> counts = {2, 4, 8, 12, 16};
   // Every (model, GPU count) cell is an independent training run; fan the
   // grid out and read it back row-major.
-  const auto grid = bench::sweep(
-      bench::jobsFromArgs(argc, argv), models.size() * counts.size(),
-      [&](std::size_t i) {
+  const auto grid = core::sweepOrdered(
+      jobs, models.size() * counts.size(), [&](std::size_t i) {
         return throughput(models[i / counts.size()], counts[i % counts.size()]);
       });
 

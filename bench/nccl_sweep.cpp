@@ -48,13 +48,13 @@ std::string sweep(core::SystemConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = bench::jobsFromArgs(argc, argv);
   bench::banner("NCCL sweep", "all-reduce size sweep across the fabrics");
   const std::vector<core::SystemConfig> fabrics = {
       core::SystemConfig::LocalGpus, core::SystemConfig::FalconGpus,
       core::SystemConfig::HybridGpus};
-  const auto tables =
-      bench::sweep(bench::jobsFromArgs(argc, argv), fabrics.size(),
-                   [&](std::size_t i) { return sweep(fabrics[i]); });
+  const auto tables = core::sweepOrdered(
+      jobs, fabrics.size(), [&](std::size_t i) { return sweep(fabrics[i]); });
   for (const auto& table : tables) std::printf("%s", table.c_str());
   std::printf("Shape: busbw saturates at the protocol-derated fabric rate —\n");
   std::printf("NVLink ~4-5x the Falcon fabric — and small messages are\n");

@@ -4,6 +4,8 @@
 #   cmake -P run_and_validate.cmake
 #         [OUTPUTS <file>...]       removed first; each must exist after RUN
 #         [RUN <command> [arg...]]...            run in order; must exit 0
+#         [STDOUT <file> <command> [arg...]]...  a RUN whose stdout is <file>
+#         [SAME <file> <file>]                   must be byte-identical
 #         [VALIDATE <validator> <file>...]        run last; must exit 0
 #         [REJECT <validator> (<file> <diagnostic>)...]
 #
@@ -21,11 +23,14 @@ foreach(i RANGE ${last})
     endif()
   elseif(group STREQUAL "SCRIPT")
     set(group NONE)
-  elseif(arg MATCHES "^(OUTPUTS|VALIDATE|REJECT)$")
+  elseif(arg MATCHES "^(OUTPUTS|VALIDATE|REJECT|SAME)$")
     set(group ${arg})
-  elseif(arg STREQUAL "RUN")
+  elseif(arg MATCHES "^(RUN|STDOUT)$")
     math(EXPR ncommands "${ncommands} + 1")
     set(group RUN${ncommands})
+    if(arg STREQUAL "STDOUT")
+      set(RUN${ncommands} OUTPUT_FILE)  # run_checked redirects stdout
+    endif()
   elseif(group STREQUAL "NONE")
     message(FATAL_ERROR "run_and_validate.cmake: '${arg}' outside a group")
   else()
@@ -37,9 +42,13 @@ if(OUTPUTS)
   file(REMOVE ${OUTPUTS})
 endif()
 
-function(run_checked)
-  execute_process(COMMAND ${ARGN}
-                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+function(run_checked)  # [OUTPUT_FILE <file>] <command> [arg...]
+  set(to OUTPUT_VARIABLE out)
+  if(ARGV0 STREQUAL "OUTPUT_FILE")
+    list(POP_FRONT ARGN _ file)
+    set(to OUTPUT_FILE ${file})
+  endif()
+  execute_process(COMMAND ${ARGN} ${to} RESULT_VARIABLE rc ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     string(REPLACE ";" " " cmd "${ARGN}")
     message(FATAL_ERROR "${cmd}\nexited with ${rc}\n${out}\n${err}")
@@ -57,6 +66,14 @@ foreach(out IN LISTS OUTPUTS)
     message(FATAL_ERROR "capture did not produce ${out}")
   endif()
 endforeach()
+
+if(SAME)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${SAME} RESULT_VARIABLE differ)
+  if(differ)
+    list(JOIN SAME " and " pair)
+    message(FATAL_ERROR "${pair} are not byte-identical")
+  endif()
+endif()
 
 if(VALIDATE)
   run_checked(${VALIDATE})
