@@ -5,9 +5,9 @@
 //    micro_simcore and amended by solver_scaling): a non-empty benchmark
 //    array with sane per-run fields, the recompute/event-queue series the
 //    perf gates track, and a solver_scaling section with a strictly
-//    growing chassis sweep whose routing/batching invariants held (routes
-//    equivalent to the flat oracle, batched arrivals bit-identical and no
-//    slower than serial, steady-state routing allocation-free).
+//    growing chassis sweep whose routing/batching invariants held
+//    (positive route rates, batched arrivals bit-identical and no slower
+//    than serial, steady-state routing allocation-free).
 //  * "composim.bench.analysis/1" schema (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -122,21 +122,17 @@ int validateSimcore(const Json& doc) {
     prev_gpus = gpus->asDouble();
     const std::string at = "chassis=" + std::to_string(
         static_cast<long long>(chassis->asDouble()));
-    for (const char* rate : {"routes_per_sec_flat", "routes_per_sec_hier"}) {
-      const Json* v = s.find(rate);
-      if (v == nullptr || !v->isNumber() || v->asDouble() <= 0.0) {
-        return fail(at + ": " + rate + " missing or non-positive");
-      }
+    const Json* rate = s.find("routes_per_sec_flat");
+    if (rate == nullptr || !rate->isNumber() || rate->asDouble() <= 0.0) {
+      return fail(at + ": routes_per_sec_flat missing or non-positive");
     }
     const Json* speedup = s.find("batched_speedup");
     if (speedup == nullptr || !speedup->isNumber() || speedup->asDouble() < 1.0) {
       return fail(at + ": batched_speedup missing or below 1x");
     }
-    for (const char* flag : {"route_equivalent", "batched_bit_identical"}) {
-      const Json* v = s.find(flag);
-      if (v == nullptr || !v->isBool() || !v->asBool()) {
-        return fail(at + ": " + flag + " missing or false");
-      }
+    const Json* ident = s.find("batched_bit_identical");
+    if (ident == nullptr || !ident->isBool() || !ident->asBool()) {
+      return fail(at + ": batched_bit_identical missing or false");
     }
   }
   return 0;

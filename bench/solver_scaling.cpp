@@ -1,12 +1,10 @@
 // Solver/routing scaling gate: sweeps synthetic multi-chassis fabrics
 // (1 -> 8 chassis, 8 -> 64 GPUs) and measures
 //
-//   - routes/s with flat Dijkstra vs hierarchical domain-table routing
-//     (cache invalidated between reps so the path computation is timed,
-//     not the memo map), with an all-pairs exact-latency equivalence
-//     check between the two modes;
+//   - cold routes/s of the latency-weighted Dijkstra (cache invalidated
+//     between reps so the path computation is timed, not the memo map);
 //   - wall-clock of a full-fabric collective setup (cross-fabric shift
-//     pattern, gpu i -> gpu i+n/2, so every flow shares trunk links and
+//     pattern, gpu i -> shiftDst(i), so every flow shares trunk links and
 //     the solver sees one big component) admitted one startFlow() at a
 //     time vs one batched startFlows() call, with a
 //     bit-identity check on every post-arrival rate and every completion
@@ -17,9 +15,9 @@
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
-// gate: it exits 1 when route equivalence or batched bit-identity fails,
-// when steady-state routing allocates, or when the batched setup speedup
-// at the largest (8-chassis, 64-flow) scenario is below 5x.
+// gate: it exits 1 when batched bit-identity fails, when steady-state
+// routing allocates, or when the batched setup speedup at the largest
+// (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -67,8 +65,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 namespace {
 
 // Exact binary fractions (k / 2^20 seconds) so equal-cost alternatives
-// sum bitwise-identically and the flat-vs-hierarchical latency compare
-// can use operator== instead of a tolerance.
+// sum bitwise-identically.
 double lat(int k) { return static_cast<double>(k) / 1048576.0; }
 
 struct Fabric {
@@ -78,20 +75,16 @@ struct Fabric {
 
 /// A chassis is 2 drawer hubs with 4 GPUs each plus a hub-hub trunk; the
 /// chassis chain links hub1 of chassis c to hub0 of chassis c+1, with a
-/// ring-closure link once there are more than two chassis. One routing
-/// domain per chassis.
-void buildFabric(Fabric& f, int chassis, bool hierarchical) {
+/// ring-closure link once there are more than two chassis.
+void buildFabric(Fabric& f, int chassis) {
   std::vector<fabric::NodeId> hub0s, hub1s;
   for (int c = 0; c < chassis; ++c) {
-    const auto dom = static_cast<fabric::DomainId>(c);
     const fabric::NodeId h0 =
         f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".hub0",
                        fabric::NodeKind::PcieSwitch);
     const fabric::NodeId h1 =
         f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".hub1",
                        fabric::NodeKind::PcieSwitch);
-    f.topo.setNodeDomain(h0, dom);
-    f.topo.setNodeDomain(h1, dom);
     hub0s.push_back(h0);
     hub1s.push_back(h1);
     f.topo.addDuplexLink(h0, h1, units::GBps(32), lat(2),
@@ -101,7 +94,6 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
           f.topo.addNode(std::string("ch").append(std::to_string(c)) + ".gpu" +
                              std::to_string(g),
                          fabric::NodeKind::Gpu);
-      f.topo.setNodeDomain(gpu, dom);
       f.topo.addDuplexLink(gpu, g < 4 ? h0 : h1, units::GBps(16), lat(1),
                            fabric::LinkKind::PCIe4);
       f.gpus.push_back(gpu);
@@ -116,7 +108,6 @@ void buildFabric(Fabric& f, int chassis, bool hierarchical) {
     f.topo.addDuplexLink(hub1s.back(), hub0s.front(), units::GBps(8), lat(4),
                          fabric::LinkKind::PCIe4);
   }
-  f.topo.setHierarchicalRouting(hierarchical);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point t0) {
@@ -148,23 +139,6 @@ double measureRoutesPerSec(fabric::Topology& topo,
   return pairs / best;
 }
 
-/// Flat-oracle equivalence over all GPU pairs: identical reachability and
-/// bit-identical path latency (paths themselves may differ among
-/// equal-cost alternatives).
-bool routesEquivalent(const fabric::Topology& topo,
-                      const std::vector<fabric::NodeId>& gpus) {
-  for (const fabric::NodeId a : gpus) {
-    for (const fabric::NodeId b : gpus) {
-      if (a == b) continue;
-      const auto flat = topo.routeFlat(a, b);
-      const auto& hier = topo.routeCached(a, b);
-      if (flat.has_value() != hier.has_value()) return false;
-      if (flat && flat->latency != hier->latency) return false;
-    }
-  }
-  return true;
-}
-
 struct SetupOutcome {
   std::vector<double> rates;      // per-flow rate right after admission
   std::vector<Bytes> bytes;       // completion bytes, arrival order
@@ -173,11 +147,22 @@ struct SetupOutcome {
   double setup_seconds = 0.0;
 };
 
-/// Admit a full-fabric shift collective (flow i: gpu i -> gpu i+n/2
-/// mod n — every flow crosses hub/chassis trunks, so all flows share a
-/// component and serial arrival k re-solves k flows) either one
-/// startFlow at a time or as a single startFlows batch, timing only the
-/// admission, then run to completion for the bit-identity record.
+/// Destination of flow i in the shift collective: gpu i + n/2, mod n. On
+/// a chassis ring (> 2 chassis) that antipodal GPU is equally far both
+/// ways round, and the router's node-id tie-break would split the flows
+/// into a clockwise and a counter-clockwise component; half a chassis (4
+/// GPUs) further makes every shortest path unique and clockwise, so all
+/// flows stay one solver component.
+std::size_t shiftDst(std::size_t i, std::size_t n) {
+  const std::size_t chassis = n / 8;
+  return (i + n / 2 + (chassis > 2 ? 4 : 0)) % n;
+}
+
+/// Admit a full-fabric shift collective (flow i: gpu i -> shiftDst(i) —
+/// every flow crosses hub/chassis trunks, so all flows share a component
+/// and serial arrival k re-solves k flows) either one startFlow at a time
+/// or as a single startFlows batch, timing only the admission, then run
+/// to completion for the bit-identity record.
 SetupOutcome ringSetup(fabric::Topology& topo,
                        const std::vector<fabric::NodeId>& gpus, bool batched) {
   Simulator sim;
@@ -199,14 +184,14 @@ SetupOutcome ringSetup(fabric::Topology& topo,
     std::vector<fabric::FlowRequest> reqs(n);
     for (std::size_t i = 0; i < n; ++i) {
       reqs[i].src = gpus[i];
-      reqs[i].dst = gpus[(i + n / 2) % n];
+      reqs[i].dst = gpus[shiftDst(i, n)];
       reqs[i].bytes = units::MiB(4);
       reqs[i].done = record(i);
     }
     ids = net.startFlows(std::move(reqs));
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(net.startFlow(gpus[i], gpus[(i + n / 2) % n],
+      ids.push_back(net.startFlow(gpus[i], gpus[shiftDst(i, n)],
                                   units::MiB(4), record(i)));
     }
   }
@@ -260,13 +245,10 @@ int main(int argc, char** argv) {
   std::size_t steady_allocs = 0;
 
   for (const int chassis : kChassis) {
-    Fabric flat, hier;
-    buildFabric(flat, chassis, /*hierarchical=*/false);
-    buildFabric(hier, chassis, /*hierarchical=*/true);
+    Fabric f;
+    buildFabric(f, chassis);
 
-    const double flat_rps = measureRoutesPerSec(flat.topo, flat.gpus, kRouteReps);
-    const double hier_rps = measureRoutesPerSec(hier.topo, hier.gpus, kRouteReps);
-    const bool equivalent = routesEquivalent(hier.topo, hier.gpus);
+    const double rps = measureRoutesPerSec(f.topo, f.gpus, kRouteReps);
 
     // Best-of-reps admission wall-clock; the same warmed topology serves
     // both orders so only the solver epochs differ.
@@ -274,8 +256,8 @@ int main(int argc, char** argv) {
     double batched_best = std::numeric_limits<double>::infinity();
     SetupOutcome serial, batched;
     for (int r = 0; r < kSetupReps; ++r) {
-      serial = ringSetup(hier.topo, hier.gpus, /*batched=*/false);
-      batched = ringSetup(hier.topo, hier.gpus, /*batched=*/true);
+      serial = ringSetup(f.topo, f.gpus, /*batched=*/false);
+      batched = ringSetup(f.topo, f.gpus, /*batched=*/true);
       serial_best = std::min(serial_best, serial.setup_seconds);
       batched_best = std::min(batched_best, batched.setup_seconds);
     }
@@ -283,18 +265,15 @@ int main(int argc, char** argv) {
     const double speedup = serial_best / batched_best;
     if (chassis == kChassis.back()) {
       largest_speedup = speedup;
-      steady_allocs = steadyStateAllocs(hier.topo, hier.gpus);
+      steady_allocs = steadyStateAllocs(f.topo, f.gpus);
     }
 
     Json s = Json::object();
     s.set("chassis", static_cast<std::int64_t>(chassis));
-    s.set("gpus", static_cast<std::int64_t>(hier.gpus.size()));
-    s.set("nodes", static_cast<std::int64_t>(hier.topo.nodeCount()));
-    s.set("links", static_cast<std::int64_t>(hier.topo.linkCount()));
-    s.set("routes_per_sec_flat", flat_rps);
-    s.set("routes_per_sec_hier", hier_rps);
-    s.set("hier_speedup", hier_rps / flat_rps);
-    s.set("route_equivalent", equivalent);
+    s.set("gpus", static_cast<std::int64_t>(f.gpus.size()));
+    s.set("nodes", static_cast<std::int64_t>(f.topo.nodeCount()));
+    s.set("links", static_cast<std::int64_t>(f.topo.linkCount()));
+    s.set("routes_per_sec_flat", rps);
     s.set("serial_setup_sec", serial_best);
     s.set("batched_setup_sec", batched_best);
     s.set("batched_speedup", speedup);
@@ -306,20 +285,14 @@ int main(int argc, char** argv) {
     scenarios.push(std::move(s));
 
     std::printf(
-        "chassis=%d gpus=%zu  routes/s flat=%.3g hier=%.3g (%.2fx)  "
-        "setup serial=%.3gs batched=%.3gs (%.2fx)  equiv=%d bitident=%d  "
+        "chassis=%d gpus=%zu  routes/s=%.3g  "
+        "setup serial=%.3gs batched=%.3gs (%.2fx)  bitident=%d  "
         "solves %llu -> %llu\n",
-        chassis, hier.gpus.size(), flat_rps, hier_rps, hier_rps / flat_rps,
-        serial_best, batched_best, speedup, equivalent ? 1 : 0,
+        chassis, f.gpus.size(), rps, serial_best, batched_best, speedup,
         bit_identical ? 1 : 0,
         static_cast<unsigned long long>(serial.recomputations),
         static_cast<unsigned long long>(batched.recomputations));
 
-    if (!equivalent) {
-      std::fprintf(stderr, "solver_scaling: hierarchical routes diverge from "
-                           "the flat oracle at %d chassis\n", chassis);
-      ok = false;
-    }
     if (!bit_identical) {
       std::fprintf(stderr, "solver_scaling: batched arrival is not "
                            "bit-identical to serial at %d chassis\n", chassis);

@@ -53,9 +53,12 @@
 // injections fall back to cold runs automatically). Individual
 // experiments can instead carry their own "warm_prefix" key in the suite
 // file; the flag overrides only specs that left it unset.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment_config.hpp"
@@ -68,6 +71,31 @@
 using namespace composim;
 
 namespace {
+
+[[noreturn]] void usageError(const std::string& message) {
+  std::fprintf(stderr,
+               "run_suite: %s\nusage: run_suite [--trace] [--analyze] "
+               "[--jobs N] [--warm-prefix N] [--faults SPEC] [--metrics SPEC] "
+               "[--workload REF] [suite.json] [outdir]\n",
+               message.c_str());
+  std::exit(2);
+}
+
+/// The value after count flag argv[i] (advancing i past it). A missing,
+/// non-integer or negative value is a usage error, never a silent default.
+template <typename T>
+T countFlag(int argc, char** argv, int& i, const char* what) {
+  const std::string flag = argv[i];
+  if (i + 1 == argc) usageError(flag + " needs " + what);
+  const std::string_view value(argv[++i]);
+  T n = -1;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), n);
+  if (ec != std::errc{} || end != value.data() + value.size() || n < 0) {
+    usageError(flag + " '" + std::string(value) + "' is not " + what);
+  }
+  return n;
+}
 
 const char* kDemoSuite = R"({
   "suite": "pcie-overhead-demo",
@@ -125,10 +153,11 @@ int main(int argc, char** argv) {
       metrics_spec = argv[++i];
     } else if (std::string(argv[i]) == "--workload" && i + 1 < argc) {
       workload_ref = argv[++i];
-    } else if (std::string(argv[i]) == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::string(argv[i]) == "--warm-prefix" && i + 1 < argc) {
-      warm_prefix = std::atol(argv[++i]);
+    } else if (std::string(argv[i]) == "--jobs") {
+      jobs = countFlag<int>(argc, argv, i, "a worker count (0 = auto)");
+    } else if (std::string(argv[i]) == "--warm-prefix") {
+      warm_prefix =
+          countFlag<long>(argc, argv, i, "an iteration count (0 = off)");
     } else {
       pos.push_back(argv[i]);
     }

@@ -42,16 +42,7 @@ std::size_t trainingGpuCount(SystemConfig c) {
 ComposableSystem::ComposableSystem(SystemConfig config) : config_(config) {
   net_ = std::make_unique<fabric::FlowNetwork>(sim_, topo_);
   buildHost();
-  const std::size_t host_nodes = topo_.nodeCount();
   buildFalcon();
-  // Routing domains mirror the physical partition: everything on the host
-  // board stays in kHostDomain (the addNode default) and the whole Falcon
-  // chassis — drawer chips plus installed devices — forms kFalconDomain.
-  // Assignment is unconditional; it only changes routing behaviour once a
-  // stack opts into Topology::setHierarchicalRouting.
-  for (std::size_t n = host_nodes; n < topo_.nodeCount(); ++n) {
-    topo_.setNodeDomain(static_cast<fabric::NodeId>(n), kFalconDomain);
-  }
   applyConfig();
 }
 
@@ -221,7 +212,6 @@ devices::Gpu* ComposableSystem::installSpareGpu(falcon::SlotId slot) {
   const std::string name = "gpu.spare.d" + std::to_string(slot.drawer) + "s" +
                            std::to_string(slot.index);
   const fabric::NodeId node = topo_.addNode(name, fabric::NodeKind::Gpu);
-  topo_.setNodeDomain(node, kFalconDomain);  // lives in the chassis
   if (auto r = chassis_->installDevice(slot, falcon::DeviceType::Gpu, name, node);
       !r) {
     throw std::runtime_error("installSpareGpu: " + r.detail);

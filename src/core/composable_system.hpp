@@ -55,12 +55,6 @@ std::size_t trainingGpuCount(SystemConfig c);
 
 class ComposableSystem {
  public:
-  /// Routing domains for hierarchical routing: host-board nodes (including
-  /// any second tenant host) vs the Falcon chassis. Assigned at build time;
-  /// inert until Topology::setHierarchicalRouting(true).
-  static constexpr fabric::DomainId kHostDomain = 0;
-  static constexpr fabric::DomainId kFalconDomain = 1;
-
   explicit ComposableSystem(SystemConfig config);
 
   ComposableSystem(const ComposableSystem&) = delete;

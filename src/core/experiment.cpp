@@ -9,6 +9,14 @@
 
 namespace composim::core {
 
+SimTime earliestFaultTime(const FaultsConfig& faults) {
+  SimTime t = std::numeric_limits<SimTime>::infinity();
+  for (const auto& f : faults.gpu_falloffs) t = std::min(t, f.at);
+  for (const auto& s : faults.ecc_storms) t = std::min(t, s.at);
+  for (const auto& h : faults.host_port_flaps) t = std::min(t, h.at);
+  return t;
+}
+
 namespace {
 
 /// One experiment's full simulation stack. Shared by the continuous path
@@ -35,12 +43,6 @@ struct Stack {
 
   Stack(SystemConfig cfg, const dl::ModelSpec& m, ExperimentOptions opts)
       : config(cfg), model(m), options(std::move(opts)), system(cfg) {
-    // Before the first route() call so every path — including any taken
-    // during component construction — resolves through the domain tables.
-    // The domains themselves are assigned by ComposableSystem's builder.
-    if (options.hierarchical_routing) {
-      system.topology().setHierarchicalRouting(true);
-    }
     gpus = system.trainingGpus();
 
     // Install the profiler before any component is built so
@@ -154,15 +156,6 @@ struct Stack {
                                      h.downtime);
     }
     monitor->start(faults.health_poll_interval);
-  }
-
-  /// Earliest injection time in the fault schedule (+inf when none).
-  SimTime earliestFaultTime() const {
-    SimTime t = std::numeric_limits<SimTime>::infinity();
-    for (const auto& f : options.faults.gpu_falloffs) t = std::min(t, f.at);
-    for (const auto& s : options.faults.ecc_storms) t = std::min(t, s.at);
-    for (const auto& h : options.faults.host_port_flaps) t = std::min(t, h.at);
-    return t;
   }
 
   /// The periodic activity a run needs while training advances. Called at
@@ -351,7 +344,7 @@ WarmedExperiment::WarmedExperiment(SystemConfig config,
   // tail. warmPrefixApplicable() can't know the boundary's simulated time
   // up front; validate here and let callers fall back to a cold run.
   if (stack.options.faults.enabled &&
-      stack.earliestFaultTime() <= stack.system.sim().now()) {
+      earliestFaultTime(stack.options.faults) <= stack.system.sim().now()) {
     throw std::runtime_error(
         "WarmedExperiment: fault schedule injects at or before the "
         "warm-prefix boundary (t=" +

@@ -56,6 +56,9 @@ struct FaultsConfig {
   std::vector<HostPortFlap> host_port_flaps;
 };
 
+/// Earliest injection time in the schedule (+infinity when it has none).
+SimTime earliestFaultTime(const FaultsConfig& faults);
+
 /// What the recovery subsystem did during a faulted run.
 struct RecoverySummary {
   bool enabled = false;
@@ -131,11 +134,6 @@ struct ExperimentOptions {
   /// off, run continuously). Only meaningful when warmPrefixApplicable()
   /// holds for the spec; see DESIGN.md §14.
   std::int64_t warm_prefix = 0;
-  /// Route via per-domain tables + the chassis border graph instead of
-  /// flat Dijkstra (Topology::setHierarchicalRouting). Latency-equivalent
-  /// but free to pick a different equal-cost path, so it is opt-in and
-  /// part of the warm-prefix compatibility key.
-  bool hierarchical_routing = false;
 };
 
 struct ExperimentResult {

@@ -46,6 +46,32 @@ int intField(const falcon::Json& v, const char* key) {
   return static_cast<int>(x);
 }
 
+/// The first key of object `obj` that is not in `known`, or nullptr.
+const std::string* unknownKey(const falcon::Json& obj,
+                              std::initializer_list<const char*> known) {
+  for (const auto& [key, value] : obj.asObject()) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), key) == known.end()) return &key;
+  }
+  return nullptr;
+}
+
+/// A typo'd key must not silently run the default, so every key of `obj`
+/// has to be in `known`; the error names the stray key and lists the
+/// valid ones.
+void rejectUnknownKeys(const falcon::Json& obj, const std::string& where,
+                       std::initializer_list<const char*> known) {
+  const std::string* key = unknownKey(obj, known);
+  if (key == nullptr) return;
+  std::string valid;
+  for (const char* k : known) {
+    if (!valid.empty()) valid += ", ";
+    valid += k;
+  }
+  throw std::invalid_argument(where + ": unknown key '" + *key +
+                              "'; valid keys: " + valid);
+}
+
 }  // namespace
 
 namespace {
@@ -97,18 +123,14 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
   if (!doc.isObject()) {
     return faultsError("document must be a JSON object");
   }
-  static constexpr const char* kKnownKeys[] = {
-      "seed",          "poll_interval",       "error_storm_threshold",
-      "spare_gpus",    "attach_failure_rate", "max_attach_retries",
-      "attach_backoff_initial",  "attach_backoff_multiplier",
-      "attach_backoff_max",      "attach_backoff_jitter",
-      "attach_retry_budget",     "proactive_on_error_storm",
-      "gpu_falloffs",  "ecc_storms",          "host_port_flaps"};
-  for (const auto& [key, value] : doc.asObject()) {
-    (void)value;
-    bool known = false;
-    for (const char* k : kKnownKeys) known = known || key == k;
-    if (!known) return faultsError("unknown key '" + key + "'");
+  if (const std::string* key = unknownKey(
+          doc, {"seed", "poll_interval", "error_storm_threshold",
+                "spare_gpus", "attach_failure_rate", "max_attach_retries",
+                "attach_backoff_initial", "attach_backoff_multiplier",
+                "attach_backoff_max", "attach_backoff_jitter",
+                "attach_retry_budget", "proactive_on_error_storm",
+                "gpu_falloffs", "ecc_storms", "host_port_flaps"})) {
+    return faultsError("unknown key '" + *key + "'");
   }
 
   FaultsConfig faults;
@@ -270,15 +292,8 @@ falcon::Json faultsConfigToJson(const FaultsConfig& faults) {
   return doc;
 }
 
-SimTime earliestFaultTime(const FaultsConfig& faults) {
-  SimTime t = std::numeric_limits<SimTime>::infinity();
-  for (const auto& f : faults.gpu_falloffs) t = std::min(t, f.at);
-  for (const auto& s : faults.ecc_storms) t = std::min(t, s.at);
-  for (const auto& h : faults.host_port_flaps) t = std::min(t, h.at);
-  return t;
-}
-
 MetricsConfig parseMetricsConfig(const falcon::Json& doc) {
+  rejectUnknownKeys(doc, "metrics", {"scrape_interval", "alerts"});
   MetricsConfig metrics;
   if (const auto* v = doc.find("scrape_interval")) {
     metrics.scrape_interval = v->asDouble();
@@ -296,6 +311,13 @@ MetricsConfig parseMetricsConfig(const falcon::Json& doc) {
 std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
   std::vector<ExperimentSpec> specs;
   for (const auto& e : doc.at("experiments").asArray()) {
+    rejectUnknownKeys(
+        e, "experiments[" + std::to_string(specs.size()) + "]",
+        {"name", "workload", "benchmark", "config", "epochs",
+         "iterations_cap", "batch_per_gpu", "strategy", "precision",
+         "sharded", "accumulation", "sample_interval", "trace", "analysis",
+         "trace_max_records", "warm_prefix", "watchdog", "faults",
+         "metrics"});
     ExperimentSpec s;
     s.name = e.at("name").asString();
     if (const auto* v = e.find("workload")) {
@@ -353,9 +375,6 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
     }
     if (const auto* v = e.find("watchdog")) {
       s.options.watchdog = v->asDouble();
-    }
-    if (const auto* v = e.find("hierarchical_routing")) {
-      s.options.hierarchical_routing = v->asBool();
     }
     if (const auto* v = e.find("faults")) {
       s.options.faults = parseFaultsConfig(*v);
@@ -418,9 +437,6 @@ std::string warmPrefixKey(const ExperimentSpec& spec) {
       // profiler carries, so both are prefix-compatibility inputs.
       << "|analyze=" << spec.options.analysis                        //
       << "|trace_cap=" << spec.options.trace_max_records             //
-      // Hierarchical routing may pick a different equal-cost path, so a
-      // warmed prefix is only reusable under the same routing mode.
-      << "|hier=" << spec.options.hierarchical_routing               //
       << "|warm=" << spec.options.warm_prefix << "|alerts=";
   for (const std::string& rule : spec.options.metrics.alerts) {
     key << rule << ';';

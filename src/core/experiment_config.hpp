@@ -37,7 +37,8 @@ struct ExperimentSpec {
 };
 
 /// Parse a suite document; throws falcon::JsonError / std::invalid_argument
-/// on unknown workloads, configurations or option values.
+/// on unknown workloads, configurations, option values or per-experiment
+/// keys.
 std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc);
 
 /// Resolve a Table III label ("localGPUs", ... , "allGPUs16").
@@ -79,9 +80,6 @@ FaultsConfig parseFaultsConfig(const falcon::Json& doc);
 /// parseFaultsConfig.
 falcon::Json faultsConfigToJson(const FaultsConfig& faults);
 
-/// Earliest injection time in the schedule (+infinity when it has none).
-SimTime earliestFaultTime(const FaultsConfig& faults);
-
 /// Parse a metrics object (the "metrics" key of an experiment, or a
 /// standalone --metrics document):
 ///
@@ -89,7 +87,8 @@ SimTime earliestFaultTime(const FaultsConfig& faults);
 ///    "alerts": ["link_util_pct > 95 for 2s",
 ///               "ecc: ecc_errors_total rate > 0"]}
 ///
-/// Alert rules are validated (telemetry::parseAlertRule) at parse time.
+/// Alert rules are validated (telemetry::parseAlertRule) at parse time;
+/// any other key throws std::invalid_argument.
 MetricsConfig parseMetricsConfig(const falcon::Json& doc);
 
 /// Entry points for user-supplied suite, --faults and --metrics

@@ -87,9 +87,7 @@ void InferenceEngine::maybeLaunchBatch() {
                          options_.result_bytes * batch,
                          [this, taken = std::move(taken)](const fabric::FlowResult&) {
                            for (const auto& r : taken) {
-                             const double ms = units::to_ms(sim_.now() - r.arrival);
-                             latencies_ms_.push_back(ms);
-                             if (latency_observer_) latency_observer_(ms);
+                             latencies_ms_.push_back(units::to_ms(sim_.now() - r.arrival));
                            }
                            completed_ += static_cast<int>(taken.size());
                            gpu_busy_ = false;

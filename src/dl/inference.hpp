@@ -55,13 +55,6 @@ class InferenceEngine {
   /// Latency of one isolated request at batch size 1 (no queueing).
   SimTime unloadedLatency() const;
 
-  /// Observer hook for external telemetry (the metrics collectors): fired
-  /// with every request's latency in milliseconds as its response lands.
-  /// The observer must outlive serving; pass nullptr to detach.
-  void setLatencyObserver(std::function<void(double)> fn) {
-    latency_observer_ = std::move(fn);
-  }
-
  private:
   struct Request {
     SimTime arrival = 0.0;
@@ -87,7 +80,6 @@ class InferenceEngine {
   SimTime start_ = 0.0;
   std::vector<Request> queue_;
   std::vector<double> latencies_ms_;
-  std::function<void(double)> latency_observer_;
   double batch_sum_ = 0.0;
   int batches_ = 0;
   std::function<void(const InferenceStats&)> done_;

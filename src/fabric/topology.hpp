@@ -5,14 +5,7 @@
 // capacity; addDuplexLink creates the usual full-duplex pair. Routing is
 // latency-weighted Dijkstra with a cache invalidated on any mutation, so
 // dynamic attach/detach (the composable part) recomputes paths lazily.
-//
-// At multi-chassis scale a full-graph Dijkstra per (src, dst) pair is the
-// hot path, so routing is optionally *hierarchical*: nodes are partitioned
-// into routing domains (chassis / host groups, setNodeDomain), and a route
-// becomes intra-domain table lookups plus a search over a small
-// domain-border graph instead of a whole-graph shortest path. The flat
-// Dijkstra remains as the oracle (routeFlat) for equivalence testing; see
-// DESIGN.md §2.1.
+// See DESIGN.md §2.1.
 #pragma once
 
 #include <atomic>
@@ -30,12 +23,9 @@ namespace composim::fabric {
 
 using NodeId = std::int32_t;
 using LinkId = std::int32_t;
-/// Routing domain: a chassis or host group for hierarchical routing.
-using DomainId = std::int32_t;
 
 constexpr NodeId kInvalidNode = -1;
 constexpr LinkId kInvalidLink = -1;
-constexpr DomainId kDefaultDomain = 0;
 
 enum class NodeKind {
   Gpu,
@@ -120,25 +110,8 @@ class Topology {
 
   NodeId findNode(const std::string& name) const;
 
-  /// Assign `n` to a routing domain (chassis / host group). Nodes default
-  /// to kDefaultDomain; domains only matter once hierarchical routing is
-  /// enabled. Invalidates cached routes and tables.
-  void setNodeDomain(NodeId n, DomainId d);
-  DomainId nodeDomain(NodeId n) const {
-    return domain_of_.at(static_cast<std::size_t>(n));
-  }
-
-  /// Route via domain tables + border graph instead of a full-graph
-  /// Dijkstra. A no-op until at least two distinct domains are assigned.
-  /// Hierarchical routes are latency-equivalent to the flat oracle (equal
-  /// cost, possibly a different equal-cost path), so flipping this knob
-  /// can legitimately change which of several tied paths a flow takes —
-  /// it is therefore opt-in per stack, never flipped implicitly.
-  void setHierarchicalRouting(bool on);
-  bool hierarchicalRouting() const { return hierarchical_; }
-
-  /// Drop cached routes and hierarchy tables without touching links (bench
-  /// hook: re-measure route computation against a warm topology).
+  /// Drop cached routes without touching links (bench hook: re-measure
+  /// route computation against a warm topology).
   void invalidateRoutes() { ++generation_; }
 
   /// Shortest path by cumulative latency over up-links. Returns nullopt if
@@ -160,14 +133,6 @@ class Topology {
   /// one.
   const std::optional<Route>& routeCached(NodeId src, NodeId dst) const;
 
-  /// Flat-Dijkstra oracle: always computes over the whole graph, ignoring
-  /// domains, and bypasses the route cache. Reference implementation for
-  /// the hierarchical-equivalence suite and the scaling bench.
-  std::optional<Route> routeFlat(NodeId src, NodeId dst) const;
-
-  /// Times the hierarchy (domain tables + border graph) was rebuilt.
-  std::uint64_t hierarchyBuilds() const { return hier_builds_; }
-
   /// Re-pin route() ownership to the calling thread. The caller is
   /// responsible for the cross-thread happens-before edge (e.g. the
   /// thread-start or join that handed the Topology over).
@@ -183,16 +148,14 @@ class Topology {
 
   std::uint64_t generation() const { return generation_; }
 
-  /// Dynamic-state snapshot: per-link up flags and counters, the mutation
-  /// generation, and the routing-domain assignment + hierarchical flag.
-  /// The graph structure (nodes, links, adjacency) is NOT captured — a
-  /// fork rebuilds it from the same configuration and restoreState()
-  /// refuses a structure mismatch (link count or domain-assignment
-  /// divergence). Route cache, Dijkstra scratch, and the hierarchical
-  /// domain tables / border graph are deliberately dropped on restore
-  /// (they are recomputed lazily and never observable in results), and
-  /// routing ownership is rebound to the restoring thread so forked
-  /// workers never trip the foreign-thread guard.
+  /// Dynamic-state snapshot: per-link up flags and counters and the
+  /// mutation generation. The graph structure (nodes, links, adjacency) is
+  /// NOT captured — a fork rebuilds it from the same configuration and
+  /// restoreState() refuses a link-count mismatch. Route cache and Dijkstra
+  /// scratch are deliberately dropped on restore (they are recomputed
+  /// lazily and never observable in results), and routing ownership is
+  /// rebound to the restoring thread so forked workers never trip the
+  /// foreign-thread guard.
   struct State {
     struct LinkState {
       bool up = true;
@@ -200,8 +163,6 @@ class Topology {
     };
     std::vector<LinkState> links;
     std::uint64_t generation = 0;
-    std::vector<DomainId> domains;
-    bool hierarchical = false;
   };
 
   State state() const;
@@ -210,29 +171,17 @@ class Topology {
  private:
   void checkRouteOwner() const;
 
-  /// Epoch-stamped Dijkstra from `src` into scratch_dist_/via_/stamp_.
-  /// domain >= 0 restricts relaxation to nodes of that domain; reverse
-  /// walks reverse_adjacency_ (producing distances *to* src, with via =
-  /// first link out of each node). stop_at != kInvalidNode pops early.
-  /// Pop order is (distance, node id) ascending — bit-identical between
-  /// the flat oracle and a domain-restricted run over the same subgraph.
-  void dijkstra(NodeId src, NodeId stop_at, DomainId domain, bool reverse) const;
+  /// Epoch-stamped Dijkstra from `src` into scratch_dist_/via_/stamp_,
+  /// popping early at `stop_at`. Pop order is (distance, node id)
+  /// ascending, so equal-cost ties always resolve the same way.
+  void dijkstra(NodeId src, NodeId stop_at) const;
 
   std::optional<Route> computeRoute(NodeId src, NodeId dst) const;
-  std::optional<Route> computeFlat(NodeId src, NodeId dst) const;
-  std::optional<Route> computeHierarchical(NodeId src, NodeId dst) const;
-  /// Build a Route from scratch_via_ after dijkstra(src, dst, ...) that
-  /// reached dst. Shared by the flat path and the intra-domain candidate.
-  Route reconstructFromScratch(NodeId src, NodeId dst) const;
-  void finalizeRoute(Route& r) const;
-  void ensureHierarchy() const;
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;  // per node: outgoing links
   std::vector<std::vector<LinkId>> reverse_adjacency_;  // per node: incoming
-  std::vector<DomainId> domain_of_;  // per node: routing domain
-  bool hierarchical_ = false;
   std::uint64_t generation_ = 0;
 
   mutable std::uint64_t cache_generation_ = ~0ULL;
@@ -253,48 +202,6 @@ class Topology {
   // steady-state routing performs no incidental reallocation.
   mutable std::size_t path_watermark_ = 0;
   mutable std::size_t heap_watermark_ = 0;
-
-  // ---- hierarchical routing (lazy caches, rebuilt per generation) ----
-
-  /// Precomputed intra-domain shortest paths from/to one border node,
-  /// indexed by the member's position in hier_members_[domain].
-  struct BorderTable {
-    NodeId border = kInvalidNode;
-    DomainId domain = kDefaultDomain;
-    std::vector<double> to_dist;    // border -> member
-    std::vector<LinkId> to_via;     // last link into member on that path
-    std::vector<double> from_dist;  // member -> border
-    std::vector<LinkId> from_via;   // first link out of member on that path
-  };
-  /// Border-graph edge: an up inter-domain link (link != kInvalidLink) or
-  /// an intra-domain transit along the from-border's to-table.
-  struct BorderEdge {
-    std::int32_t to = -1;  // border index
-    double weight = 0.0;
-    LinkId link = kInvalidLink;
-  };
-
-  void appendToPath(const BorderTable& t, NodeId target,
-                    std::vector<LinkId>& out) const;
-  void appendFromPath(NodeId from, const BorderTable& t,
-                      std::vector<LinkId>& out) const;
-
-  mutable std::uint64_t hier_generation_ = ~0ULL;
-  mutable bool hier_active_ = false;  // >= 2 distinct domains present
-  mutable std::vector<std::vector<NodeId>> hier_members_;      // per domain
-  mutable std::vector<std::int32_t> hier_local_;               // node -> member idx
-  mutable std::vector<std::int32_t> hier_border_of_;           // node -> border idx
-  mutable std::vector<BorderTable> hier_borders_;
-  mutable std::vector<std::vector<std::int32_t>> hier_domain_borders_;
-  mutable std::vector<std::vector<BorderEdge>> hier_border_adj_;
-  mutable std::uint64_t hier_builds_ = 0;
-  // Border-graph Dijkstra scratch (sized by border count per query).
-  mutable std::vector<double> border_dist_;
-  mutable std::vector<std::int32_t> border_prev_;
-  mutable std::vector<std::int32_t> border_prev_edge_;
-  mutable std::vector<std::pair<double, NodeId>> border_heap_;
-  mutable std::vector<std::int32_t> hier_chain_;   // border-path unwind
-  mutable std::vector<LinkId> hier_seg_;           // to-path segment reversal
 };
 
 }  // namespace composim::fabric

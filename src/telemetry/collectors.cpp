@@ -8,7 +8,6 @@
 
 #include "devices/gpu.hpp"
 #include "devices/host_cpu.hpp"
-#include "dl/inference.hpp"
 #include "dl/trainer.hpp"
 #include "fabric/topology.hpp"
 #include "falcon/bmc.hpp"
@@ -321,14 +320,6 @@ void observeTrainer(MetricsRegistry& registry, dl::Trainer& trainer) {
       "Checkpoint write wall time, milliseconds");
   trainer.setCheckpointObserver(
       [&checkpoint](SimTime dt) { checkpoint.observe(dt * 1e3); });
-}
-
-void observeInference(MetricsRegistry& registry, dl::InferenceEngine& engine,
-                      const std::string& model) {
-  Histogram& latency = registry.histogram(
-      "inference_latency_ms", {{"model", model}}, defaultLatencyBucketsMs(),
-      "Per-request serving latency, milliseconds");
-  engine.setLatencyObserver([&latency](double ms) { latency.observe(ms); });
 }
 
 }  // namespace composim::telemetry

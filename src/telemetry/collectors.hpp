@@ -8,10 +8,10 @@
 // throughput, per-link fabric health, and the BMC's link-health table with
 // accumulated error counts.
 //
-// Observation-style sources (Trainer iteration/checkpoint phases,
-// InferenceEngine request latencies) publish through std::function
-// observer hooks on the dl classes — the dl layer stays free of telemetry
-// includes; the collector owns the registry side of the hook.
+// Observation-style sources (Trainer iteration/checkpoint phases) publish
+// through std::function observer hooks on the dl classes — the dl layer
+// stays free of telemetry includes; the collector owns the registry side
+// of the hook.
 //
 // Rate-style gauges (GPU utilization %, PCIe GB/s) read a cumulative
 // counter through a RateProbe, which differentiates between scrapes —
@@ -42,7 +42,6 @@ class Bmc;
 
 namespace composim::dl {
 class Trainer;
-class InferenceEngine;
 }  // namespace composim::dl
 
 namespace composim::telemetry {
@@ -140,11 +139,5 @@ void collectBmc(MetricsScraper& scraper, MetricsRegistry& registry,
 /// Installs Trainer::setIterationObserver / setCheckpointObserver; the
 /// registry must outlive the trainer's run.
 void observeTrainer(MetricsRegistry& registry, dl::Trainer& trainer);
-
-/// Per-request serving latency through the observer hook:
-///   inference_latency_ms{model=...}  histogram (default latency buckets)
-/// Installs InferenceEngine::setLatencyObserver.
-void observeInference(MetricsRegistry& registry, dl::InferenceEngine& engine,
-                      const std::string& model);
 
 }  // namespace composim::telemetry

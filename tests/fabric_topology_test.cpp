@@ -1,8 +1,14 @@
 // Unit tests for the topology graph and its routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "fabric/link_catalog.hpp"
 #include "fabric/topology.hpp"
@@ -218,6 +224,117 @@ TEST(LinkKindNames, AllNamed) {
   EXPECT_STREQ(toString(NodeKind::Gpu), "GPU");
   EXPECT_STREQ(toString(NodeKind::Storage), "Storage");
 }
+
+// Randomized graphs checked pair by pair against a Bellman-Ford oracle
+// over up links, which shares nothing with the router (no heap, scratch or
+// cache). Latencies are exact binary fractions (k / 2^20 s), so equal-cost
+// paths sum bitwise-identically and the checks demand exact equality.
+double lat(int k) { return static_cast<double>(k) / 1048576.0; }
+
+/// Deterministic xorshift so every run sees identical topologies.
+struct Rng {
+  std::uint64_t s;
+  explicit Rng(std::uint64_t seed) : s(seed * 2654435761u + 1) {}
+  std::uint64_t next() {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+  }
+  int range(int lo, int hi) {  // inclusive
+    return lo + static_cast<int>(next() % static_cast<std::uint64_t>(hi - lo + 1));
+  }
+};
+
+std::vector<double> oracleDistances(const Topology& t, NodeId src) {
+  std::vector<double> dist(t.nodeCount(), std::numeric_limits<double>::infinity());
+  dist[static_cast<std::size_t>(src)] = 0.0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (LinkId l = 0; l < static_cast<LinkId>(t.linkCount()); ++l) {
+      const Link& link = t.link(l);
+      const double via = dist[static_cast<std::size_t>(link.src)] + link.latency;
+      if (link.up && via < dist[static_cast<std::size_t>(link.dst)]) {
+        dist[static_cast<std::size_t>(link.dst)] = via;
+        changed = true;
+      }
+    }
+  }
+  return dist;
+}
+
+/// Every (src, dst) pair: the oracle's reachability and latency, over a
+/// contiguous path of up links whose latency and bottleneck match it.
+void expectMatchesOracle(const Topology& topo) {
+  const int n = static_cast<int>(topo.nodeCount());
+  for (NodeId s = 0; s < n; ++s) {
+    const std::vector<double> dist = oracleDistances(topo, s);
+    for (NodeId d = 0; d < n; ++d) {
+      const auto route = topo.route(s, d);
+      const double want = dist[static_cast<std::size_t>(d)];
+      ASSERT_EQ(route.has_value(), std::isfinite(want))
+          << "reachability mismatch " << s << "->" << d;
+      if (!route) continue;
+      EXPECT_EQ(route->latency, want) << "latency mismatch " << s << "->" << d;
+      NodeId cur = s;
+      double sum = 0.0;
+      double bottleneck = std::numeric_limits<double>::infinity();
+      for (LinkId lid : route->links) {
+        const Link& l = topo.link(lid);
+        ASSERT_EQ(l.src, cur) << "discontiguous path " << s << "->" << d;
+        ASSERT_TRUE(l.up) << "path uses a down link " << s << "->" << d;
+        sum += l.latency;
+        bottleneck = std::min(bottleneck, l.capacity);
+        cur = l.dst;
+      }
+      ASSERT_EQ(cur, d) << "path does not end at dst " << s << "->" << d;
+      EXPECT_EQ(route->latency, sum);
+      if (!route->links.empty()) {
+        EXPECT_EQ(route->bottleneck, bottleneck);
+      }
+    }
+  }
+}
+
+class RandomizedEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomizedEquivalence, MatchesFlatOracleIncludingDownLinks) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  Topology t;
+  const int nodes = rng.range(6, 24);
+  for (int i = 0; i < nodes; ++i) {
+    t.addNode(std::string("n").append(std::to_string(i)), NodeKind::Gpu);
+  }
+  // A connecting chain plus random chords, so equal-cost alternatives and
+  // detours exist.
+  std::vector<LinkId> links;
+  const auto connect = [&](NodeId a, NodeId b) {
+    const auto [f, r] =
+        t.addDuplexLink(a, b, 1e8 * rng.range(1, 8), lat(rng.range(1, 64)),
+                        LinkKind::PCIe4);
+    links.push_back(f);
+    links.push_back(r);
+  };
+  for (NodeId i = 1; i < nodes; ++i) connect(i - 1, i);
+  const int chords = rng.range(0, nodes);
+  for (int e = 0; e < chords; ++e) {
+    const NodeId a = rng.range(0, nodes - 1);
+    const NodeId b = rng.range(0, nodes - 1);
+    if (a != b) connect(a, b);
+  }
+
+  expectMatchesOracle(t);
+  // Knock out ~20% of links (possibly disconnecting the graph), re-check,
+  // then restore them and check the recomputed routes once more.
+  for (LinkId l : links) {
+    if (rng.range(0, 4) == 0) t.setLinkUp(l, false);
+  }
+  expectMatchesOracle(t);
+  for (LinkId l : links) t.setLinkUp(l, true);
+  expectMatchesOracle(t);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedEquivalence, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace composim::fabric

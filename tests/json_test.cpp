@@ -236,6 +236,23 @@ TEST(JsonDepth, SuiteNegativeTraceMaxRecordsIsInvalidArgument) {
   EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
 }
 
+TEST(JsonDepth, SuiteUnknownExperimentKeyIsInvalidArgument) {
+  // A typo'd key must not silently run the default (30 iterations here).
+  const Status st = loadSuiteWith(R"("iteration_cap": 5)");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  EXPECT_NE(st.detail.find("unknown key 'iteration_cap'"), std::string::npos)
+      << st.detail;
+  EXPECT_NE(st.detail.find("iterations_cap"), std::string::npos) << st.detail;
+}
+
+TEST(JsonDepth, SuiteUnknownMetricsKeyIsInvalidArgument) {
+  const Status st = loadSuiteWith(R"("metrics": {"alert": ["x > 1"]})");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  EXPECT_NE(st.detail.find("unknown key 'alert'"), std::string::npos)
+      << st.detail;
+  EXPECT_NE(st.detail.find("alerts"), std::string::npos) << st.detail;
+}
+
 TEST(JsonDepth, FaultsLoaderReturnsInvalidArgument) {
   core::FaultsConfig faults;
   const Status st = core::loadFaultsConfig(deepSpec("gpu_falloffs"), &faults);
@@ -276,6 +293,8 @@ TEST(JsonDepth, SpecLoadersKeepTheirOtherCodes) {
   EXPECT_TRUE(core::loadMetricsConfig(R"({"scrape_interval": 0.5})",
                                       &metrics).ok);
   EXPECT_DOUBLE_EQ(metrics.scrape_interval, 0.5);
+  EXPECT_EQ(core::loadMetricsConfig(R"({"alert": []})", &metrics).code,
+            StatusCode::InvalidArgument);
 }
 
 }  // namespace
