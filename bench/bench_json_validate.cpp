@@ -7,7 +7,8 @@
 //    perf gates track, and a solver_scaling section with a strictly
 //    growing chassis sweep whose routing/batching invariants held
 //    (positive route rates, batched arrivals bit-identical and no slower
-//    than serial, steady-state routing allocation-free).
+//    than serial, steady-state routing allocation-free, a warmed delivery
+//    wave of N flows within N + 2 allocations).
 //  * "composim.bench.analysis/1" schema (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -100,6 +101,16 @@ int validateSimcore(const Json& doc) {
   const Json* allocs = scaling->find("route_steady_allocs");
   if (allocs == nullptr || !allocs->isNumber() || allocs->asDouble() != 0.0) {
     return fail("route_steady_allocs missing or non-zero");
+  }
+  const Json* wave_flows = scaling->find("wave_flows");
+  const Json* wave_allocs = scaling->find("wave_allocs");
+  if (wave_flows == nullptr || !wave_flows->isNumber() ||
+      wave_flows->asDouble() <= 0.0) {
+    return fail("wave_flows missing or non-positive");
+  }
+  if (wave_allocs == nullptr || !wave_allocs->isNumber() ||
+      wave_allocs->asDouble() > wave_flows->asDouble() + 2.0) {
+    return fail("wave_allocs missing or above wave_flows + 2");
   }
   const Json* scenarios = scaling->find("scenarios");
   if (scenarios == nullptr || !scenarios->isArray() ||

@@ -10,13 +10,17 @@
 //     bit-identity check on every post-arrival rate and every completion
 //     (bytes + end time) between the two admission orders;
 //   - steady-state allocation count of warmed routeCached() hits via a
-//     counting global operator new (must be zero).
+//     counting global operator new (must be zero);
+//   - allocation count of one warmed 8-GPU ring wave, startFlows() through
+//     delivery, with the same counter (at most one per flow, its id-index
+//     node, plus startFlows' two per-call vectors).
 //
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
 // gate: it exits 1 when batched bit-identity fails, when steady-state
-// routing allocates, or when the batched setup speedup at the largest
+// routing allocates, when the warmed wave allocates more than N + 2
+// times for N flows, or when the batched setup speedup at the largest
 // (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
@@ -227,6 +231,47 @@ std::size_t steadyStateAllocs(fabric::Topology& topo,
   return g_alloc_count;
 }
 
+constexpr std::size_t kWaveFlows = 8;
+
+/// Allocations of one warmed delivery wave: an 8-GPU ring (gpu i -> gpu
+/// i+1) admitted by one startFlows() call and run through delivery, on a
+/// network that has already run the same wave three times. Callbacks are
+/// built before counting. The budget is one id-index node per flow plus
+/// startFlows' returned-id and route vectors: the delivery path itself
+/// (batch events, slot reuse, callback hand-off) must not allocate.
+std::size_t warmWaveAllocs(fabric::Topology& topo,
+                           const std::vector<fabric::NodeId>& gpus) {
+  Simulator sim;
+  fabric::FlowNetwork net(sim, topo);
+  std::size_t delivered = 0;
+  const auto ring = [&] {
+    std::vector<fabric::FlowRequest> reqs(kWaveFlows);
+    for (std::size_t i = 0; i < kWaveFlows; ++i) {
+      reqs[i].src = gpus[i];
+      reqs[i].dst = gpus[(i + 1) % kWaveFlows];
+      reqs[i].bytes = units::MiB(4);
+      reqs[i].done = [&delivered](const fabric::FlowResult&) { ++delivered; };
+    }
+    return reqs;
+  };
+  for (int warm = 0; warm < 3; ++warm) {
+    net.startFlows(ring());
+    sim.run();
+  }
+  std::vector<fabric::FlowRequest> reqs = ring();
+  g_alloc_count = 0;
+  g_count_allocs = true;
+  net.startFlows(std::move(reqs));
+  sim.run();
+  g_count_allocs = false;
+  if (delivered != 4 * kWaveFlows) {
+    std::fprintf(stderr, "solver_scaling: ring wave delivered %zu of %zu\n",
+                 delivered, 4 * kWaveFlows);
+    std::exit(1);
+  }
+  return g_alloc_count;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,12 +288,14 @@ int main(int argc, char** argv) {
   bool ok = true;
   double largest_speedup = 0.0;
   std::size_t steady_allocs = 0;
+  std::size_t wave_allocs = 0;
 
   for (const int chassis : kChassis) {
     Fabric f;
     buildFabric(f, chassis);
 
     const double rps = measureRoutesPerSec(f.topo, f.gpus, kRouteReps);
+    if (chassis == kChassis.front()) wave_allocs = warmWaveAllocs(f.topo, f.gpus);
 
     // Best-of-reps admission wall-clock; the same warmed topology serves
     // both orders so only the solver epochs differ.
@@ -305,6 +352,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "solver_scaling: warmed routeCached() allocated\n");
     ok = false;
   }
+  std::printf("warmed %zu-flow wave allocations: %zu\n", kWaveFlows,
+              wave_allocs);
+  if (wave_allocs > kWaveFlows + 2) {
+    std::fprintf(stderr,
+                 "solver_scaling: warmed %zu-flow wave allocated %zu times "
+                 "(budget %zu)\n",
+                 kWaveFlows, wave_allocs, kWaveFlows + 2);
+    ok = false;
+  }
   if (largest_speedup < 5.0) {
     std::fprintf(stderr,
                  "solver_scaling: batched setup speedup %.2fx at 8 chassis "
@@ -332,6 +388,8 @@ int main(int argc, char** argv) {
   Json section = Json::object();
   section.set("scenarios", scenarios);
   section.set("route_steady_allocs", static_cast<std::int64_t>(steady_allocs));
+  section.set("wave_flows", static_cast<std::int64_t>(kWaveFlows));
+  section.set("wave_allocs", static_cast<std::int64_t>(wave_allocs));
   doc.set("solver_scaling", std::move(section));
   std::ofstream outf(argv[1]);
   outf << doc.dump(2) << "\n";

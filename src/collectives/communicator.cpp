@@ -188,6 +188,11 @@ void Communicator::opFinished() {
 void Communicator::sendChunks(std::shared_ptr<Op> op,
                               const std::vector<std::pair<int, int>>& pairs,
                               Bytes bytes, std::function<void()> eachDone) {
+  // One adaptor for the whole wave: each request copies a shared handle
+  // instead of a fresh copy of eachDone's closure.
+  const fabric::FlowCallback landed =
+      [cb = std::make_shared<const std::function<void()>>(std::move(eachDone))](
+          const fabric::FlowResult&) { (*cb)(); };
   std::vector<fabric::FlowRequest> requests;
   requests.reserve(pairs.size());
   for (const auto& [fromRank, toRank] : pairs) {
@@ -198,7 +203,7 @@ void Communicator::sendChunks(std::shared_ptr<Op> op,
     rq.src = src;
     rq.dst = dst;
     rq.bytes = bytes;
-    rq.done = [cb = eachDone](const fabric::FlowResult&) { cb(); };
+    rq.done = landed;
     rq.options.maxRate = protocolRate(src, dst);
     rq.options.extraLatency = fabric::catalog::dmaEndpointOverhead();
     rq.options.tag = "nccl";

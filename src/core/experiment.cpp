@@ -237,6 +237,15 @@ struct Stack {
           telemetry::analysis::analyzeProfile(*profiler, model.name));
     }
 
+    WorkCounters& work = result.work;
+    work.events = system.sim().eventsExecuted();
+    work.flows = system.network().flowsStarted();
+    work.recomputes = system.network().rateRecomputations();
+    work.solves = system.network().componentSolves();
+    for (const devices::Gpu* g : gpus) work.kernels += g->kernelsLaunched();
+    work.collective_ops = trainer->communicator().collectivesCompleted();
+    if (profiler) work.profiler_records = profiler->recordCount();
+
     if (orchestrator) {
       result.recovery.enabled = true;
       result.recovery.faults_injected = injector->faultsInjected();

@@ -7,6 +7,7 @@
 // Falcon PCIe traffic), and summarize.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,6 +137,20 @@ struct ExperimentOptions {
   std::int64_t warm_prefix = 0;
 };
 
+/// The work a run cost the simulator, read from counters the layers
+/// already keep. Always filled, and deterministic: a forked tail reports
+/// the counts of the cold run it replays. Kept out of the manifest and
+/// every export, so their bytes do not depend on how the work is done.
+struct WorkCounters {
+  std::uint64_t events = 0;            // simulator events executed
+  std::uint64_t flows = 0;             // fabric flows started
+  std::uint64_t recomputes = 0;        // max-min rate recomputations
+  std::uint64_t solves = 0;            // connected-component solves
+  std::uint64_t kernels = 0;           // kernels launched on training GPUs
+  std::uint64_t collective_ops = 0;    // completed, current communicator
+  std::uint64_t profiler_records = 0;  // 0 when untraced
+};
+
 struct ExperimentResult {
   SystemConfig config = SystemConfig::LocalGpus;
   std::string benchmark;
@@ -163,6 +178,8 @@ struct ExperimentResult {
 
   /// Recovery accounting when options.faults.enabled was set.
   RecoverySummary recovery;
+
+  WorkCounters work;
 };
 
 class Experiment {

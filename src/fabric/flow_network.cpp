@@ -84,7 +84,7 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
   }
   ActiveFlow& f = slots_[slot];
   f.id = id;
-  f.links = route.links;
+  f.links.assign(route.links.begin(), route.links.end());  // keeps capacity
   f.remaining = static_cast<double>(bytes);
   f.rate = 0.0;
   f.max_rate = options.maxRate;
@@ -97,6 +97,7 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
   f.heap_pos = kNoPos;
   f.active_pos = kNoPos;
   f.span = beginFlowSpan(src, dst, bytes, f.tag, options.correlation);
+  f.ideal_s = 0.0;
   if (f.span != kInvalidAsyncSpan) {
     // Contention-free reference: the whole payload at the uncontended
     // route bottleneck (still respecting the flow's own rate cap).
@@ -294,7 +295,7 @@ Bandwidth FlowNetwork::flowRate(FlowId id) const {
 }
 
 FlowNetwork::State FlowNetwork::state() const {
-  if (!id_to_slot_.empty() || !latency_flows_.empty()) {
+  if (inFlight()) {
     throw std::logic_error(
         "FlowNetwork::state: flows still in flight (snapshot requires a "
         "quiescent point)");
@@ -315,7 +316,7 @@ FlowNetwork::State FlowNetwork::state() const {
 }
 
 void FlowNetwork::restoreState(const State& st) {
-  if (!id_to_slot_.empty() || !latency_flows_.empty()) {
+  if (inFlight()) {
     throw std::logic_error(
         "FlowNetwork::restoreState: target network has flows in flight");
   }
@@ -338,6 +339,8 @@ void FlowNetwork::restoreState(const State& st) {
   completion_heap_.clear();
   completion_event_ = kInvalidEvent;
   completion_time_ = kInf;
+  batches_.clear();
+  free_batches_.clear();
   flows_started_ = st.flows_started;
   flows_completed_ = st.flows_completed;
   flows_failed_ = st.flows_failed;
@@ -647,7 +650,8 @@ void FlowNetwork::onCompletionEvent() {
   const SimTime now = sim_.now();
   // Pop every flow whose projected completion has arrived; by
   // construction their remaining bytes are within float residue of zero.
-  // Completed callbacks are deferred events, so member scratch is safe.
+  // Completed callbacks are deferred to batch events, so member scratch is
+  // safe.
   done_scratch_.clear();
   seed_scratch_.clear();
   while (!completion_heap_.empty()) {
@@ -662,22 +666,63 @@ void FlowNetwork::onCompletionEvent() {
     const auto& links = slots_[slot].links;
     seed_scratch_.insert(seed_scratch_.end(), links.begin(), links.end());
   }
+  wave_batches_.clear();
   for (std::uint32_t slot : done_scratch_) finishFlow(slot, FlowStatus::Completed);
+  // One delivery event per arrival time, in order of first appearance.
+  // Per-flow events scheduled here would take consecutive sequence numbers
+  // with nothing between them, so a batch runs its callbacks exactly where
+  // those events would have run.
+  for (std::uint32_t b : wave_batches_) {
+    sim_.scheduleAt(batches_[b].at, [this, b] { deliverBatch(b); });
+  }
   resolveAfterChange(seed_scratch_);
   scheduleNextCompletion();
 }
 
+void FlowNetwork::queueDelivery(SimTime at, FlowCallback done,
+                                const FlowResult& result) {
+  for (std::uint32_t b : wave_batches_) {
+    if (batches_[b].at == at) {
+      batches_[b].items.push_back({std::move(done), result});
+      return;
+    }
+  }
+  std::uint32_t b;
+  if (free_batches_.empty()) {
+    b = static_cast<std::uint32_t>(batches_.size());
+    batches_.emplace_back();
+  } else {
+    b = free_batches_.back();
+    free_batches_.pop_back();
+  }
+  batches_[b].at = at;
+  batches_[b].items.push_back({std::move(done), result});
+  wave_batches_.push_back(b);
+}
+
+void FlowNetwork::deliverBatch(std::uint32_t b) {
+  // Each callback is moved out and released before the next one runs, as
+  // with one event per flow. Re-indexing instead of holding a reference
+  // keeps the loop valid even if a callback grows the pool.
+  for (std::size_t i = 0; i < batches_[b].items.size(); ++i) {
+    Delivery& d = batches_[b].items[i];
+    const FlowResult result = d.result;
+    const FlowCallback done = std::move(d.done);
+    done(result);
+  }
+  batches_[b].items.clear();  // keeps capacity for the next wave
+  free_batches_.push_back(b);
+}
+
 void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
+  ActiveFlow& f = slots_[slot];
   heapErase(slot);
-  if (slots_[slot].active_pos != kNoPos) activeErase(slot);
-  for (LinkId l : slots_[slot].links) {
+  if (f.active_pos != kNoPos) activeErase(slot);
+  for (LinkId l : f.links) {
     auto& v = link_flows_[static_cast<std::size_t>(l)];
     v.erase(std::find(v.begin(), v.end(), slot));  // order-preserving
   }
-  id_to_slot_.erase(slots_[slot].id);
-  ActiveFlow f = std::move(slots_[slot]);
-  slots_[slot] = ActiveFlow{};
-  free_slots_.push_back(slot);
+  id_to_slot_.erase(f.id);
   if (status == FlowStatus::Completed) {
     ++flows_completed_;
   } else {
@@ -699,15 +744,24 @@ void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
                         {"ideal_s", f.ideal_s},
                         {"contended_s", contended}});
   }
-  FlowResult result{status, carried, f.start, sim_.now() + f.arrival_latency};
-  if (f.done) {
-    if (status == FlowStatus::Completed) {
-      // Delivery completes one propagation latency after the last byte is
-      // injected; the callback observes arrival time.
-      sim_.schedule(f.arrival_latency, [cb = std::move(f.done), result] { cb(result); });
-    } else {
-      f.done(result);
-    }
+  const FlowResult result{status, carried, f.start, sim_.now() + f.arrival_latency};
+  const SimTime arrival_delay = f.arrival_latency < 0.0 ? 0.0 : f.arrival_latency;
+  FlowCallback done = std::move(f.done);
+  // Free the slot before any callback runs (a Failed callback may start a
+  // flow that reuses it). Cleared field by field so `links` keeps its
+  // capacity; admitByteFlow sets everything else.
+  f.id = kInvalidFlow;
+  f.links.clear();
+  f.done = nullptr;
+  free_slots_.push_back(slot);
+  if (!done) return;
+  if (status == FlowStatus::Completed) {
+    // Delivery completes one propagation latency after the last byte is
+    // injected; the callback observes arrival time. Same arithmetic as
+    // Simulator::schedule, so equal latencies share one batch.
+    queueDelivery(sim_.now() + arrival_delay, std::move(done), result);
+  } else {
+    done(result);
   }
 }
 

@@ -15,6 +15,16 @@
 // completions live in an indexed min-heap that is updated only for flows
 // whose rate actually changed, so the next-completion lookup is O(1) and
 // progress advancement walks an active-set of flowing transfers only.
+//
+// Deliveries are batched: every flow that completes in one completion
+// event and arrives at the same time reaches its callback through ONE
+// simulator event, which invokes the callbacks in flow-id order. That is
+// the order one event per flow would give, since such events would be
+// scheduled back to back with nothing in between (DESIGN.md §2.1.3).
+// Batches live in a pool that keeps its capacity, the batch event's
+// capture fits std::function's local buffer, and a freed flow slot keeps
+// its link vector, so a warmed wave allocates only each flow's id-index
+// node.
 #pragma once
 
 #include <cstdint>
@@ -153,10 +163,11 @@ class FlowNetwork {
   /// as an ablation knob.
   void setIncrementalSolve(bool on) { incremental_ = on; }
 
-  /// Quiescent-point snapshot: valid only with no flows in flight (active
-  /// or latency-only). Captures the slot allocator (count + free-list
-  /// order — future FlowIds and slot reuse must match a cold run exactly),
-  /// the id/epoch counters and the cumulative statistics. Solver scratch
+  /// Quiescent-point snapshot: valid only with no flows in flight (active,
+  /// latency-only or awaiting a batched delivery). Captures the slot
+  /// allocator (count + free-list order — future FlowIds and slot reuse
+  /// must match a cold run exactly), the id/epoch counters and the
+  /// cumulative statistics. Solver scratch
   /// restores to the never-touched encoding: all stale-entry tests compare
   /// stamps for equality against a pre-incremented epoch, so zeroed
   /// scratch in a fork is indistinguishable from stale entries in the
@@ -259,6 +270,15 @@ class FlowNetwork {
   void onCompletionEvent();
   void onLatencyFlowDone(FlowId id);
   void finishFlow(std::uint32_t slot, FlowStatus status);
+  /// Append a completed flow's callback to the current wave's batch for
+  /// arrival time `at`, opening the batch on first use.
+  void queueDelivery(SimTime at, FlowCallback done, const FlowResult& result);
+  /// Batch event: invoke batch `b`'s callbacks in order, then free it.
+  void deliverBatch(std::uint32_t b);
+  bool inFlight() const {
+    return !id_to_slot_.empty() || !latency_flows_.empty() ||
+           free_batches_.size() != batches_.size();
+  }
 
   // Indexed min-heap over projected_finish (ties by FlowId).
   bool heapLess(std::uint32_t a, std::uint32_t b) const;
@@ -300,6 +320,20 @@ class FlowNetwork {
   std::vector<LinkId> seed_scratch_;
   std::vector<LinkId> arrival_seeds_;           // startFlow(s) batch seeds
   ProfileKeyCache<ProfileKeys> profile_keys_;   // profiling only
+
+  // Delivery batches: a pool indexed by the batch events, plus the batches
+  // the current completion wave opened, in order of first appearance.
+  struct Delivery {
+    FlowCallback done;
+    FlowResult result;
+  };
+  struct DeliveryBatch {
+    SimTime at = 0.0;
+    std::vector<Delivery> items;
+  };
+  std::vector<DeliveryBatch> batches_;
+  std::vector<std::uint32_t> free_batches_;
+  std::vector<std::uint32_t> wave_batches_;
 
   FlowId next_id_ = 1;
   SimTime last_update_ = 0.0;

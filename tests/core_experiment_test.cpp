@@ -116,5 +116,62 @@ TEST(Recommender, AddRunFromExperimentResult) {
   EXPECT_DOUBLE_EQ(best->expected_time_seconds, 42.0);
 }
 
+// Exact simulator work for a fixed spec set. Only a change whose purpose
+// is to change the work re-records these, and says so in its notes.
+// Tracing must not change any of it: the traced run matches the untraced
+// pin except for the profiler records it adds.
+struct WorkPin {
+  const char* workload;
+  SystemConfig config;
+  WorkCounters work;
+};
+
+constexpr WorkPin kWorkPins[] = {
+    // events, flows, recomputes, solves, kernels, collective ops, records
+    {"BERT-L", SystemConfig::LocalGpus, {10283, 22595, 4443, 22595, 3680, 100, 0}},
+    {"BERT-L", SystemConfig::FalconGpus, {11673, 11395, 4443, 11395, 3680, 100, 0}},
+    {"ResNet-50", SystemConfig::LocalGpus, {9110, 18115, 3603, 18115, 3680, 80, 0}},
+    {"ResNet-50", SystemConfig::FalconGpus, {10150, 9155, 3603, 9155, 3680, 80, 0}},
+};
+
+ExperimentOptions twentyIterations() {
+  ExperimentOptions opt;
+  opt.trainer.epochs = 1;
+  opt.trainer.max_iterations_per_epoch = 20;
+  return opt;
+}
+
+void expectWork(const WorkCounters& got, const WorkCounters& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.flows, want.flows);
+  EXPECT_EQ(got.recomputes, want.recomputes);
+  EXPECT_EQ(got.solves, want.solves);
+  EXPECT_EQ(got.kernels, want.kernels);
+  EXPECT_EQ(got.collective_ops, want.collective_ops);
+  EXPECT_EQ(got.profiler_records, want.profiler_records);
+}
+
+TEST(WorkCounters, PinnedForFixedSpecSet) {
+  for (const WorkPin& pin : kWorkPins) {
+    SCOPED_TRACE(std::string(pin.workload) + " on " + toString(pin.config));
+    const auto r = Experiment::run(pin.config, dl::workload(pin.workload),
+                                   twentyIterations());
+    ASSERT_TRUE(r.training.completed);
+    expectWork(r.work, pin.work);
+  }
+}
+
+TEST(WorkCounters, TracingAddsOnlyProfilerRecords) {
+  const WorkPin& pin = kWorkPins[0];
+  ExperimentOptions opt = twentyIterations();
+  opt.trace = true;
+  const auto r = Experiment::run(pin.config, dl::workload(pin.workload), opt);
+  ASSERT_NE(r.profiler, nullptr);
+  WorkCounters want = pin.work;
+  want.profiler_records = r.profiler->recordCount();
+  EXPECT_GT(want.profiler_records, 0u);
+  expectWork(r.work, want);
+}
+
 }  // namespace
 }  // namespace composim::core

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "fabric/flow_network.hpp"
 #include "sim/random.hpp"
@@ -250,6 +253,84 @@ TEST(FlowNetwork, ExtraLatencyDelaysCompletion) {
   n.net.startFlow(a, b, units::MB(1), [&](const FlowResult& r) { res = r; }, opt);
   n.sim.run();
   EXPECT_NEAR(res.duration(), 0.001 + 0.005, 1e-9);
+}
+
+// One completion wave whose flows arrive at two distinct times: flows with
+// extraLatency kSlow land one batch after those without.
+struct Wave {
+  static constexpr SimTime kSlow = 0.002;
+  Net n;
+  NodeId a = n.topo.addNode("a", NodeKind::Gpu);
+  NodeId b = n.topo.addNode("b", NodeKind::Gpu);
+  std::vector<std::string> log;  // "<flow index>" per delivery, in order
+  Wave() { n.topo.addDuplexLink(a, b, units::GBps(1), 0.0, LinkKind::PCIe4); }
+
+  /// Four equal flows on one link (so they finish together); even indices
+  /// carry kSlow. `extra` runs inside flow i's callback after logging it.
+  void start(std::function<void(int)> extra = {}) {
+    std::vector<FlowRequest> reqs(4);
+    for (int i = 0; i < 4; ++i) {
+      FlowRequest& rq = reqs[static_cast<std::size_t>(i)];
+      rq.src = a;
+      rq.dst = b;
+      rq.bytes = units::MB(1);
+      rq.options.extraLatency = (i % 2 == 0) ? kSlow : 0.0;
+      rq.done = [this, i, extra](const FlowResult& r) {
+        EXPECT_EQ(r.status, FlowStatus::Completed);
+        EXPECT_EQ(n.sim.now(), r.end);
+        log.push_back(std::to_string(i));
+        if (extra) extra(i);
+      };
+    }
+    n.net.startFlows(std::move(reqs));
+  }
+};
+
+TEST(FlowNetwork, WaveDeliversOneEventPerArrivalTimeInFlowIdOrder) {
+  Wave w;
+  w.start();
+  w.n.sim.run();
+  // Grouped by arrival time, flow-id order inside each group.
+  EXPECT_EQ(w.log, (std::vector<std::string>{"1", "3", "0", "2"}));
+  // One completion event plus one delivery event per distinct arrival time.
+  EXPECT_EQ(w.n.sim.eventsExecuted(), 3u);
+  EXPECT_EQ(w.n.net.flowsCompleted(), 4u);
+}
+
+TEST(FlowNetwork, SameTimeEventFromDeliveryRunsAfterItsBatch) {
+  Wave w;
+  w.start([&w](int i) {
+    if (i == 1) w.n.sim.schedule(0.0, [&w] { w.log.push_back("later"); });
+  });
+  w.n.sim.run();
+  EXPECT_EQ(w.log, (std::vector<std::string>{"1", "3", "later", "0", "2"}));
+}
+
+TEST(FlowNetwork, DeliveryMayStartAndCancelFlowsWithoutDisturbingItsBatch) {
+  Wave w;
+  const NodeId c = w.n.topo.addNode("c", NodeKind::Gpu);
+  w.n.topo.addDuplexLink(w.a, c, units::GBps(1), 0.0, LinkKind::PCIe4);
+  // Unrelated long flow on its own link, cancelled from a delivery.
+  const FlowId unrelated = w.n.net.startFlow(
+      w.a, c, units::GB(1), [&w](const FlowResult& r) {
+        EXPECT_EQ(r.status, FlowStatus::Failed);
+        w.log.push_back("cancelled");
+      });
+  w.start([&w, unrelated](int i) {
+    if (i == 1) {
+      // Lands after the slow batch: 10 MB alone at 1 GB/s.
+      w.n.net.startFlow(w.a, w.b, units::MB(10), [&w](const FlowResult&) {
+        w.log.push_back("new");
+      });
+      EXPECT_TRUE(w.n.net.cancelFlow(unrelated));
+    }
+  });
+  w.n.sim.run();
+  EXPECT_EQ(w.log, (std::vector<std::string>{"1", "cancelled", "3", "0", "2",
+                                             "new"}));
+  EXPECT_EQ(w.n.net.flowsCompleted(), 5u);
+  EXPECT_EQ(w.n.net.flowsFailed(), 1u);
+  EXPECT_EQ(w.n.net.activeFlows(), 0u);
 }
 
 // Property: for random concurrent flow sets on a shared-bottleneck star

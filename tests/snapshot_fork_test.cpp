@@ -177,6 +177,14 @@ void expectResultsIdentical(const core::ExperimentResult& a,
   EXPECT_EQ(a.cpu_util_pct, b.cpu_util_pct);
   EXPECT_EQ(a.host_mem_util_pct, b.host_mem_util_pct);
   EXPECT_EQ(a.falcon_pcie_gbs, b.falcon_pcie_gbs);
+  // A fork replays the cold run's work exactly.
+  EXPECT_EQ(a.work.events, b.work.events);
+  EXPECT_EQ(a.work.flows, b.work.flows);
+  EXPECT_EQ(a.work.recomputes, b.work.recomputes);
+  EXPECT_EQ(a.work.solves, b.work.solves);
+  EXPECT_EQ(a.work.kernels, b.work.kernels);
+  EXPECT_EQ(a.work.collective_ops, b.work.collective_ops);
+  EXPECT_EQ(a.work.profiler_records, b.work.profiler_records);
   ASSERT_EQ(a.training.loss_curve.size(), b.training.loss_curve.size());
   for (std::size_t i = 0; i < a.training.loss_curve.size(); ++i) {
     EXPECT_EQ(a.training.loss_curve[i], b.training.loss_curve[i]);
