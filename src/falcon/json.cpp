@@ -1,8 +1,11 @@
 #include "falcon/json.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 namespace composim::falcon {
 
@@ -83,7 +86,96 @@ void escapeString(std::string& out, std::string_view s) {
   out += '"';
 }
 
+__extension__ typedef unsigned __int128 Uint128;
+
+/// 10^0 .. 10^21: the scales formatG17's fixed-point path multiplies by.
+constexpr auto kPow10 = [] {
+  std::array<Uint128, 22> t{};
+  t[0] = 1;
+  for (std::size_t p = 1; p < t.size(); ++p) t[p] = t[p - 1] * 10;
+  return t;
+}();
+
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
 }  // namespace
+
+char* formatG17(char* first, double d) {
+  const double a = std::fabs(d);
+  // Integral values below 1e17 have at most 17 digits, which "%.17g"
+  // prints exactly and without a point; this covers +-0 too.
+  if (a < 1e17) {
+    const auto whole = static_cast<std::int64_t>(a);
+    if (static_cast<double>(whole) == a) {
+      if (std::signbit(d)) *first++ = '-';
+      return std::to_chars(first, first + kG17MaxChars - 1, whole).ptr;
+    }
+  }
+  if (!(a >= 1e-4 && a < 1e17)) {
+    // Exponent form and subnormals. The standard defines
+    // to_chars(general, 17) as printf's "%.17g".
+    return std::to_chars(first, first + kG17MaxChars, d,
+                         std::chars_format::general, 17)
+        .ptr;
+  }
+  // "%.17g"'s fixed-point range, non-integral, so a = m / 2^shift with a
+  // 53-bit m and shift in [1, 66]. D = round-half-even(a * 10^(16 - x)) is
+  // the 17 significant digits once x is the decimal exponent of the
+  // rounded value, i.e. once 10^16 <= D < 10^17. m * 10^21 < 2^123.
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &a, sizeof(bits));
+  const int biased = static_cast<int>(bits >> 52);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int shift = 1075 - biased;
+  // floor((biased - 1023) * log10(2)): the exponent or one below it.
+  int x = ((biased - 1023) * 78913) >> 18;
+  std::uint64_t digits = 0;
+  for (;;) {
+    const Uint128 scaled = Uint128{m} * kPow10[static_cast<std::size_t>(16 - x)];
+    const Uint128 q = scaled >> shift;
+    const Uint128 rem = scaled - (q << shift);
+    const Uint128 half = Uint128{1} << (shift - 1);
+    digits = static_cast<std::uint64_t>(q) +
+             ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
+    // One step per correction: an estimate one low, or a rounding that
+    // carried into the next decade, gives 18 digits; an estimate one
+    // high gives 16.
+    if (digits >= 100000000000000000ULL) {
+      ++x;
+    } else if (digits < 10000000000000000ULL) {
+      --x;
+    } else {
+      break;
+    }
+  }
+  char text[17];
+  for (int i = 15; i > 0; i -= 2) {
+    std::memcpy(text + i, kDigitPairs + 2 * (digits % 100), 2);
+    digits /= 100;
+  }
+  text[0] = static_cast<char>('0' + digits);
+  std::size_t n = 17;  // significant digits once trailing zeros go
+  while (text[n - 1] == '0') --n;
+
+  if (d < 0) *first++ = '-';
+  if (x >= 0) {
+    const auto whole = static_cast<std::size_t>(x) + 1;
+    first = std::copy_n(text, whole, first);
+    if (n > whole) {
+      *first++ = '.';
+      first = std::copy(text + whole, text + n, first);
+    }
+    return first;
+  }
+  *first++ = '0';
+  *first++ = '.';
+  first = std::fill_n(first, -x - 1, '0');
+  return std::copy_n(text, n, first);
+}
 
 void JsonWriter::newlineIndent(std::size_t depth) {
   if (indent_ < 0) return;
@@ -166,11 +258,8 @@ void JsonWriter::value(double d) {
     out_.append("null", 4);  // JSON has no Inf/NaN
     return;
   }
-  // The standard defines to_chars(general, 17) as printf's "%.17g".
-  char buf[32];
-  const auto res =
-      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
-  out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  char buf[kG17MaxChars];
+  out_.append(buf, static_cast<std::size_t>(formatG17(buf, d) - buf));
 }
 
 void JsonWriter::value(std::int64_t i) {

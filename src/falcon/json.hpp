@@ -8,6 +8,7 @@
 // through it directly, so both produce the same bytes for the same data.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,13 +32,30 @@ class JsonError : public std::runtime_error {
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Room formatG17 needs: "%.17g" prints at most 24 characters
+/// ("-1.2345678901234567e-308").
+inline constexpr std::size_t kG17MaxChars = 32;
+
+/// Writes finite `d` exactly as printf's "%.17g" at `first`, which must
+/// have room for kG17MaxChars characters, and returns one past the last
+/// one written. No terminating NUL. Integral values below 1e17 print
+/// through the int64 to_chars; the rest of the fixed-point range
+/// [1e-4, 1e17) rounds to 17 digits in exact 128-bit integer arithmetic;
+/// only exponent-form values (and subnormals) take the slower
+/// to_chars(general, 17). Non-finite input is the caller's to handle.
+char* formatG17(char* first, double d);
+
 /// Appends one JSON document to a caller-owned string as it is described:
 /// begin/end containers, keys, scalar values. Formatting matches
 /// Json::dump exactly: with indent < 0 the output is compact; otherwise
 /// each member sits on its own line indented `indent` spaces per level,
 /// keys are followed by ": ", and empty containers print as {} / [].
-/// Doubles print as printf's "%.17g" (non-finite ones as null), integers
-/// exactly, and strings escape quote, backslash and C0 bytes.
+/// Doubles print as printf's "%.17g" through formatG17 (non-finite ones
+/// as null), integers exactly, and strings escape quote, backslash and C0
+/// bytes. formatG17's integer and 128-bit fast paths take the values a
+/// trace mostly writes (timestamps, byte and flow counts);
+/// export_identity_test holds all of its paths to snprintf("%.17g") as
+/// the oracle.
 ///
 /// Misplaced calls (a value where a key is due, an end that does not
 /// match its begin, a second top-level value) throw JsonError. The

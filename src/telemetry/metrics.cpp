@@ -5,21 +5,19 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "falcon/json.hpp"
+
 namespace composim::telemetry {
 
 namespace {
 
-/// Deterministic value formatting shared by the exposition writers: exact
-/// integers print without a fraction (the common case for counts), other
-/// values round-trip via %.17g — the same convention falcon::Json::dump
-/// uses, so the Prometheus and JSONL exports agree on every digit.
+/// Deterministic value formatting shared by the exposition writers:
+/// printf's "%.17g" (exact integers print without a fraction), through the
+/// same formatG17 falcon::Json::dump uses, so the Prometheus and JSONL
+/// exports agree on every digit. Non-finite values keep printf's text.
 std::string formatValue(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[64];
+  char buf[falcon::kG17MaxChars];
+  if (std::isfinite(v)) return std::string(buf, falcon::formatG17(buf, v));
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }

@@ -138,11 +138,15 @@ std::string MetricsScraper::jsonlDump() const {
   std::string out;
   for (const auto& [name, s] : series_) {
     for (std::size_t i = 0; i < s.size(); ++i) {
-      falcon::Json line = falcon::Json::object();
-      line.set("metric", name);
-      line.set("t", s.timeAt(i));
-      line.set("value", s.valueAt(i));
-      out += line.dump(-1);
+      falcon::JsonWriter line(out);
+      line.beginObject();
+      line.quotedKey(R"("metric")");
+      line.value(name);
+      line.quotedKey(R"("t")");
+      line.value(s.timeAt(i));
+      line.quotedKey(R"("value")");
+      line.value(s.valueAt(i));
+      line.endObject();
       out.push_back('\n');
     }
   }

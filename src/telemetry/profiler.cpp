@@ -1,7 +1,9 @@
 #include "telemetry/profiler.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <fstream>
+#include <numeric>
 #include <utility>
 
 #include "falcon/json.hpp"
@@ -274,19 +276,24 @@ void Profiler::finalize() {
 
 std::vector<std::size_t> Profiler::exportOrder() const {
   std::vector<std::size_t> order(records_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  // (time, tid, seq): recording order is already time-sorted (the sim
-  // clock is monotone), so this only canonicalizes cross-track ties at
-  // one timestamp. Per-track sequence is preserved (seq is the final
-  // key), which is what keeps B/E nesting and b/e pairing valid.
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     const Record& ra = records_[a];
-                     const Record& rb = records_[b];
-                     if (ra.time != rb.time) return ra.time < rb.time;
-                     if (ra.tid != rb.tid) return ra.tid < rb.tid;
-                     return a < b;
-                   });
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Recording order is already time-sorted, so the (time, tid, seq) order
+  // only reorders each run of equal timestamps, by tid; the stable sort
+  // keeps recording sequence within a track.
+  const auto byTid = [this](std::size_t a, std::size_t b) {
+    return records_[a].tid < records_[b].tid;
+  };
+  for (std::size_t begin = 0; begin < order.size();) {
+    std::size_t end = begin + 1;
+    while (end < order.size() && records_[end].time == records_[begin].time) {
+      ++end;
+    }
+    if (end - begin > 1) {
+      std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                       order.begin() + static_cast<std::ptrdiff_t>(end), byTid);
+    }
+    begin = end;
+  }
   return order;
 }
 

@@ -137,6 +137,13 @@ class Profiler final : public ProfileSink {
   /// execution order. Track ids are assigned in first-use order and names
   /// are fixed per track, so the full key is equivalent to the documented
   /// (start, depth, name, seq) ordering restricted to valid traces.
+  ///
+  /// Invariant the computation relies on: records are stamped with the
+  /// simulator's monotone clock and a fork (setState) restores a prefix of
+  /// such a sequence, so recording order is already sorted by time. The
+  /// order is therefore built in one pass: each maximal run of equal
+  /// timestamps is stable-sorted by track id, which is the same
+  /// permutation the full (time, tid, seq) sort gives.
   std::vector<std::size_t> exportOrder() const;
 
   /// Opaque full-trace snapshot (string table, records, arg arena, track

@@ -2,15 +2,17 @@
 // string formatting against their printf-era definitions, the streaming
 // writer against documents dumped through Json, hand-driven Chrome traces
 // against text recorded from the document-building exporter, and golden
-// digests of a traced BERT-L run's Chrome trace and analysis JSON. The
-// digests pin every exported byte, so any change to the profiler's record
-// layout or the writer must reproduce them exactly.
+// digests of a traced BERT-L run's Chrome trace, analysis JSON, Prometheus
+// text and JSONL dump. The digests pin every exported byte, so any change
+// to the profiler's record layout, the writer or the metrics formatter
+// must reproduce them exactly.
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -90,6 +92,81 @@ TEST(JsonWriter, DoublesMatchPrintfAtEdges) {
   for (int e = -1074; e < -1022; ++e) {
     expectPrintfIdentical(std::ldexp(1.0, e));
     expectPrintfIdentical(std::ldexp(1.5, e));
+  }
+}
+
+// The fixed-point fast path's edges: its decades, the roundings that carry
+// into the next decade, ties (round-half-even), and the bounds where
+// formatG17 switches between its integer, 128-bit and to_chars paths.
+
+/// 10^k correctly rounded (std::pow need not be).
+double powerOfTen(int k) {
+  return std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+}
+
+/// `d` and its `steps` neighbours on each side, both signs.
+void expectNeighboursPrintfIdentical(double d, int steps) {
+  double below = d;
+  double above = d;
+  for (int i = 0; i <= steps; ++i) {
+    for (const double v : {below, above}) {
+      expectPrintfIdentical(v);
+      expectPrintfIdentical(-v);
+    }
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, HUGE_VAL);
+  }
+}
+
+TEST(JsonWriter, DoublesMatchPrintfAroundPowersOfTen) {
+  for (int k = -5; k <= 18; ++k) expectNeighboursPrintfIdentical(powerOfTen(k), 3);
+}
+
+TEST(JsonWriter, DoublesMatchPrintfAtFastPathBounds) {
+  // 1e-4 (fixed vs exponent form), 2^53 (the last fractional doubles),
+  // 1e17 (integers vs exponent form), and 1e15/1e16, where 17 digits
+  // leave one or no fraction digit.
+  for (const double d : {1e-4, 0x1p53, 1e17, 1e15, 1e16}) {
+    expectNeighboursPrintfIdentical(d, 2000);
+  }
+}
+
+TEST(JsonWriter, DoublesMatchPrintfAtRoundingCarriesAndTies) {
+  const double values[] = {
+      // Literals that round up into the next decade at 17 digits.
+      0.99999999999999999, 9999999999999999.5, 99999999999999999.0,
+      0.000099999999999999999, 0.00099999999999999999, 99999.999999999999,
+      999999999999999.95, 9.9999999999999999, 0.099999999999999999,
+      // Exact ties at the 17th digit: half-even keeps the even digit.
+      1000000000000000.25, 1000000000000000.75, 1000000000000002.25,
+      100000000000000.125, 100000000000000.375, 100000000000000.625,
+      4503599627370495.5, 0.5, 0.25, 0.125, 2.5, 1234.5};
+  for (const double d : values) {
+    expectPrintfIdentical(d);
+    expectPrintfIdentical(-d);
+  }
+}
+
+TEST(JsonWriter, DoublesMatchPrintfOverLogUniformValues) {
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> log10_of(-6.0, 18.0);
+  for (int i = 0; i < (1 << 20); ++i) {
+    const double d = std::pow(10.0, log10_of(rng));
+    expectPrintfIdentical((i & 1) != 0 ? -d : d);
+  }
+}
+
+TEST(JsonWriter, DoublesMatchPrintfOnTraceTimestamps) {
+  // The Chrome trace writes t * 1e6 for simulated seconds t: random
+  // instants, and the sums of small steps a run's clock accumulates.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> seconds(0.0, 300.0);
+  std::uniform_real_distribution<double> step(1e-7, 1e-3);
+  double t = 0.0;
+  for (int i = 0; i < 200000; ++i) {
+    expectPrintfIdentical(seconds(rng) * 1e6);
+    t += step(rng);
+    expectPrintfIdentical(t * 1e6);
   }
 }
 
@@ -776,6 +853,15 @@ TEST(ExportGolden, TracedBertFalconRunMatchesRecordedDigests) {
   EXPECT_EQ(fnv1a(compact), 13902716049860420799ULL);
   EXPECT_EQ(fnv1a(indented), 9015517368192167413ULL);
   EXPECT_EQ(fnv1a(analysis), 9973713041911755613ULL);
+  // The same run's metrics exports, recorded from the snprintf-based
+  // formatter and the Json-document JSONL writer.
+  ASSERT_TRUE(r.metrics);
+  const std::string prometheus = r.metrics->prometheusText();
+  const std::string jsonl = r.metrics->jsonlDump();
+  EXPECT_EQ(prometheus.size(), 4864u);
+  EXPECT_EQ(jsonl.size(), 71563u);
+  EXPECT_EQ(fnv1a(prometheus), 2408405578169093769ULL);
+  EXPECT_EQ(fnv1a(jsonl), 18314470968723239546ULL);
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 // 2-GPU DDP training run, and determinism across identical seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/composable_system.hpp"
 #include "core/experiment.hpp"
@@ -359,6 +363,63 @@ TEST(ProfilerTrace, LinkCountersStayInRange) {
     }
   }
   EXPECT_GT(counter_records, 0);
+}
+
+// --- export order against the full sort it replaces ---
+
+/// The (time, tid, record sequence) stable sort over every record that
+/// exportOrder() used to run: the reference its one-pass form must equal.
+std::vector<std::size_t> fullSortExportOrder(const Profiler& prof) {
+  const auto& recs = prof.records();
+  std::vector<std::size_t> order(recs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&recs](std::size_t a, std::size_t b) {
+                     if (recs[a].time != recs[b].time) {
+                       return recs[a].time < recs[b].time;
+                     }
+                     if (recs[a].tid != recs[b].tid) {
+                       return recs[a].tid < recs[b].tid;
+                     }
+                     return a < b;
+                   });
+  return order;
+}
+
+void expectExportOrderMatchesFullSort(const Profiler& prof) {
+  const std::vector<std::size_t> want = fullSortExportOrder(prof);
+  // Not vacuous: the run has cross-track collisions the sort reorders.
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) moved += want[i] != i;
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(prof.exportOrder(), want);
+}
+
+core::ExperimentOptions tracedBertOptions(int iterations) {
+  core::ExperimentOptions opt;
+  opt.trainer.epochs = 1;
+  opt.trainer.max_iterations_per_epoch = iterations;
+  opt.trace = true;
+  return opt;
+}
+
+TEST(ProfilerTrace, ExportOrderMatchesFullSortOnBertFalconRun) {
+  const auto r = core::Experiment::run(SystemConfig::FalconGpus,
+                                       dl::workload("BERT-L"),
+                                       tracedBertOptions(10));
+  ASSERT_NE(r.profiler, nullptr);
+  expectExportOrderMatchesFullSort(*r.profiler);
+}
+
+TEST(ProfilerTrace, ExportOrderMatchesFullSortOnRunResumedFromSnapshot) {
+  const auto model = dl::workload("BERT-L");
+  auto opt = tracedBertOptions(6);
+  opt.warm_prefix = 3;
+  core::WarmedExperiment donor(SystemConfig::FalconGpus, model, opt);
+  const auto r = core::WarmedExperiment::resumeFromSnapshot(
+      SystemConfig::FalconGpus, model, opt, donor.snapshot());
+  ASSERT_NE(r.profiler, nullptr);
+  expectExportOrderMatchesFullSort(*r.profiler);
 }
 
 // --- experiment wiring ---
