@@ -12,7 +12,8 @@
 //   (a) the ECC storm raises a firing `ecc_errors_total rate > 0` alert
 //       within one scrape + one BMC poll of the injection, and the alert
 //       resolves once the storm passes,
-//   (b) the traced run recorded the fault counter (Profiler::hasCounter),
+//   (b) the traced run's last faults_injected/count 'C' record is > 0 and
+//       equals the injector's count (result.recovery.faults_injected),
 //   (c) serial and 4-way parallel replays of a 4-experiment matrix
 //       produce byte-identical Prometheus and JSONL exports.
 //
@@ -135,12 +136,25 @@ int main(int argc, char** argv) {
                 formatTime(budget).c_str());
   }
 
-  check(result.profiler != nullptr &&
-            result.profiler->hasCounter("faults_injected", "count"),
-        "traced run recorded the faults_injected counter");
-  check(result.profiler != nullptr &&
-            !result.profiler->hasCounter("faults_injected", "no-such-series"),
-        "hasCounter rejects an unknown series");
+  // The last value of the fault counter, read back from the records.
+  double faults_recorded = -1.0;
+  if (const auto& prof = result.profiler) {
+    const ProfileKey counter = prof->find("faults_injected");
+    const ProfileKey series = prof->find("count");
+    for (const telemetry::Profiler::Record& r : prof->records()) {
+      if (r.phase == 'C' && r.name == counter && r.args_count > 0 &&
+          prof->args(r).front().key == series) {
+        faults_recorded = prof->args(r).front().num;
+      }
+    }
+  }
+  std::printf("faults_injected   : %g recorded, %llu injected\n",
+              faults_recorded,
+              static_cast<unsigned long long>(result.recovery.faults_injected));
+  check(faults_recorded > 0.0 &&
+            faults_recorded ==
+                static_cast<double>(result.recovery.faults_injected),
+        "traced run's last faults_injected record matches the injector");
 
   // --- Serial vs parallel determinism: same 4-spec matrix, --jobs 1 vs 4.
   std::printf("\ndeterminism sweep (2 benchmarks x 2 configs, jobs 1 vs 4)...\n");

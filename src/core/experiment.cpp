@@ -51,7 +51,6 @@ struct Stack {
     if (options.analysis) options.trace = true;
     if (options.trace) {
       profiler = std::make_shared<telemetry::Profiler>(system.sim());
-      profiler->setMaxRecords(options.trace_max_records);
       system.sim().setProfiler(profiler.get());
     }
 

@@ -119,8 +119,6 @@ struct ExperimentOptions {
   /// (result.analysis: per-iteration attribution buckets, critical paths,
   /// link contention — DESIGN.md §17). Implies trace.
   bool analysis = false;
-  /// Cap on profiler records (Profiler::setMaxRecords); 0 = unbounded.
-  std::size_t trace_max_records = 0;
   /// Fault schedule + recovery capacity; faults.enabled = false runs the
   /// experiment exactly as before (no monitor, no orchestrator).
   FaultsConfig faults;

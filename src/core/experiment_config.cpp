@@ -17,10 +17,6 @@ SystemConfig configFromName(const std::string& name) {
   throw std::invalid_argument("unknown configuration '" + name + "'");
 }
 
-dl::ModelSpec benchmarkFromName(const std::string& name) {
-  return dl::workload(name);
-}
-
 namespace {
 
 dl::Strategy strategyFromName(const std::string& name) {
@@ -316,8 +312,7 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
         {"name", "workload", "benchmark", "config", "epochs",
          "iterations_cap", "batch_per_gpu", "strategy", "precision",
          "sharded", "accumulation", "sample_interval", "trace", "analysis",
-         "trace_max_records", "warm_prefix", "watchdog", "faults",
-         "metrics"});
+         "warm_prefix", "watchdog", "faults", "metrics"});
     ExperimentSpec s;
     s.name = e.at("name").asString();
     if (const auto* v = e.find("workload")) {
@@ -362,13 +357,6 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
     }
     if (const auto* v = e.find("analysis")) {
       s.options.analysis = v->asBool();
-    }
-    if (const auto* v = e.find("trace_max_records")) {
-      const std::int64_t cap = v->asInt();
-      if (cap < 0) {
-        throw std::invalid_argument("trace_max_records must be >= 0");
-      }
-      s.options.trace_max_records = static_cast<std::size_t>(cap);
     }
     if (const auto* v = e.find("warm_prefix")) {
       s.options.warm_prefix = v->asInt();
@@ -433,10 +421,8 @@ std::string warmPrefixKey(const ExperimentSpec& spec) {
       << "|sample=" << spec.options.sample_interval                  //
       << "|scrape=" << spec.options.metrics.scrape_interval          //
       << "|trace=" << spec.options.trace                             //
-      // Analysis implies trace and a record cap changes what the forked
-      // profiler carries, so both are prefix-compatibility inputs.
+      // Analysis implies trace, so it is a prefix-compatibility input.
       << "|analyze=" << spec.options.analysis                        //
-      << "|trace_cap=" << spec.options.trace_max_records             //
       << "|warm=" << spec.options.warm_prefix << "|alerts=";
   for (const std::string& rule : spec.options.metrics.alerts) {
     key << rule << ';';

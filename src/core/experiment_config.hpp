@@ -44,12 +44,6 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc);
 /// Resolve a Table III label ("localGPUs", ... , "allGPUs16").
 SystemConfig configFromName(const std::string& name);
 
-/// Resolve a workload reference (registry name or "graph:<path>") to its
-/// model spec; throws std::invalid_argument when it does not resolve.
-/// Deprecated: thin wrapper over dl::workload(), kept for the old
-/// Table II-only call sites.
-dl::ModelSpec benchmarkFromName(const std::string& name);
-
 /// Parse a fault-schedule object (the "faults" key of an experiment, or a
 /// standalone --faults document):
 ///

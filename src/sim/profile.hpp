@@ -19,9 +19,10 @@
 //    free to overlap arbitrarily. Use for concurrent work — fabric flows,
 //    prefetch pipelines.
 //
-// Counters (setCounter) are time-weighted sampled values (link utilization,
-// queue depth): each update is timestamped at Simulator::now() and the sink
-// integrates value x time between updates.
+// Counters (setCounter) are step series of sampled values (link
+// utilization, queue depth): each update is timestamped at
+// Simulator::now() and holds until the next one, so a consumer replaying
+// the updates can integrate value x time between them.
 //
 // Records name their track, category and name by interned key, not by
 // string: an emitter interns each string once (intern/counterKey) and

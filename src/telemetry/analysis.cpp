@@ -491,7 +491,9 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
   }
 
   // Per-link contention: replay each link's util_pct/flows step series
-  // and integrate utilization while >= 2 flows shared the link.
+  // and integrate utilization while >= 2 flows shared the link. The
+  // utilization mean is time-weighted from the first util_pct point to
+  // the trace end.
   for (const auto& [link, points] : tr.link_points) {
     LinkContention lc;
     lc.link = text(link);
@@ -505,12 +507,31 @@ RunAnalysis analyzeProfile(const Profiler& prof, std::string name) {
       if (flows >= 2.0) lc.contention_s += util / 100.0 * dt;
       t = until;
     };
+    bool util_seen = false;
+    SimTime util_first = 0.0;
+    SimTime util_since = 0.0;
+    double util_sum = 0.0;  // integral of util_pct dt up to util_since
     for (const CounterPoint& p : points) {
       integrate(p.time);
-      (p.series == 0 ? util : flows) = p.value;
+      if (p.series == 0) {
+        if (util_seen) {
+          util_sum += util * (p.time - util_since);
+        } else {
+          util_seen = true;
+          util_first = p.time;
+        }
+        util_since = p.time;
+        util = p.value;
+      } else {
+        flows = p.value;
+      }
     }
     integrate(tr.end_time);
-    lc.util_mean_pct = prof.counterMean(lc.link, "util_pct");
+    if (util_seen) {
+      util_sum += util * (tr.end_time - util_since);
+      const SimTime span = tr.end_time - util_first;
+      lc.util_mean_pct = span > 0.0 ? util_sum / span : util;
+    }
     if (lc.busy_s > 0.0) out.links.push_back(std::move(lc));
   }
   std::sort(out.links.begin(), out.links.end(),

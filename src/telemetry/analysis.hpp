@@ -18,10 +18,12 @@
 //
 // Run-level outputs add per-link contention rankings (replayed from the
 // "link:*" counter series: time integrals of utilization while >= 2 flows
-// share the link) and per-span mean seconds/iteration, plus a run-diff
-// mode that attributes the wall-time delta between two runs to bucket and
-// span-level changes. Causal model, bucket definitions and tolerance
-// semantics: DESIGN.md section 17.
+// share the link, and the time-weighted utilization mean) and per-span
+// mean seconds/iteration, plus a run-diff mode that attributes the
+// wall-time delta between two runs to bucket and span-level changes.
+// Every figure comes from the profiler's records, which hold the whole
+// run. Causal model, bucket definitions and tolerance semantics:
+// DESIGN.md section 17.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +93,7 @@ struct LinkContention {
   std::string link;
   double contention_s = 0.0;  // integral of util while >= 2 flows shared it
   double busy_s = 0.0;        // integral of util over the whole trace
-  double util_mean_pct = 0.0;
+  double util_mean_pct = 0.0;  // time-weighted, first util point to end
 };
 
 struct RunAnalysis {

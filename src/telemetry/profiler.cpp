@@ -65,14 +65,13 @@ std::uint32_t Profiler::trackId(ProfileKey track) {
   if (tid == kNoTrack) {
     tid = static_cast<std::uint32_t>(tracks_.size());
     tracks_.push_back(track);
-    drop_depth_.push_back(0);
   }
   return tid;
 }
 
 void Profiler::push(char phase, std::uint32_t tid, ProfileKey category,
                     ProfileKey name, AsyncSpanId id, const ProfileArgs& args) {
-  records_.push_back(Record{now(), id, tid, category, name,
+  records_.push_back(Record{sim_->now(), id, tid, category, name,
                             static_cast<std::uint32_t>(args_.size()),
                             static_cast<std::uint32_t>(args.size()), phase});
   for (const ProfileArg& a : args) {
@@ -84,40 +83,18 @@ void Profiler::push(char phase, std::uint32_t tid, ProfileKey category,
 void Profiler::beginSpan(ProfileKey track, ProfileKey category,
                          ProfileKey name, const ProfileArgs& args) {
   if (!recording()) return;
-  const std::uint32_t tid = trackId(track);
-  if (atCapacity()) {
-    // Drop the whole span: remember the suppressed depth so the matching
-    // endSpan (LIFO on this track) is suppressed too.
-    ++dropped_records_;
-    ++drop_depth_[tid];
-    return;
-  }
-  push('B', tid, category, name, kInvalidAsyncSpan, args);
+  push('B', trackId(track), category, name, kInvalidAsyncSpan, args);
 }
 
 void Profiler::endSpan(ProfileKey track, const ProfileArgs& args) {
   if (!recording()) return;
-  const std::uint32_t tid = trackId(track);
-  if (drop_depth_[tid] > 0) {
-    // This end matches a begin the cap suppressed.
-    --drop_depth_[tid];
-    ++dropped_records_;
-    return;
-  }
-  // Ends of spans recorded before the cap always append (bounded
-  // overshoot), keeping the recorded stream balanced.
-  push('E', tid, kNoProfileKey, kNoProfileKey, kInvalidAsyncSpan, args);
+  push('E', trackId(track), kNoProfileKey, kNoProfileKey, kInvalidAsyncSpan,
+       args);
 }
 
 AsyncSpanId Profiler::beginAsyncSpan(ProfileKey category, ProfileKey name,
                                      const ProfileArgs& args) {
   if (!recording()) return kInvalidAsyncSpan;
-  if (atCapacity()) {
-    // Suppressed whole: the caller gets the invalid id, whose endAsyncSpan
-    // is a no-op, so no unbalanced 'e' is ever recorded.
-    ++dropped_records_;
-    return kInvalidAsyncSpan;
-  }
   const AsyncSpanId id = next_async_++;
   open_async_.emplace(id, records_.size());
   push('b', trackId(category), category, name, id, args);
@@ -137,26 +114,11 @@ void Profiler::endAsyncSpan(AsyncSpanId id, const ProfileArgs& args) {
 
 void Profiler::setCounter(CounterKey counter, double value) {
   if (!recording()) return;
-  const SimTime t = now();
   CounterState& s = counters_[counter];
-  if (!s.set) {
-    s.set = true;
-    s.value = value;
-    s.since = t;
-    s.first = t;
-  } else {
-    if (s.value == value) return;  // no change: skip the duplicate record
-    s.weighted_sum += s.value * (t - s.since);
-    s.value = value;
-    s.since = t;
-  }
-  // Past the cap the integral above still updates (counterMean stays
-  // exact); only the trace record is suppressed.
-  if (atCapacity()) {
-    ++dropped_records_;
-    return;
-  }
-  records_.push_back(Record{t, kInvalidAsyncSpan, trackId(s.counter),
+  if (s.set && s.value == value) return;  // no change: skip the duplicate
+  s.set = true;
+  s.value = value;
+  records_.push_back(Record{sim_->now(), kInvalidAsyncSpan, trackId(s.counter),
                             counter_category_, s.counter,
                             static_cast<std::uint32_t>(args_.size()), 1, 'C'});
   args_.push_back(Arg{s.series, kNoProfileKey, value});
@@ -165,49 +127,11 @@ void Profiler::setCounter(CounterKey counter, double value) {
 void Profiler::instant(ProfileKey category, ProfileKey name,
                        const ProfileArgs& args) {
   if (!recording()) return;
-  if (atCapacity()) {
-    ++dropped_records_;
-    return;
-  }
   push('i', trackId(category), category, name, kInvalidAsyncSpan, args);
-}
-
-const Profiler::CounterState* Profiler::findCounter(
-    std::string_view counter, std::string_view series) const {
-  const ProfileKey c = find(counter);
-  const ProfileKey s = find(series);
-  if (c == kNoProfileKey || s == kNoProfileKey) return nullptr;
-  const auto it = counter_keys_.find((std::uint64_t{c} << 32) | s);
-  if (it == counter_keys_.end()) return nullptr;
-  const CounterState& st = counters_[it->second];
-  return st.set ? &st : nullptr;
-}
-
-bool Profiler::hasCounter(std::string_view counter,
-                          std::string_view series) const {
-  return findCounter(counter, series) != nullptr;
-}
-
-double Profiler::counterValue(std::string_view counter,
-                              std::string_view series) const {
-  const CounterState* st = findCounter(counter, series);
-  return st == nullptr ? 0.0 : st->value;
-}
-
-double Profiler::counterMean(std::string_view counter,
-                             std::string_view series) const {
-  const CounterState* st = findCounter(counter, series);
-  if (st == nullptr) return 0.0;
-  const SimTime end = now();
-  const SimTime span = end - st->first;
-  if (span <= 0.0) return st->value;
-  const double integral = st->weighted_sum + st->value * (end - st->since);
-  return integral / span;
 }
 
 Profiler::State Profiler::state() const {
   State st;
-  st.enabled = enabled_;
   st.strings.reserve(strings_.size());
   for (const std::string* s : strings_) st.strings.push_back(*s);
   st.records = records_;
@@ -217,14 +141,10 @@ Profiler::State Profiler::state() const {
   st.counters = counters_;
   st.next_async = next_async_;
   st.next_corr = next_corr_;
-  st.max_records = max_records_;
-  st.dropped_records = dropped_records_;
-  st.drop_depth = drop_depth_;
   return st;
 }
 
 void Profiler::setState(const State& st) {
-  enabled_ = st.enabled;
   keys_.clear();
   strings_.clear();
   for (const std::string& s : st.strings) {
@@ -240,9 +160,6 @@ void Profiler::setState(const State& st) {
   counters_ = st.counters;
   next_async_ = st.next_async;
   next_corr_ = st.next_corr;
-  max_records_ = st.max_records;
-  dropped_records_ = st.dropped_records;
-  drop_depth_ = st.drop_depth;
   reindex();
   // Keys handed out before the restore index the old table.
   renewTable();
@@ -264,13 +181,6 @@ void Profiler::reindex() {
 void Profiler::finalize() {
   if (sim_ == nullptr) return;
   end_time_ = sim_->now();
-  // Close every counter integral at the end time so means computed after
-  // the Simulator is gone cover the full run.
-  for (CounterState& st : counters_) {
-    if (!st.set) continue;
-    st.weighted_sum += st.value * (end_time_ - st.since);
-    st.since = end_time_;
-  }
   sim_ = nullptr;
 }
 
@@ -381,12 +291,6 @@ std::string ChromeTrace::dump(int indent) const {
   w.beginObject();
   w.key("producer");
   w.value("composim.telemetry.Profiler");
-  if (p.maxRecords() > 0) {
-    w.key("max_records");
-    w.value(static_cast<std::int64_t>(p.maxRecords()));
-    w.key("dropped_records");
-    w.value(static_cast<std::int64_t>(p.droppedRecords()));
-  }
   w.endObject();
   w.endObject();
   return out;

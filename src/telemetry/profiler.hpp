@@ -1,21 +1,21 @@
 // composim: span/counter profiler with Chrome trace_event export.
 //
 // The concrete ProfileSink (sim/profile.hpp): records spans, async spans,
-// instants and time-weighted counters against Simulator::now(), and dumps
+// instants and counter step series against Simulator::now(), and dumps
 // the standard Chrome trace_event JSON that chrome://tracing and Perfetto
 // load directly. Tracks map to trace "threads" (one row each, named via
 // thread_name metadata); async spans use the 'b'/'e' phases keyed by
 // correlation id so overlapping fabric flows render as interval tracks;
-// counters use the 'C' phase and also keep a time-weighted integral so
-// tests and reports can ask for a mean utilization without replaying the
-// trace.
+// counters use the 'C' phase, one record per change of value. The records
+// are the profiler's one copy of what the run did: every consumer (Chrome
+// export, telemetry::analysis) reads what it needs from them.
 //
 // Records are small plain structs: track, category and name are keys into
 // one string table the profiler owns, and arguments live in one flat arena
 // with interned keys (DESIGN.md §10). Strings are materialized only at
 // export, which streams the trace text straight from the records.
 //
-// Everything is a no-op while disabled, and components only reach the
+// Everything is a no-op once finalized, and components only reach the
 // profiler through Simulator::profiler() (nullptr when absent), so an
 // untraced run pays one branch per potential record.
 #pragma once
@@ -60,9 +60,6 @@ class Profiler final : public ProfileSink {
   /// sim.setProfiler(&profiler) to start receiving component spans.
   explicit Profiler(Simulator& sim);
 
-  void setEnabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // --- ProfileSink ---
   ProfileKey intern(std::string_view s) override;
   CounterKey counterKey(std::string_view counter,
@@ -89,33 +86,10 @@ class Profiler final : public ProfileSink {
   /// Number of records captured so far (spans count begin+end separately).
   std::size_t recordCount() const { return records_.size(); }
 
-  /// Cap the record vector at `cap` entries (0 = unbounded, the default).
-  /// Once the cap is reached, NEW spans/counters/instants are dropped
-  /// whole — a begin that would exceed the cap is suppressed together
-  /// with its matching end, so the recorded stream stays balanced — while
-  /// ends of spans that were recorded before the cap still append (a
-  /// bounded overshoot of at most the open-span depth). Counter integrals
-  /// keep updating so counterMean() stays exact even when the 'C' records
-  /// are dropped. Long serving-style runs use this to bound span memory.
-  void setMaxRecords(std::size_t cap) { max_records_ = cap; }
-  std::size_t maxRecords() const { return max_records_; }
-  /// Records suppressed by the max-record policy so far.
-  std::uint64_t droppedRecords() const { return dropped_records_; }
-
-  /// Whether the counter series was ever set. counterValue/counterMean
-  /// return 0.0 both for "never updated" and for a genuine 0.0; callers
-  /// that need to tell the two apart check this first.
-  bool hasCounter(std::string_view counter, std::string_view series) const;
-  /// Latest value of a counter series (0 if never set).
-  double counterValue(std::string_view counter, std::string_view series) const;
-  /// Time-weighted mean of a counter series from its first update to
-  /// now() (or to the finalize() time once finalized). 0 if never set.
-  double counterMean(std::string_view counter, std::string_view series) const;
-
-  /// Freeze the trace: closes the counter integrals at the current time
-  /// and detaches from the Simulator, so the Profiler may safely outlive
-  /// the system that produced the trace (Experiment hands it back to the
-  /// caller this way). Recording stops.
+  /// Freeze the trace: records the end time and detaches from the
+  /// Simulator, so the Profiler may safely outlive the system that
+  /// produced the trace (Experiment hands it back to the caller this
+  /// way). Recording stops.
   void finalize();
 
   /// The trace as Chrome trace_event JSON (a view; see ChromeTrace).
@@ -147,7 +121,7 @@ class Profiler final : public ProfileSink {
   std::vector<std::size_t> exportOrder() const;
 
   /// Opaque full-trace snapshot (string table, records, arg arena, track
-  /// table, open async spans, counter integrals). A fork restores it into
+  /// table, open async spans, last counter values). A fork restores it into
   /// a fresh Profiler so the tail appends to the warmed prefix's trace
   /// exactly as a cold run would; open B records and async begins carry
   /// over and are closed by the tail. Copy-on-fork rather than serialize:
@@ -194,11 +168,8 @@ class Profiler final : public ProfileSink {
   struct CounterState {
     ProfileKey counter = kNoProfileKey;
     ProfileKey series = kNoProfileKey;
-    bool set = false;  // updated at least once
-    double value = 0.0;
-    SimTime since = 0.0;
-    SimTime first = 0.0;
-    double weighted_sum = 0.0;  // integral of value dt up to `since`
+    bool set = false;    // updated at least once
+    double value = 0.0;  // last recorded value (setCounter dedups on it)
   };
   struct StringHash {
     using is_transparent = void;
@@ -207,22 +178,15 @@ class Profiler final : public ProfileSink {
     }
   };
 
-  bool recording() const { return enabled_ && sim_ != nullptr; }
-  bool atCapacity() const {
-    return max_records_ > 0 && records_.size() >= max_records_;
-  }
-  SimTime now() const { return sim_ != nullptr ? sim_->now() : end_time_; }
+  bool recording() const { return sim_ != nullptr; }
   std::uint32_t trackId(ProfileKey track);
   void push(char phase, std::uint32_t tid, ProfileKey category,
             ProfileKey name, AsyncSpanId id, const ProfileArgs& args);
-  const CounterState* findCounter(std::string_view counter,
-                                  std::string_view series) const;
   /// Rebuild the lookup indexes from the string, track and counter
   /// tables after they were replaced.
   void reindex();
 
   Simulator* sim_;  // null after finalize()
-  bool enabled_ = true;
   SimTime end_time_ = 0.0;
   // String table: keys_ owns the strings (node-based, so their addresses
   // are stable); strings_[key] points at the string interned as `key`.
@@ -239,16 +203,9 @@ class Profiler final : public ProfileSink {
   std::unordered_map<std::uint64_t, CounterKey> counter_keys_;
   AsyncSpanId next_async_ = 1;
   std::uint64_t next_corr_ = 1;
-  // Max-record drop policy (0 = unbounded). drop_depth_[tid] counts open
-  // track spans whose begin was suppressed, so the matching ends are
-  // suppressed too and the recorded stream stays balanced.
-  std::size_t max_records_ = 0;
-  std::uint64_t dropped_records_ = 0;
-  std::vector<std::uint32_t> drop_depth_;  // by tid
 };
 
 struct Profiler::State {
-  bool enabled = true;
   std::vector<std::string> strings;  // by key
   std::vector<Record> records;
   std::vector<Arg> args;
@@ -257,9 +214,6 @@ struct Profiler::State {
   std::vector<CounterState> counters;
   AsyncSpanId next_async = 1;
   std::uint64_t next_corr = 1;
-  std::size_t max_records = 0;
-  std::uint64_t dropped_records = 0;
-  std::vector<std::uint32_t> drop_depth;
 };
 
 }  // namespace composim::telemetry

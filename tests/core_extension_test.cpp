@@ -185,7 +185,7 @@ TEST(ExperimentConfig, NameResolutionCoversAllConfigs) {
   }
   EXPECT_EQ(configFromName("allGPUs16"), SystemConfig::AllGpus16);
   for (const auto& m : dl::WorkloadRegistry::instance().paperZoo()) {
-    EXPECT_EQ(benchmarkFromName(m.name).name, m.name);
+    EXPECT_EQ(dl::workload(m.name).name, m.name);
   }
 }
 

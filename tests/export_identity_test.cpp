@@ -320,9 +320,9 @@ TEST(JsonWriter, MisplacedCallsThrow) {
 // --- Chrome export rules on a hand-driven profiler ---
 //
 // The golden run above never repeats an argument key, escapes a string,
-// records a non-finite number, hits a record cap or writes one string in
-// several roles. These traces do, and their expected text was recorded
-// from the document-building exporter that preceded the streaming one.
+// records a non-finite number or writes one string in several roles.
+// These traces do, and their expected text was recorded from the
+// document-building exporter that preceded the streaming one.
 
 // Strings carry a quote, a backslash, a newline and a C0 byte (0x01).
 void recordEdgeCases(Simulator& sim, Profiler& prof) {
@@ -348,22 +348,6 @@ void recordEdgeCases(Simulator& sim, Profiler& prof) {
       setCounter(prof, "link\\0", "util_pct", nan);
       endSpan(prof, track);
     });
-  });
-  sim.run();
-}
-
-// A capped trace: otherData reports the cap and the drops.
-void recordCapped(Simulator& sim, Profiler& prof) {
-  prof.setMaxRecords(3);
-  beginSpan(prof, "t", "c", "outer");
-  instant(prof, "c", "mark");
-  beginSpan(prof, "t", "c", "inner");  // 3 records: at the cap from here
-  setCounter(prof, "lnk", "util", 50.0);
-  beginSpan(prof, "t", "c", "dropped");
-  sim.schedule(2.0, [&] {
-    endSpan(prof, "t");  // closes "dropped": suppressed with its begin
-    endSpan(prof, "t");
-    endSpan(prof, "t");
   });
   sim.run();
 }
@@ -558,83 +542,6 @@ constexpr const char* kEdgeCasesIndented = R"json({
   }
 })json";
 
-constexpr const char* kCappedCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"t"}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"c"}},{"ph":"B","ts":0,"pid":1,"tid":0,"name":"outer","cat":"c"},{"ph":"B","ts":0,"pid":1,"tid":0,"name":"inner","cat":"c"},{"ph":"i","ts":0,"pid":1,"tid":1,"name":"mark","cat":"c","s":"t"},{"ph":"E","ts":2000000,"pid":1,"tid":0},{"ph":"E","ts":2000000,"pid":1,"tid":0}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler","max_records":3,"dropped_records":3}})json";
-
-constexpr const char* kCappedIndented = R"json({
-  "traceEvents": [
-    {
-      "ph": "M",
-      "pid": 1,
-      "tid": 0,
-      "name": "process_name",
-      "args": {
-        "name": "composim"
-      }
-    },
-    {
-      "ph": "M",
-      "pid": 1,
-      "tid": 0,
-      "name": "thread_name",
-      "args": {
-        "name": "t"
-      }
-    },
-    {
-      "ph": "M",
-      "pid": 1,
-      "tid": 1,
-      "name": "thread_name",
-      "args": {
-        "name": "c"
-      }
-    },
-    {
-      "ph": "B",
-      "ts": 0,
-      "pid": 1,
-      "tid": 0,
-      "name": "outer",
-      "cat": "c"
-    },
-    {
-      "ph": "B",
-      "ts": 0,
-      "pid": 1,
-      "tid": 0,
-      "name": "inner",
-      "cat": "c"
-    },
-    {
-      "ph": "i",
-      "ts": 0,
-      "pid": 1,
-      "tid": 1,
-      "name": "mark",
-      "cat": "c",
-      "s": "t"
-    },
-    {
-      "ph": "E",
-      "ts": 2000000,
-      "pid": 1,
-      "tid": 0
-    },
-    {
-      "ph": "E",
-      "ts": 2000000,
-      "pid": 1,
-      "tid": 0
-    }
-  ],
-  "displayTimeUnit": "ms",
-  "otherData": {
-    "producer": "composim.telemetry.Profiler",
-    "max_records": 3,
-    "dropped_records": 3
-  }
-})json";
-
 constexpr const char* kEmptyCompact = R"json({"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"composim"}}],"displayTimeUnit":"ms","otherData":{"producer":"composim.telemetry.Profiler"}})json";
 
 constexpr const char* kEmptyIndented = R"json({
@@ -799,12 +706,6 @@ TEST(ChromeExport, EdgeCasesMatchRecordedText) {
   EXPECT_EQ(traceOf(recordEdgeCases, -1), kEdgeCasesCompact);
   EXPECT_EQ(traceOf(recordEdgeCases, 2), kEdgeCasesIndented);
   expectEveryIndentMatchesDocument(recordEdgeCases);
-}
-
-TEST(ChromeExport, CappedTraceMatchesRecordedText) {
-  EXPECT_EQ(traceOf(recordCapped, -1), kCappedCompact);
-  EXPECT_EQ(traceOf(recordCapped, 2), kCappedIndented);
-  expectEveryIndentMatchesDocument(recordCapped);
 }
 
 TEST(ChromeExport, ReusedStringsMatchRecordedText) {

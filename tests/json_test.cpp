@@ -207,7 +207,7 @@ Status loadSuiteWith(const std::string& extra) {
 
 TEST(JsonDepth, SuiteLoaderAcceptsInRangeNumbers) {
   // The skeleton loads, so each rejection below is its field's doing.
-  EXPECT_TRUE(loadSuiteWith(R"("epochs": 1e0, "trace_max_records": 0)").ok);
+  EXPECT_TRUE(loadSuiteWith(R"("epochs": 1e0, "warm_prefix": 0)").ok);
 }
 
 TEST(JsonDepth, SuiteExponentOutOfRangeIsInvalidArgument) {
@@ -232,8 +232,16 @@ TEST(JsonDepth, SuiteIntFieldOutsideIntRangeIsInvalidArgument) {
 }
 
 TEST(JsonDepth, SuiteNegativeTraceMaxRecordsIsInvalidArgument) {
-  const Status st = loadSuiteWith(R"("trace_max_records": -1)");
-  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  // The profiler keeps every record, so the old record-cap key is gone:
+  // any value, negative or not, is an unknown key.
+  for (const char* member :
+       {R"("trace_max_records": -1)", R"("trace_max_records": 0)"}) {
+    const Status st = loadSuiteWith(member);
+    EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+    EXPECT_NE(st.detail.find("unknown key 'trace_max_records'"),
+              std::string::npos)
+        << st.detail;
+  }
 }
 
 TEST(JsonDepth, SuiteUnknownExperimentKeyIsInvalidArgument) {

@@ -162,6 +162,9 @@ core::ExperimentOptions phasedOptions(int cap, int epochs) {
   opt.trainer.max_iterations_per_epoch = cap;
   opt.warm_prefix = 4;
   opt.trace = true;
+  // The analyzer replays the restored prefix's records together with the
+  // tail's, so a fork must not change a single attribution number.
+  opt.analysis = true;
   opt.metrics.alerts = {"gpu_util_pct > 101"};  // exercise alert state too
   return opt;
 }
@@ -196,6 +199,11 @@ void expectResultsIdentical(const core::ExperimentResult& a,
   if (a.profiler) {
     EXPECT_EQ(a.profiler->chromeTrace().dump(2),
               b.profiler->chromeTrace().dump(2));
+  }
+  ASSERT_EQ(a.analysis != nullptr, b.analysis != nullptr);
+  if (a.analysis) {
+    EXPECT_EQ(telemetry::analysis::toJson(*a.analysis).dump(2),
+              telemetry::analysis::toJson(*b.analysis).dump(2));
   }
 }
 
