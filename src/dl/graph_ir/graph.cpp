@@ -119,6 +119,30 @@ Status checkOp(const OpNode& op, const std::vector<const OpNode*>& producers) {
     return producers.empty() ? 0 : producers.front()->shape.channels();
   };
 
+  // Sizes are bounded so that lowering's integer cost products (at most
+  // kernel^2 * in * out) and a concat's channel sum stay inside int64.
+  constexpr std::int64_t kMaxSize = std::int64_t{1} << 20;
+  constexpr std::int64_t kMaxKernel = std::int64_t{1} << 10;
+  for (const std::int64_t d : op.shape.dims) {
+    if (d > kMaxSize) {
+      return opError(op, "shape " + op.shape.toString() + " has a dim over " +
+                             std::to_string(kMaxSize));
+    }
+  }
+  for (const std::int64_t size :
+       {a.in_channels, a.out_channels, a.channels, a.out_hw, a.in_features,
+        a.out_features, a.tokens, a.vocab, a.positions, a.types, a.hidden,
+        a.seq, a.ff}) {
+    if (size > kMaxSize) {
+      return opError(op, "size attribute " + std::to_string(size) +
+                             " is over " + std::to_string(kMaxSize));
+    }
+  }
+  if (a.kernel > kMaxKernel) {
+    return opError(op, "kernel " + std::to_string(a.kernel) + " is over " +
+                           std::to_string(kMaxKernel));
+  }
+
   switch (op.kind) {
     case OpKind::Input:
       if (!op.inputs.empty()) return opError(op, "input ops take no inputs");

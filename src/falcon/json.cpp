@@ -60,32 +60,6 @@ namespace {
 /// control characters; everything else (UTF-8 included) passes through.
 bool needsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
 
-void escapeString(std::string& out, std::string_view s) {
-  out += '"';
-  const char* run = s.data();  // start of the pending run of safe bytes
-  const char* const end = s.data() + s.size();
-  for (const char* p = run; p != end; ++p) {
-    const auto c = static_cast<unsigned char>(*p);
-    if (!needsEscape(c)) continue;
-    out.append(run, static_cast<std::size_t>(p - run));
-    run = p + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
-        out.append(esc, sizeof(esc));
-      }
-    }
-  }
-  out.append(run, static_cast<std::size_t>(end - run));
-  out += '"';
-}
-
 __extension__ typedef unsigned __int128 Uint128;
 
 /// 10^0 .. 10^21: the scales formatG17's fixed-point path multiplies by.
@@ -102,6 +76,34 @@ constexpr char kDigitPairs[] =
     "7475767778798081828384858687888990919293949596979899";
 
 }  // namespace
+
+char* writeQuoted(char* first, std::string_view s) {
+  *first++ = '"';
+  const char* run = s.data();  // start of the pending run of safe bytes
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (!needsEscape(c)) continue;
+    first = std::copy(run, p, first);
+    run = p + 1;
+    *first++ = '\\';
+    switch (c) {
+      case '"': *first++ = '"'; break;
+      case '\\': *first++ = '\\'; break;
+      case '\n': *first++ = 'n'; break;
+      case '\r': *first++ = 'r'; break;
+      case '\t': *first++ = 't'; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        first = std::copy_n(esc, sizeof(esc), first);
+      }
+    }
+  }
+  first = std::copy(run, end, first);
+  *first++ = '"';
+  return first;
+}
 
 char* formatG17(char* first, double d) {
   const double a = std::fabs(d);
@@ -177,111 +179,142 @@ char* formatG17(char* first, double d) {
   return std::copy_n(text, n, first);
 }
 
-void JsonWriter::newlineIndent(std::size_t depth) {
-  if (indent_ < 0) return;
-  out_ += '\n';
-  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+namespace {
+
+/// The largest extension step: the most `out` is ever padded past the
+/// bytes written.
+constexpr std::size_t kMaxStep = std::size_t{64} << 10;
+
+char* copyText(char* p, std::string_view text) {
+  return std::copy(text.begin(), text.end(), p);
 }
 
-void JsonWriter::beforeValue() {
+}  // namespace
+
+void JsonWriter::grow(std::size_t n) {
+  const auto at = static_cast<std::size_t>(cur_ - out_.data());
+  out_.resize(at + std::max(n, step_));
+  step_ = std::min(2 * step_, kMaxStep);
+  cur_ = out_.data() + at;
+  end_ = out_.data() + out_.size();
+}
+
+void JsonWriter::trim() {
+  // Compares before touching out_: once a document is complete the
+  // caller may have appended to out_, and both pointers are stale.
+  if (cur_ == end_) return;
+  const auto at = static_cast<std::size_t>(cur_ - out_.data());
+  out_.resize(at);
+  cur_ = end_ = out_.data() + at;
+}
+
+void JsonWriter::fail(const char* what) {
+  trim();
+  throw JsonError(what);
+}
+
+char* JsonWriter::newlineIndent(char* p, std::size_t depth) const {
+  if (indent_ < 0) return p;
+  *p++ = '\n';
+  return std::fill_n(p, static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+char* JsonWriter::beforeValue(std::size_t n) {
   if (stack_.empty()) {
-    if (wrote_root_) throw JsonError("JsonWriter: second top-level value");
+    if (wrote_root_) fail("JsonWriter: second top-level value");
     wrote_root_ = true;
-    return;
+    return room(n);
   }
   Level& top = stack_.back();
   if (top.object) {
-    if (!key_pending_) throw JsonError("JsonWriter: object member without a key");
+    if (!key_pending_) fail("JsonWriter: object member without a key");
     key_pending_ = false;
-    return;
+    return room(n);
   }
-  if (!top.empty) out_ += ',';
+  const std::size_t depth = stack_.size();
+  char* p = room(1 + lineRoom(depth) + n);
+  if (!top.empty) *p++ = ',';
   top.empty = false;
-  newlineIndent(stack_.size());
+  return newlineIndent(p, depth);
+}
+
+void JsonWriter::afterValue(char* p) {
+  cur_ = p;
+  if (stack_.empty()) trim();
 }
 
 void JsonWriter::open(char bracket, bool object) {
-  beforeValue();
-  out_ += bracket;
+  char* p = beforeValue(1);
+  *p++ = bracket;
+  cur_ = p;
   stack_.push_back(Level{object});
 }
 
 void JsonWriter::close(char bracket, bool object) {
   if (stack_.empty() || stack_.back().object != object || key_pending_) {
-    throw JsonError(std::string("JsonWriter: unmatched '") + bracket + "'");
+    fail(object ? "JsonWriter: unmatched '}'" : "JsonWriter: unmatched ']'");
   }
   const bool empty = stack_.back().empty;
+  const std::size_t depth = stack_.size() - 1;
+  char* p = room(1 + (empty ? 0 : lineRoom(depth)));
+  if (!empty) p = newlineIndent(p, depth);
+  *p++ = bracket;
   stack_.pop_back();
-  if (!empty) newlineIndent(stack_.size());
-  out_ += bracket;
+  afterValue(p);
 }
 
-void JsonWriter::beforeKey() {
+char* JsonWriter::beforeKey(std::size_t n) {
   if (stack_.empty() || !stack_.back().object || key_pending_) {
-    throw JsonError("JsonWriter: key outside an object");
+    fail("JsonWriter: key outside an object");
   }
+  const std::size_t depth = stack_.size();
+  char* p = room(1 + lineRoom(depth) + n + 2);
   Level& top = stack_.back();
-  if (!top.empty) out_ += ',';
+  if (!top.empty) *p++ = ',';
   top.empty = false;
-  newlineIndent(stack_.size());
+  return newlineIndent(p, depth);
 }
 
-void JsonWriter::afterKey() {
-  if (indent_ < 0) {
-    out_ += ':';
-  } else {
-    out_.append(": ", 2);
-  }
+void JsonWriter::afterKey(char* p) {
+  *p++ = ':';
+  if (indent_ >= 0) *p++ = ' ';
+  cur_ = p;
   key_pending_ = true;
 }
 
 void JsonWriter::key(std::string_view k) {
-  beforeKey();
-  escapeString(out_, k);
-  afterKey();
+  afterKey(writeQuoted(beforeKey(quotedMaxChars(k.size())), k));
 }
 
 void JsonWriter::quotedKey(std::string_view quoted) {
-  beforeKey();
-  out_.append(quoted);
-  afterKey();
+  afterKey(copyText(beforeKey(quoted.size()), quoted));
 }
 
 void JsonWriter::value(std::string_view s) {
-  beforeValue();
-  escapeString(out_, s);
+  afterValue(writeQuoted(beforeValue(quotedMaxChars(s.size())), s));
+}
+
+void JsonWriter::quotedValue(std::string_view quoted) {
+  afterValue(copyText(beforeValue(quoted.size()), quoted));
 }
 
 void JsonWriter::value(double d) {
-  beforeValue();
-  if (!std::isfinite(d)) {
-    out_.append("null", 4);  // JSON has no Inf/NaN
-    return;
-  }
-  char buf[kG17MaxChars];
-  out_.append(buf, static_cast<std::size_t>(formatG17(buf, d) - buf));
+  char* p = beforeValue(kG17MaxChars);
+  // JSON has no Inf/NaN.
+  afterValue(std::isfinite(d) ? formatG17(p, d) : copyText(p, "null"));
 }
 
 void JsonWriter::value(std::int64_t i) {
-  beforeValue();
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), i);
-  out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  constexpr std::size_t kMaxChars = 20;  // "-9223372036854775808"
+  char* p = beforeValue(kMaxChars);
+  afterValue(std::to_chars(p, p + kMaxChars, i).ptr);
 }
 
 void JsonWriter::value(bool b) {
-  beforeValue();
-  if (b) {
-    out_.append("true", 4);
-  } else {
-    out_.append("false", 5);
-  }
+  afterValue(copyText(beforeValue(5), b ? "true" : "false"));
 }
 
-void JsonWriter::null() {
-  beforeValue();
-  out_.append("null", 4);
-}
+void JsonWriter::null() { afterValue(copyText(beforeValue(4), "null")); }
 
 void Json::write(JsonWriter& w) const {
   if (const auto* str = std::get_if<std::string>(&value_)) {

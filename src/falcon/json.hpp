@@ -4,8 +4,9 @@
 // (objects, arrays, strings, doubles, integers, booleans, null). Object
 // keys keep insertion order so exported configurations diff cleanly.
 // JsonWriter is the one serializer: Json::dump walks the document through
-// it, and exporters too large for a document (the Chrome trace) stream
-// through it directly, so both produce the same bytes for the same data.
+// it, and exporters too large for a document (the Chrome trace, the
+// metrics JSONL) stream through it directly, so all of them produce the
+// same bytes for the same data.
 #pragma once
 
 #include <cstddef>
@@ -45,25 +46,58 @@ inline constexpr std::size_t kG17MaxChars = 32;
 /// to_chars(general, 17). Non-finite input is the caller's to handle.
 char* formatG17(char* first, double d);
 
+/// Room writeQuoted needs for `n` bytes: each may become a six-character
+/// \u00XX escape, plus the two quotes.
+constexpr std::size_t quotedMaxChars(std::size_t n) { return 6 * n + 2; }
+
+/// Writes `s` in quotes at `first`, which must have room for
+/// quotedMaxChars(s.size()) characters, and returns one past the last one
+/// written. Quote, backslash and C0 bytes are escaped; everything else
+/// (UTF-8 included) passes through. JsonWriter escapes every string and
+/// key through it; callers that write one string many times quote it once
+/// and hand the text to quotedKey/quotedValue.
+char* writeQuoted(char* first, std::string_view s);
+
 /// Appends one JSON document to a caller-owned string as it is described:
 /// begin/end containers, keys, scalar values. Formatting matches
 /// Json::dump exactly: with indent < 0 the output is compact; otherwise
 /// each member sits on its own line indented `indent` spaces per level,
 /// keys are followed by ": ", and empty containers print as {} / [].
 /// Doubles print as printf's "%.17g" through formatG17 (non-finite ones
-/// as null), integers exactly, and strings escape quote, backslash and C0
-/// bytes. formatG17's integer and 128-bit fast paths take the values a
-/// trace mostly writes (timestamps, byte and flow counts);
-/// export_identity_test holds all of its paths to snprintf("%.17g") as
-/// the oracle.
+/// as null), integers exactly, and strings through writeQuoted.
+/// formatG17's integer and 128-bit fast paths take the values a trace
+/// mostly writes (timestamps, byte and flow counts); export_identity_test
+/// holds all of its paths to snprintf("%.17g") as the oracle.
+///
+/// Buffer contract: the writer writes through a cursor straight into
+/// `out`'s storage, after whatever `out` already holds. Each token checks
+/// for room once, for its worst case (separator, indentation and
+/// text), and writes in place. When the room runs out the writer extends
+/// `out`'s size by a step that starts at 256 bytes and doubles up to
+/// 64 KiB (or by the token's worst case, if that is larger), so a
+/// one-line document zero-fills little and a large one touches only the
+/// pages it is about to write (a reserve() beforehand saves the regrowth
+/// copies). Between those points `out` is padded past the cursor; the
+/// writer trims it to exactly the bytes written when the top-level value
+/// completes, before it throws JsonError and in its destructor. Once the
+/// document is complete the writer no longer touches `out`, so the
+/// caller may append to it (a JSONL newline) and start another writer on
+/// it. While a document is open, `out` belongs to the writer, and it must
+/// outlive the writer.
 ///
 /// Misplaced calls (a value where a key is due, an end that does not
-/// match its begin, a second top-level value) throw JsonError. The
-/// writer holds a reference to `out`, which must outlive it.
+/// match its begin, a second top-level value) throw JsonError and leave
+/// the document as it was.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string& out, int indent = -1)
-      : out_(out), indent_(indent) {}
+      : out_(out),
+        indent_(indent),
+        cur_(out.data() + out.size()),
+        end_(cur_) {}
+  ~JsonWriter() { trim(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void beginObject() { open('{', true); }
   void endObject() { close('}', true); }
@@ -72,12 +106,14 @@ class JsonWriter {
 
   /// The next member's key; only inside an object, before each value.
   void key(std::string_view k);
-  /// A key already escaped and quoted, such as the constant R"("ph")":
-  /// written as is, for keys a caller writes many times.
+  /// A key already escaped and quoted, such as the constant R"("ph")" or
+  /// writeQuoted's output: written as is, for keys written many times.
   void quotedKey(std::string_view quoted);
 
   void value(std::string_view s);
   void value(const char* s) { value(std::string_view(s)); }
+  /// A string value already escaped and quoted, written as is.
+  void quotedValue(std::string_view quoted);
   void value(double d);
   void value(std::int64_t i);
   void value(int i) { value(static_cast<std::int64_t>(i)); }
@@ -89,19 +125,39 @@ class JsonWriter {
     bool object = false;
     bool empty = true;
   };
+  /// At least `n` bytes of room at the cursor, which it returns.
+  char* room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - cur_) < n) grow(n);
+    return cur_;
+  }
+  void grow(std::size_t n);
+  /// Cut `out` back to the bytes written, if it is padded past them.
+  void trim();
+  [[noreturn]] void fail(const char* what);
   void open(char bracket, bool object);
   void close(char bracket, bool object);
-  /// Separator and indentation before an array element; in an object,
-  /// checks that the value's key was written.
-  void beforeValue();
-  /// Separator and indentation before an object member's key, and the
-  /// colon after it.
-  void beforeKey();
-  void afterKey();
-  void newlineIndent(std::size_t depth);
+  /// Checks that a value is due, makes room for its separator,
+  /// indentation and `n` more bytes, and writes the first two; returns
+  /// where the value goes.
+  char* beforeValue(std::size_t n);
+  /// The value ended at `p`; a completed document is trimmed.
+  void afterValue(char* p);
+  /// beforeValue for an object member's key, with room for `n` bytes of
+  /// key and the colon after it.
+  char* beforeKey(std::size_t n);
+  /// The key ended at `p`: writes the colon.
+  void afterKey(char* p);
+  /// Room a newline and `depth` levels of indentation take.
+  std::size_t lineRoom(std::size_t depth) const {
+    return indent_ < 0 ? 0 : 1 + static_cast<std::size_t>(indent_) * depth;
+  }
+  char* newlineIndent(char* p, std::size_t depth) const;
 
   std::string& out_;
   int indent_;
+  char* cur_;  // next byte to write, inside out_'s storage
+  char* end_;  // end of out_ (cur_ == end_ whenever out_ is not padded)
+  std::size_t step_ = 256;  // the next extension of out_, at least
   std::vector<Level> stack_;
   bool key_pending_ = false;  // a key was written; its value is due
   bool wrote_root_ = false;  // the one top-level value has begun

@@ -209,10 +209,33 @@ std::vector<std::size_t> Profiler::exportOrder() const {
 
 std::string ChromeTrace::dump(int indent) const {
   const Profiler& p = profiler_;
+  // Every interned string escaped and quoted once, key k's text at
+  // [at[k], at[k + 1]) of one pool. It is rebuilt on every dump, since
+  // the table may have grown since the last one, and it is complete
+  // before the first view into it is taken.
+  const std::size_t strings = p.stringCount();
+  std::vector<std::size_t> at(strings + 1);
+  std::string pool;
+  for (std::size_t k = 0; k < strings; ++k) {
+    const std::string& s = p.str(static_cast<ProfileKey>(k));
+    at[k] = pool.size();
+    pool.resize(at[k] + falcon::quotedMaxChars(s.size()));
+    pool.resize(static_cast<std::size_t>(
+        falcon::writeQuoted(pool.data() + at[k], s) - pool.data()));
+  }
+  at[strings] = pool.size();
+  const auto quoted = [&pool, &at](ProfileKey key) {
+    return std::string_view(pool).substr(at[key], at[key + 1] - at[key]);
+  };
+  // Names and categories are omitted when absent or empty ("" quoted).
+  const auto nonEmpty = [&quoted](ProfileKey key) {
+    return key != kNoProfileKey && quoted(key).size() > 2;
+  };
+
   std::string out;
   // Traces run 150 bytes a record compact and 250 indented; reserving a
-  // little more saves the regrowth copies (untouched capacity is never
-  // paged in).
+  // little more saves the regrowth copies (the writer only pages in what
+  // it writes).
   out.reserve(p.records().size() * (indent < 0 ? 192 : 320) + 4096);
   falcon::JsonWriter w(out, indent);
   // One member under an already-quoted key.
@@ -220,45 +243,49 @@ std::string ChromeTrace::dump(int indent) const {
     w.quotedKey(key);
     w.value(value);
   };
-  auto metadata = [&](std::int64_t tid, const char* name,
+  // The same with an already-quoted string value.
+  auto quotedField = [&w](std::string_view key, std::string_view value) {
+    w.quotedKey(key);
+    w.quotedValue(value);
+  };
+  auto metadata = [&](std::int64_t tid, std::string_view name,
                       std::string_view value) {
     w.beginObject();
-    field(kPh, "M");
+    quotedField(kPh, R"("M")");
     field(kPid, kTracePid);
     field(kTid, tid);
-    field(kName, name);
+    quotedField(kName, name);
     w.quotedKey(kArgs);
     w.beginObject();
-    field(kName, value);
+    quotedField(kName, value);
     w.endObject();
     w.endObject();
   };
 
   w.beginObject();
-  w.key("traceEvents");
+  w.quotedKey(R"("traceEvents")");
   w.beginArray();
   // Process + per-track thread names so Perfetto labels the rows.
-  metadata(0, "process_name", "composim");
+  metadata(0, R"("process_name")", R"("composim")");
   for (std::size_t tid = 0; tid < p.tracks().size(); ++tid) {
-    metadata(static_cast<std::int64_t>(tid), "thread_name",
-             p.str(p.tracks()[tid]));
+    metadata(static_cast<std::int64_t>(tid), R"("thread_name")",
+             quoted(p.tracks()[tid]));
   }
-  auto nonEmpty = [&p](ProfileKey key) {
-    return key != kNoProfileKey && !p.str(key).empty();
-  };
   for (const std::size_t idx : p.exportOrder()) {
     const Profiler::Record& r = p.records()[idx];
     w.beginObject();
-    field(kPh, std::string_view(&r.phase, 1));
+    // Phase letters (B, E, b, e, C, i) need no escaping.
+    const char phase[] = {'"', r.phase, '"'};
+    quotedField(kPh, std::string_view(phase, sizeof(phase)));
     field(kTs, r.time * 1e6);  // trace_event timestamps are us
     field(kPid, kTracePid);
     field(kTid, static_cast<std::int64_t>(r.tid));
-    if (nonEmpty(r.name)) field(kName, std::string_view(p.str(r.name)));
-    if (nonEmpty(r.category)) field(kCat, std::string_view(p.str(r.category)));
+    if (nonEmpty(r.name)) quotedField(kName, quoted(r.name));
+    if (nonEmpty(r.category)) quotedField(kCat, quoted(r.category));
     if (r.id != kInvalidAsyncSpan) {
       field(kId, static_cast<std::int64_t>(r.id));
     }
-    if (r.phase == 'i') field(kScope, "t");  // instant scope: thread
+    if (r.phase == 'i') quotedField(kScope, R"("t")");  // scope: thread
     const std::span<const Profiler::Arg> args = p.args(r);
     if (!args.empty()) {
       w.quotedKey(kArgs);
@@ -273,9 +300,9 @@ std::string ChromeTrace::dump(int indent) const {
         if (std::any_of(args.begin(), args.begin() + i, same_key)) continue;
         const Profiler::Arg& last =
             *std::find_if(args.rbegin(), args.rend(), same_key);
-        w.key(p.str(key));
+        w.quotedKey(quoted(key));
         if (last.isString()) {
-          w.value(std::string_view(p.str(last.str)));
+          w.quotedValue(quoted(last.str));
         } else {
           w.value(last.num);
         }
@@ -285,12 +312,10 @@ std::string ChromeTrace::dump(int indent) const {
     w.endObject();
   }
   w.endArray();
-  w.key("displayTimeUnit");
-  w.value("ms");
-  w.key("otherData");
+  quotedField(R"("displayTimeUnit")", R"("ms")");
+  w.quotedKey(R"("otherData")");
   w.beginObject();
-  w.key("producer");
-  w.value("composim.telemetry.Profiler");
+  quotedField(R"("producer")", R"("composim.telemetry.Profiler")");
   w.endObject();
   w.endObject();
   return out;

@@ -80,6 +80,8 @@ class Profiler final : public ProfileSink {
 
   /// The string an interned key stands for.
   const std::string& str(ProfileKey key) const { return *strings_[key]; }
+  /// Number of interned strings; their keys are 0 .. stringCount() - 1.
+  std::size_t stringCount() const { return strings_.size(); }
   /// The key `s` is interned under, or kNoProfileKey if it never was.
   ProfileKey find(std::string_view s) const;
 

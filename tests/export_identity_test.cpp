@@ -317,6 +317,178 @@ TEST(JsonWriter, MisplacedCallsThrow) {
   EXPECT_THROW(falcon::JsonWriter(out).endObject(), falcon::JsonError);
 }
 
+// --- the writer's buffer contract: out holds exactly the bytes written ---
+
+// {"a":[1,"x\n",2.5,null,true],"b":{}} through a writer, and as a document.
+void writeSmall(falcon::JsonWriter& w) {
+  w.beginObject();
+  w.key("a");
+  w.beginArray();
+  w.value(1);
+  w.value("x\n");
+  w.value(2.5);
+  w.null();
+  w.value(true);
+  w.endArray();
+  w.key("b");
+  w.beginObject();
+  w.endObject();
+  w.endObject();
+}
+
+Json smallDocument() {
+  Json doc = Json::object();
+  doc.set("a", Json(JsonArray{1, "x\n", 2.5, nullptr, true}));
+  doc.set("b", Json::object());
+  return doc;
+}
+
+TEST(JsonWriter, AppendsToANonEmptyString) {
+  for (const int indent : {-1, 0, 2}) {
+    std::string out = "prefix\n";
+    {
+      falcon::JsonWriter w(out, indent);
+      writeSmall(w);
+      // Trimmed as soon as the document completes.
+      EXPECT_EQ(out, "prefix\n" + smallDocument().dump(indent));
+    }
+    EXPECT_EQ(out, "prefix\n" + smallDocument().dump(indent))
+        << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, WritersBackToBackShareOneString) {
+  // jsonlDump's pattern: one writer per line, the newline appended while
+  // the line's writer is still alive.
+  std::string out;
+  for (int i = 0; i < 3; ++i) {
+    falcon::JsonWriter line(out);
+    line.beginObject();
+    line.key("i");
+    line.value(i);
+    line.endObject();
+    out.push_back('\n');
+  }
+  EXPECT_EQ(out, "{\"i\":0}\n{\"i\":1}\n{\"i\":2}\n");
+
+  // A finished writer outlives a second one whose document reallocates
+  // the string; its destructor must leave the string alone.
+  std::string two;
+  falcon::JsonWriter first(two);
+  writeSmall(first);
+  {
+    falcon::JsonWriter second(two);
+    second.beginArray();
+    for (int i = 0; i < 50000; ++i) second.value(i);
+    second.endArray();
+  }
+  std::string ints = "[";
+  for (int i = 0; i < 50000; ++i) {
+    if (i > 0) ints += ',';
+    ints += std::to_string(i);
+  }
+  ints += ']';
+  EXPECT_EQ(two, smallDocument().dump(-1) + ints);
+}
+
+// Writes {"a":[1 and, with `more`, the element 2; stops mid-document.
+void writeOpenDocument(falcon::JsonWriter& w, bool more) {
+  w.beginObject();
+  w.key("a");
+  w.beginArray();
+  w.value(1);
+  if (more) w.value(2);
+}
+
+TEST(JsonWriter, ErrorAndEarlyDestructionLeaveExactlyTheBytesWritten) {
+  const std::string compact_one = R"(pre{"a":[1)";
+  const std::string compact_two = R"(pre{"a":[1,2)";
+  const std::string indented_one = "pre{\n  \"a\": [\n    1";
+  const std::string indented_two = "pre{\n  \"a\": [\n    1,\n    2";
+  for (const int indent : {-1, 2}) {
+    const std::string& one = indent < 0 ? compact_one : indented_one;
+    const std::string& two = indent < 0 ? compact_two : indented_two;
+    std::string out = "pre";
+    {
+      falcon::JsonWriter w(out, indent);
+      writeOpenDocument(w, false);
+      EXPECT_THROW(w.key("k"), falcon::JsonError);  // a key in an array
+      EXPECT_EQ(out, one);
+      EXPECT_THROW(w.endObject(), falcon::JsonError);
+      EXPECT_EQ(out, one);
+      // The writer goes on after a throw, then dies mid-document.
+      w.value(2);
+    }
+    EXPECT_EQ(out, two);
+    EXPECT_EQ(out.find('\0'), std::string::npos);
+
+    std::string early = "pre";
+    {
+      falcon::JsonWriter w(early, indent);
+      writeOpenDocument(w, true);
+    }
+    EXPECT_EQ(early, two) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, DocumentsLargerThanAGrowthStepMatchJsonDump) {
+  // A 1 MB string with a byte to escape every 1000 bytes, then 10^5
+  // scalars of every kind: many extensions of the string, one token
+  // (the big string) larger than any step.
+  std::string big(1 << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 1000) {
+    big[i] = "\"\\\n\x01"[(i / 1000) % 4];
+  }
+  std::vector<Json> scalars;
+  scalars.reserve(100000);
+  for (int i = 0; i < 100000; ++i) {
+    switch (i % 5) {
+      case 0: scalars.emplace_back(i); break;
+      case 1: scalars.emplace_back(i * 0.001 + 1e-9); break;
+      case 2: scalars.emplace_back(std::string("s\t").append(std::to_string(i))); break;
+      case 3: scalars.emplace_back(i % 2 == 0); break;
+      default: scalars.emplace_back(nullptr);
+    }
+  }
+  Json doc = Json::object();
+  doc.set("big", big);
+  doc.set("scalars", Json(scalars));
+
+  for (const int indent : {-1, 0, 2}) {
+    std::string out;
+    {
+      falcon::JsonWriter w(out, indent);
+      w.beginObject();
+      w.key("big");
+      w.value(big);
+      w.key("scalars");
+      w.beginArray();
+      for (const Json& v : scalars) {
+        if (v.isInt()) {
+          w.value(v.asInt());
+        } else if (v.isDouble()) {
+          w.value(v.asDouble());
+        } else if (v.isString()) {
+          w.value(v.asString());
+        } else if (v.isBool()) {
+          w.value(v.asBool());
+        } else {
+          w.null();
+        }
+      }
+      w.endArray();
+      w.endObject();
+    }
+    const std::string dumped = doc.dump(indent);
+    EXPECT_EQ(out.size(), dumped.size()) << "indent " << indent;
+    EXPECT_TRUE(out == dumped) << "indent " << indent;
+    // And the text reads back as the document.
+    if (indent < 0) {
+      EXPECT_TRUE(Json::parse(out) == doc);
+    }
+  }
+}
+
 // --- Chrome export rules on a hand-driven profiler ---
 //
 // The golden run above never repeats an argument key, escapes a string,
@@ -718,6 +890,36 @@ TEST(ChromeExport, EmptyTraceMatchesRecordedText) {
   EXPECT_EQ(traceOf(nullptr, -1), kEmptyCompact);
   EXPECT_EQ(traceOf(nullptr, 2), kEmptyIndented);
   expectEveryIndentMatchesDocument(nullptr);
+}
+
+TEST(ChromeExport, StringsInternedBetweenDumpsAreEscaped) {
+  // Each dump escapes the string table as it stands, so strings interned
+  // after an earlier dump (here ones that need escaping) are written
+  // right by the next one.
+  Simulator sim;
+  Profiler prof(sim);
+  sim.setProfiler(&prof);
+  const auto expectDumpsAreDocuments = [&prof] {
+    for (const int indent : {-1, 0, 2}) {
+      const std::string text = prof.chromeTrace().dump(indent);
+      EXPECT_EQ(text, Json::parse(text).dump(indent)) << "indent " << indent;
+    }
+  };
+  beginSpan(prof, "lane", "step", "first");
+  expectDumpsAreDocuments();
+  sim.schedule(1.0, [&] {
+    instant(prof, "new\"cat", "new\nname\x01",
+            {{"key\\new", "val\"ue\x1f"}, {"n", 1}});
+    endSpan(prof, "lane", {{"tail\tkey", "tail\\value"}});
+  });
+  sim.run();
+  expectDumpsAreDocuments();
+  const std::string compact = prof.chromeTrace().dump(-1);
+  for (const char* escaped :
+       {R"("new\"cat")", R"("new\nname\u0001")", R"("key\\new")",
+        R"("val\"ue\u001f")", R"("tail\tkey")", R"("tail\\value")"}) {
+    EXPECT_NE(compact.find(escaped), std::string::npos) << escaped;
+  }
 }
 
 // --- golden digests of a traced run ---

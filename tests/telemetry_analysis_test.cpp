@@ -154,6 +154,27 @@ TEST(Analysis, LinkContentionReplaysCounterSeries) {
   EXPECT_DOUBLE_EQ(lc.util_mean_pct, 56.0);
 }
 
+TEST(Analysis, LinkUtilizationMeanStartsAtFirstPoint) {
+  Simulator sim;
+  Profiler prof(sim);
+  sim.setProfiler(&prof);
+  const std::string link = "link:gpu1->gpu0";
+  buildSyntheticTrace(sim, prof);
+  sim.schedule(1.0, [&] { setCounter(prof, link, "util_pct", 80.0); });
+  sim.schedule(3.0, [&] { setCounter(prof, link, "util_pct", 100.0); });
+  sim.schedule(7.0, [&] { setCounter(prof, link, "util_pct", 0.0); });
+  sim.run();
+  prof.finalize();  // trace ends at t = 10
+
+  const RunAnalysis a = analyzeProfile(prof, "late link");
+  ASSERT_EQ(a.links.size(), 1u);
+  const LinkContention& lc = a.links.front();
+  EXPECT_DOUBLE_EQ(lc.busy_s, 5.6);
+  EXPECT_DOUBLE_EQ(lc.contention_s, 0.0);
+  // Over [1, 10], not [0, 10]: (80 * 2 + 100 * 4 + 0 * 3) / 9.
+  EXPECT_DOUBLE_EQ(lc.util_mean_pct, 560.0 / 9.0);
+}
+
 TEST(Analysis, EmptyTraceYieldsEmptyAnalysis) {
   Simulator sim;
   Profiler prof(sim);
