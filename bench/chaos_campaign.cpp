@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   // campaign digest is a fixed-precision line per scenario, so equality
   // is byte-identity of everything the oracles judged.
   std::printf("campaign A (--jobs 1, %d scenarios)...\n",
-              campaignOptions(1).space.count);
+              campaignOptions(1).count);
   ChaosCampaign campaign_a(campaignOptions(1));
   const CampaignReport a = campaign_a.run();
   std::printf("campaign B (--jobs 4, same seed)...\n\n");
@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
   const SimTime h = a.baseline.horizon;
   core::ExperimentSpec seeded;
   seeded.name = "chaos-known-failure";
-  seeded.workload = campaign_a.options().workload;
+  seeded.workload = ChaosCampaign::kWorkload;
   seeded.options.workload = seeded.workload;
-  seeded.config = campaign_a.options().config;
+  seeded.config = ChaosCampaign::kConfig;
   seeded.options.trainer.epochs = 1;
   seeded.options.trainer.max_iterations_per_epoch = 12;
   seeded.options.trainer.checkpoint_every_iters = 4;
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
 
   auto doc = falcon::Json::object();
   doc.set("bench", "chaos_campaign");
-  doc.set("workload", campaign_a.options().workload);
+  doc.set("workload", ChaosCampaign::kWorkload);
   doc.set("config", "falconGPUs");
   doc.set("deterministic", a.digest == b.digest);
   doc.set("campaign", reportToJson(a));

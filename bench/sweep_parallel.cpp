@@ -1,15 +1,20 @@
 // composim bench: parallel sweep engine acceptance gate.
 //
-// Part 1 runs the same 8-spec suite twice through core::SweepRunner —
-// serial (--jobs 1) and parallel (--jobs 4) — and verifies the engine's
-// two promises:
+// Part 1 runs the same 8-spec suite through core::SweepRunner — serial
+// (--jobs 1) and parallel (--jobs 4) — and verifies the engine's two
+// promises:
 //   (a) equivalence: serial and parallel runs produce byte-identical
 //       RunTracker manifests AND byte-identical Chrome trace exports
 //       (hard gate, exit nonzero on any divergence);
-//   (b) speed: the parallel replay is >= 3x faster wall-clock on a
-//       >= 4-core host (the gate is recorded as "skipped" on smaller
-//       hosts, where the speedup is physically unobtainable, instead of
-//       failing the suite).
+//   (b) speed, relative to what the host delivers: a CPU calibration
+//       kernel is timed at 1 and 4 threads, interleaved with untraced
+//       serial and --jobs 4 replays of a longer version of the suite.
+//       When the calibration reads >= 2x, the sweep speedup must reach
+//       0.75x of it (about 3x on a real 4-core host); below that the
+//       host cannot run four threads at once, and both numbers and the
+//       reason go into BENCH_sweep.json instead of a verdict. A core
+//       count alone cannot tell: a shared host can report four CPUs and
+//       deliver one.
 //
 // The suite is eight equal-cost specs (same benchmark/config, distinct
 // names) so a 4-worker replay has a balanced 2-runs-per-worker schedule
@@ -28,10 +33,13 @@
 //       elsewhere where timing is too noisy to gate).
 //
 //   $ ./bench/sweep_parallel [BENCH_sweep.json]
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,8 +62,60 @@ void check(bool ok, const char* what) {
 
 constexpr int kSuiteSize = 8;
 constexpr int kParallelJobs = 4;
+/// Iterations per spec. The traced equivalence suite stays short (at 48
+/// traced iterations an arm wrote about 300 MB of Chrome traces); the
+/// untraced timing suite runs long enough that a --jobs 4 arm dwarfs
+/// thread start-up and scheduler jitter.
+constexpr int kSuiteIterations = 12;
+constexpr int kTimingIterations = 144;
+/// Each arm runs this many times, interleaved; its best wall time counts.
+constexpr int kRounds = 5;
+/// The sweep gate is enforced only when the calibration reaches this...
+constexpr double kMinCalibrationSpeedup = 2.0;
+/// ...and then demands this share of the calibration speedup.
+constexpr double kRequiredShare = 0.75;
 
-std::vector<core::ExperimentSpec> buildSuite() {
+/// Calibration kernel: kSuiteSize equal slices dealt over `threads` plain
+/// std::threads. Each slice fills a fresh 512 KiB vector with pseudo-random
+/// keys and sorts it, so like a simulation run it allocates, branches and
+/// streams memory. It bypasses the sweep pool on purpose, so a pool defect
+/// cannot hide in its own yardstick. Returns wall seconds.
+double calibrate(int threads) {
+  constexpr std::size_t kKeys = std::size_t{1} << 16;
+  constexpr int kSortsPerSlice = 4;
+  std::vector<std::uint64_t> sinks(static_cast<std::size_t>(threads));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&sinks, threads, t] {
+      std::uint64_t x = static_cast<std::uint64_t>(t) + 1;
+      std::uint64_t sum = 0;
+      for (int slice = t; slice < kSuiteSize; slice += threads) {
+        for (int r = 0; r < kSortsPerSlice; ++r) {
+          std::vector<std::uint64_t> keys(kKeys);
+          for (std::uint64_t& k : keys) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+            k = x ^ (x >> 29);
+          }
+          std::sort(keys.begin(), keys.end());
+          sum += keys[kKeys / 2];
+        }
+      }
+      sinks[static_cast<std::size_t>(t)] = sum;
+    });
+  }
+  for (auto& w : workers) w.join();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : sinks) sum += v;
+  // Consume the result so the kernel cannot be optimized away.
+  if (sum == 0) std::printf("calibration sink: 0\n");
+  return wall;
+}
+
+std::vector<core::ExperimentSpec> buildSuite(int iterations, bool trace) {
   std::vector<core::ExperimentSpec> specs;
   for (int i = 0; i < kSuiteSize; ++i) {
     core::ExperimentSpec s;
@@ -63,8 +123,8 @@ std::vector<core::ExperimentSpec> buildSuite() {
     s.workload = "ResNet-50";
     s.config = core::SystemConfig::FalconGpus;
     s.options.trainer.epochs = 1;
-    s.options.trainer.max_iterations_per_epoch = 12;
-    s.options.trace = true;  // trace exports participate in the equivalence gate
+    s.options.trainer.max_iterations_per_epoch = iterations;
+    s.options.trace = trace;
     specs.push_back(std::move(s));
   }
   return specs;
@@ -111,11 +171,7 @@ struct SweepArtifacts {
 SweepArtifacts replay(int jobs, const std::string& trace_dir) {
   SweepArtifacts art;
   core::SweepRunner runner({jobs});
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = runner.run(buildSuite());
-  art.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto outcomes = runner.run(buildSuite(kSuiteIterations, true));
 
   // Aggregation happens here, post-barrier, exactly as run_suite does it.
   telemetry::RunTracker tracker;
@@ -149,6 +205,19 @@ SweepArtifacts replay(int jobs, const std::string& trace_dir) {
   }
   art.manifest = tracker.manifest().dump(2);
   return art;
+}
+
+/// Wall seconds of one untraced replay of the timing suite; false in
+/// `ok` when a run failed.
+double timeReplay(int jobs, bool& ok) {
+  core::SweepRunner runner({jobs});
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto outcomes = runner.run(buildSuite(kTimingIterations, false));
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  for (const auto& done : outcomes) ok = ok && done.status.ok;
+  return wall;
 }
 
 /// Replay the fork suite, cold (every spec runs its own prefix) or forked
@@ -213,29 +282,59 @@ int main(int argc, char** argv) {
               kParallelJobs);
   const auto parallel = replay(kParallelJobs, parallel_dir);
 
+  std::printf("timing %d untraced %d-iteration specs at --jobs 1 and %d, "
+              "%d rounds interleaved with the calibration...\n",
+              kSuiteSize, kTimingIterations, kParallelJobs, kRounds);
+  // Best of kRounds for each arm.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double serial_seconds = kInf;
+  double parallel_seconds = kInf;
+  double calib_serial = kInf;
+  double calib_parallel = kInf;
+  bool timing_ok = true;
+  for (int round = 0; round < kRounds; ++round) {
+    calib_serial = std::min(calib_serial, calibrate(1));
+    serial_seconds = std::min(serial_seconds, timeReplay(1, timing_ok));
+    calib_parallel = std::min(calib_parallel, calibrate(kParallelJobs));
+    parallel_seconds =
+        std::min(parallel_seconds, timeReplay(kParallelJobs, timing_ok));
+  }
+
   const double speedup =
-      parallel.wall_seconds > 0.0 ? serial.wall_seconds / parallel.wall_seconds
-                                  : 0.0;
+      parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
+  const double calib_speedup =
+      calib_parallel > 0.0 ? calib_serial / calib_parallel : 0.0;
+  const bool speedup_enforced = calib_speedup >= kMinCalibrationSpeedup;
   const unsigned hw = std::thread::hardware_concurrency();
   const bool enough_cores = hw >= static_cast<unsigned>(kParallelJobs);
 
-  std::printf("\nserial   : %.3f s wall\n", serial.wall_seconds);
-  std::printf("parallel : %.3f s wall (%u hardware threads)\n",
-              parallel.wall_seconds, hw);
-  std::printf("speedup  : %.2fx\n\n", speedup);
+  std::printf("\nserial      : %.3f s wall\n", serial_seconds);
+  std::printf("parallel    : %.3f s wall (%u hardware threads)\n",
+              parallel_seconds, hw);
+  std::printf("speedup     : %.2fx\n", speedup);
+  std::printf("calibration : %.3f s at 1 thread, %.3f s at %d (%.2fx)\n\n",
+              calib_serial, calib_parallel, kParallelJobs, calib_speedup);
 
-  check(serial.all_ok && parallel.all_ok, "all runs completed");
+  check(serial.all_ok && parallel.all_ok && timing_ok, "all runs completed");
   check(serial.manifest == parallel.manifest,
         "RunTracker manifests are byte-identical");
   check(serial.traces.size() == static_cast<std::size_t>(kSuiteSize) &&
             parallel.traces == serial.traces,
         "Chrome trace exports are byte-identical");
-  if (enough_cores) {
-    check(speedup >= 3.0, "parallel replay >= 3x faster at --jobs 4");
+  char speedup_gate[160];
+  if (speedup_enforced) {
+    std::snprintf(speedup_gate, sizeof(speedup_gate),
+                  "enforced: sweep speedup >= %.2f x calibration speedup",
+                  kRequiredShare);
+    check(speedup >= kRequiredShare * calib_speedup,
+          "parallel replay speedup >= 0.75x the calibration speedup at "
+          "--jobs 4");
   } else {
-    std::printf("  [SKIP] speedup gate (%u hardware thread(s) < %d; a "
-                "parallel speedup is physically unobtainable here)\n",
-                hw, kParallelJobs);
+    std::snprintf(speedup_gate, sizeof(speedup_gate),
+                  "recorded: calibration speedup %.2fx < %.1fx, the host "
+                  "does not run %d threads at once",
+                  calib_speedup, kMinCalibrationSpeedup, kParallelJobs);
+    std::printf("  [SKIP] speedup gate (%s)\n", speedup_gate);
   }
 
   std::printf("\nreplaying warmup-heavy fork suite (%d variants, %d-iteration "
@@ -283,13 +382,16 @@ int main(int argc, char** argv) {
   doc.set("bench", "sweep_parallel");
   doc.set("suite_size", static_cast<std::int64_t>(kSuiteSize));
   doc.set("jobs", static_cast<std::int64_t>(kParallelJobs));
-  doc.set("serial_seconds", serial.wall_seconds);
-  doc.set("parallel_seconds", parallel.wall_seconds);
+  doc.set("serial_seconds", serial_seconds);
+  doc.set("parallel_seconds", parallel_seconds);
   doc.set("speedup", speedup);
+  doc.set("calibration_serial_seconds", calib_serial);
+  doc.set("calibration_parallel_seconds", calib_parallel);
+  doc.set("calibration_speedup", calib_speedup);
   doc.set("byte_identical", serial.manifest == parallel.manifest &&
                                 parallel.traces == serial.traces);
   doc.set("hardware_concurrency", static_cast<std::int64_t>(hw));
-  doc.set("speedup_gate", enough_cores ? "enforced" : "skipped: <4 cores");
+  doc.set("speedup_gate", speedup_gate);
   doc.set("fork_suite_size", static_cast<std::int64_t>(kSuiteSize));
   doc.set("fork_warm_prefix", static_cast<std::int64_t>(kWarmPrefix));
   doc.set("fork_cold_seconds", fork_cold.wall_seconds);

@@ -8,6 +8,15 @@
 
 namespace composim::collectives {
 
+namespace {
+constexpr double kNvlinkProtocolEfficiency = 0.80;
+constexpr double kPcieProtocolEfficiency = 0.62;
+/// Parallel rings when every ring edge is NVLink (NCCL channels).
+constexpr int kNvlinkChannels = 2;
+/// Per-step software overhead (kernel launch + protocol handshake).
+constexpr SimTime kStepOverhead = units::microseconds(14.0);
+}  // namespace
+
 const char* toString(Algorithm a) {
   switch (a) {
     case Algorithm::Auto: return "auto";
@@ -39,10 +48,8 @@ struct Communicator::Op {
 
 Communicator::Communicator(Simulator& sim, fabric::FlowNetwork& net,
                            fabric::Topology& topo,
-                           std::vector<fabric::NodeId> ranks,
-                           CommunicatorOptions options)
-    : sim_(sim), net_(net), topo_(topo), ranks_(std::move(ranks)),
-      options_(options) {
+                           std::vector<fabric::NodeId> ranks)
+    : sim_(sim), net_(net), topo_(topo), ranks_(std::move(ranks)) {
   if (ranks_.empty()) {
     throw std::invalid_argument("Communicator: empty rank set");
   }
@@ -82,10 +89,10 @@ Bandwidth Communicator::protocolRate(fabric::NodeId a, fabric::NodeId b) const {
   if (!route || route->links.empty()) {
     return std::numeric_limits<Bandwidth>::infinity();
   }
-  double eff = options_.nvlink_protocol_efficiency;
+  double eff = kNvlinkProtocolEfficiency;
   for (fabric::LinkId l : route->links) {
     if (topo_.link(l).kind != fabric::LinkKind::NVLink) {
-      eff = options_.pcie_protocol_efficiency;
+      eff = kPcieProtocolEfficiency;
       break;
     }
   }
@@ -246,7 +253,7 @@ void Communicator::runRing(std::shared_ptr<Op> op,
     }
     sendChunks(op, pairs, chunkBytes, [this, remaining, self, s] {
       if (--*remaining == 0) {
-        sim_.schedule(options_.step_overhead, [self, s] { (*self)(s + 1); });
+        sim_.schedule(kStepOverhead, [self, s] { (*self)(s + 1); });
       }
     });
   };
@@ -306,7 +313,7 @@ void Communicator::runFanSequential(std::shared_ptr<Op> op, int root,
     auto remaining = std::make_shared<int>(static_cast<int>(pairs.size()));
     sendChunks(op, pairs, bytes, [this, remaining, self, r] {
       if (--*remaining == 0) {
-        sim_.schedule(options_.step_overhead, [self, r] { (*self)(r + 1); });
+        sim_.schedule(kStepOverhead, [self, r] { (*self)(r + 1); });
       }
     });
   };
@@ -420,7 +427,7 @@ void Communicator::runAllReduce(std::shared_ptr<Op> op, Bytes bytes,
       // Parallel channels when every ring edge is pure NVLink.
       int channels = 1;
       const auto islands = nvlinkIslands();
-      if (islands.size() == 1 && n > 1) channels = options_.nvlink_channels;
+      if (islands.size() == 1 && n > 1) channels = kNvlinkChannels;
       auto remaining = std::make_shared<int>(channels);
       const Bytes perChannel = std::max<Bytes>(1, bytes / channels);
       for (int c = 0; c < channels; ++c) {

@@ -43,20 +43,10 @@ struct CollectiveResult {
 
 using CollectiveCallback = std::function<void(const CollectiveResult&)>;
 
-struct CommunicatorOptions {
-  double nvlink_protocol_efficiency = 0.80;
-  double pcie_protocol_efficiency = 0.62;
-  /// Parallel rings when every ring edge is NVLink (NCCL channels).
-  int nvlink_channels = 2;
-  /// Per-step software overhead (kernel launch + protocol handshake).
-  SimTime step_overhead = units::microseconds(14.0);
-};
-
 class Communicator {
  public:
   Communicator(Simulator& sim, fabric::FlowNetwork& net, fabric::Topology& topo,
-               std::vector<fabric::NodeId> ranks,
-               CommunicatorOptions options = {});
+               std::vector<fabric::NodeId> ranks);
 
   int size() const { return static_cast<int>(ranks_.size()); }
   const std::vector<fabric::NodeId>& ranks() const { return ranks_; }
@@ -165,7 +155,6 @@ class Communicator {
   fabric::FlowNetwork& net_;
   fabric::Topology& topo_;
   std::vector<fabric::NodeId> ranks_;
-  CommunicatorOptions options_;
   std::string track_;  // profiler track, derived from the rank-0 node name
   /// Profiler keys, interned once per sink table (ProfileKeyCache).
   struct ProfileKeys {

@@ -7,51 +7,58 @@
 
 namespace composim::core::chaos {
 
+namespace {
+// Every run trains one capped epoch with a checkpoint every few
+// iterations, so restores have a replay window to rewind into.
+constexpr int kEpochs = 1;
+constexpr int kIterationsCap = 12;
+constexpr int kCheckpointEveryIters = 4;
+constexpr SimTime kSampleInterval = 0.5;
+/// Liveness watchdog per scenario, as a multiple of the healthy baseline
+/// duration (degraded gangs legitimately run several times slower; a hung
+/// gang runs forever — the factor separates the two).
+constexpr double kWatchdogFactor = 25.0;
+
+/// The training setup shared by the baseline and every scenario.
+ExperimentSpec campaignSpec(std::string name) {
+  ExperimentSpec spec;
+  spec.name = std::move(name);
+  spec.workload = ChaosCampaign::kWorkload;
+  spec.options.workload = spec.workload;
+  spec.config = ChaosCampaign::kConfig;
+  spec.options.trainer.epochs = kEpochs;
+  spec.options.trainer.max_iterations_per_epoch = kIterationsCap;
+  spec.options.trainer.checkpoint_every_iters = kCheckpointEveryIters;
+  spec.options.sample_interval = kSampleInterval;
+  return spec;
+}
+}  // namespace
+
 ChaosCampaign::ChaosCampaign(CampaignOptions options, OracleRegistry oracles)
     : options_(std::move(options)), oracles_(std::move(oracles)) {}
 
 BaselineTiming ChaosCampaign::measureBaseline() const {
-  ExperimentSpec spec;
-  spec.name = "chaos-baseline";
-  spec.workload = options_.workload;
-  spec.options.workload = options_.workload;
-  spec.config = options_.config;
-  spec.options.trainer.epochs = options_.epochs;
-  spec.options.trainer.max_iterations_per_epoch = options_.iterations_cap;
-  spec.options.trainer.checkpoint_every_iters = options_.checkpoint_every_iters;
-  spec.options.sample_interval = options_.sample_interval;
-  const ExperimentResult healthy = runExperimentSpec(spec);
+  const ExperimentResult healthy =
+      runExperimentSpec(campaignSpec("chaos-baseline"));
 
   BaselineTiming timing;
   timing.horizon = healthy.training.simulated_time;
   timing.mean_iteration = healthy.training.mean_iteration_time;
   timing.iterations = healthy.training.iterations_run;
-  timing.checkpoint_period =
-      options_.checkpoint_every_iters > 0
-          ? healthy.training.mean_iteration_time *
-                static_cast<double>(options_.checkpoint_every_iters)
-          : 0.0;
+  timing.checkpoint_period = healthy.training.mean_iteration_time *
+                             static_cast<double>(kCheckpointEveryIters);
   return timing;
 }
 
 ExperimentSpec ChaosCampaign::specForScenario(
     const Scenario& scenario, const BaselineTiming& timing) const {
-  ExperimentSpec spec;
   char name[32];
   std::snprintf(name, sizeof(name), "chaos-%04d", scenario.index);
-  spec.name = name;
-  spec.workload = options_.workload;
-  spec.options.workload = options_.workload;
-  spec.config = options_.config;
-  spec.options.trainer.epochs = options_.epochs;
-  spec.options.trainer.max_iterations_per_epoch = options_.iterations_cap;
-  spec.options.trainer.checkpoint_every_iters = options_.checkpoint_every_iters;
-  spec.options.sample_interval = options_.sample_interval;
-  spec.options.metrics.alerts = options_.alerts;
+  ExperimentSpec spec = campaignSpec(name);
   spec.options.warm_prefix = options_.warm_prefix;
   spec.options.faults = scenario.faults;
   spec.options.watchdog =
-      options_.watchdog_factor * std::max(1e-3, timing.horizon);
+      kWatchdogFactor * std::max(1e-3, timing.horizon);
   return spec;
 }
 
@@ -103,9 +110,8 @@ CampaignReport ChaosCampaign::run() {
   CampaignReport report;
   report.baseline = measureBaseline();
 
-  ScenarioSpace space = options_.space;
   const std::vector<Scenario> scenarios =
-      generateScenarios(space, report.baseline);
+      generateScenarios(options_.count, report.baseline);
 
   std::vector<ExperimentSpec> specs;
   specs.reserve(scenarios.size());

@@ -27,26 +27,14 @@
 namespace composim::core::chaos {
 
 struct CampaignOptions {
-  std::string workload = "MobileNetV2";
-  SystemConfig config = SystemConfig::FalconGpus;
-  /// Fault-space sampler (seed, scenario count, targets, capacities).
-  ScenarioSpace space;
+  /// Scenarios sampled from the fault space (scenario.hpp).
+  int count = 200;
   /// Worker threads for the scenario sweep (<= 0: hardware concurrency).
   int jobs = 1;
   /// Warm-prefix boundary shared across scenarios (0 = every run cold).
   /// Scenarios whose earliest fault lands inside the prefix fall back to
   /// cold runs automatically (SweepRunner per-member check).
   std::int64_t warm_prefix = 0;
-  int epochs = 1;
-  int iterations_cap = 12;
-  int checkpoint_every_iters = 4;
-  SimTime sample_interval = 0.5;
-  /// Liveness watchdog per scenario, as a multiple of the healthy
-  /// baseline duration (degraded gangs legitimately run several times
-  /// slower; a hung gang runs forever — the factor separates the two).
-  double watchdog_factor = 25.0;
-  /// Optional SLO alert rules installed into every scenario run.
-  std::vector<std::string> alerts;
 };
 
 /// One scenario's judged outcome.
@@ -79,6 +67,10 @@ struct CampaignReport {
 
 class ChaosCampaign {
  public:
+  /// The workload and configuration every campaign run trains.
+  static constexpr const char* kWorkload = "MobileNetV2";
+  static constexpr SystemConfig kConfig = SystemConfig::FalconGpus;
+
   explicit ChaosCampaign(CampaignOptions options,
                          OracleRegistry oracles = OracleRegistry::standard());
 

@@ -1,6 +1,7 @@
 #include "core/chaos/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "sim/random.hpp"
@@ -8,6 +9,20 @@
 namespace composim::core::chaos {
 
 namespace {
+
+// The sampled fault space: targets, per-scenario fault counts, and the
+// recovery-capacity choices each scenario draws from.
+constexpr std::uint64_t kSeed = 2026;
+constexpr int kMaxFaultsPerScenario = 3;
+constexpr int kGpuCount = 8;  // falcon GPUs, install order
+constexpr std::array<int, 2> kHostPorts = {0, 2};
+constexpr std::array<int, 3> kSpareChoices = {0, 1, 2};
+constexpr std::array<double, 3> kAttachFailureChoices = {0.0, 0.3, 0.9};
+/// Health-poll cadence for every scenario (also the overlap window).
+constexpr SimTime kPollInterval = 0.25;
+/// Fraction of non-first faults retimed into the previous fault's
+/// detection window (overlapping-incident coverage).
+constexpr double kOverlapFraction = 0.25;
 
 /// splitmix64 finalizer: decorrelates per-scenario streams so adjacent
 /// indices share no low-bit structure (Rng reseeds via splitmix too, but
@@ -60,8 +75,8 @@ SimTime drawTime(Rng& rng, const BaselineTiming& timing) {
   }
 }
 
-template <typename T>
-const T& pick(Rng& rng, const std::vector<T>& choices) {
+template <typename T, std::size_t N>
+const T& pick(Rng& rng, const std::array<T, N>& choices) {
   return choices[static_cast<std::size_t>(rng.next() % choices.size())];
 }
 
@@ -91,51 +106,49 @@ std::string Scenario::describe() const {
   return out;
 }
 
-std::vector<Scenario> generateScenarios(const ScenarioSpace& space,
+std::vector<Scenario> generateScenarios(int count,
                                         const BaselineTiming& timing) {
   std::vector<Scenario> scenarios;
-  scenarios.reserve(static_cast<std::size_t>(space.count));
+  scenarios.reserve(static_cast<std::size_t>(count));
   const SimTime horizon = std::max(1e-3, timing.horizon);
 
-  for (int i = 0; i < space.count; ++i) {
+  for (int i = 0; i < count; ++i) {
     Scenario s;
     s.index = i;
-    s.seed = mix(space.seed, static_cast<std::uint64_t>(i));
+    s.seed = mix(kSeed, static_cast<std::uint64_t>(i));
     Rng rng(s.seed);
 
     FaultsConfig& f = s.faults;
     f.enabled = true;
     f.seed = s.seed;
-    f.health_poll_interval = space.poll_interval;
-    f.spare_gpus = pick(rng, space.spare_choices);
-    f.attach_failure_rate = pick(rng, space.attach_failure_choices);
+    f.health_poll_interval = kPollInterval;
+    f.spare_gpus = pick(rng, kSpareChoices);
+    f.attach_failure_rate = pick(rng, kAttachFailureChoices);
     // Capacity knobs drawn coarse: each scenario either runs the plain
     // exponential backoff or the jittered/capped/budgeted variant, so
     // both policy paths see the whole fault space.
     if (rng.next() % 2 == 1) {
       f.policy.attach_backoff_jitter = 0.25;
       f.policy.attach_backoff_max = 1.0;
-      f.policy.attach_retry_budget = 40.0 * space.poll_interval;
+      f.policy.attach_retry_budget = 40.0 * kPollInterval;
     }
 
     const int n_faults =
         1 + static_cast<int>(rng.next() %
-                             static_cast<std::uint64_t>(std::max(
-                                 1, space.max_faults_per_scenario)));
+                             static_cast<std::uint64_t>(kMaxFaultsPerScenario));
     SimTime prev_at = -1.0;
     for (int j = 0; j < n_faults; ++j) {
       SimTime at = drawTime(rng, timing);
       // Overlap a fraction of follow-up faults into the previous fault's
       // detection window: one poll then sees several signals at once.
-      if (prev_at >= 0.0 && rng.uniform() < space.overlap_fraction) {
-        at = prev_at + rng.uniform(0.0, space.poll_interval);
+      if (prev_at >= 0.0 && rng.uniform() < kOverlapFraction) {
+        at = prev_at + rng.uniform(0.0, kPollInterval);
       }
       at = quantize(std::clamp(at, 0.01, 0.98 * horizon));
       prev_at = at;
 
-      const int gpu =
-          static_cast<int>(rng.next() %
-                           static_cast<std::uint64_t>(std::max(1, space.gpu_count)));
+      const int gpu = static_cast<int>(
+          rng.next() % static_cast<std::uint64_t>(kGpuCount));
       switch (rng.next() % 3) {
         case 0:
           f.gpu_falloffs.push_back({gpu, at});
@@ -146,7 +159,7 @@ std::vector<Scenario> generateScenarios(const ScenarioSpace& space,
           break;
         default:
           f.host_port_flaps.push_back(
-              {pick(rng, space.host_ports), at,
+              {pick(rng, kHostPorts), at,
                quantize(rng.uniform(0.5, 2.0))});
           break;
       }

@@ -9,7 +9,7 @@
 // overlaps a fraction of faults inside one detection window so the
 // single-incident-per-slot and multi-incident paths both get exercised.
 //
-// Generation is a pure function of (space, timing): scenario i is drawn
+// Generation is a pure function of (index, timing): scenario i is drawn
 // from its own splitmix-derived RNG stream, so any subset of a campaign
 // replays byte-identically in any order on any worker count.
 #pragma once
@@ -41,25 +41,10 @@ struct Scenario {
   std::string describe() const;
 };
 
-/// The sampled fault space: targets, per-scenario fault counts, and the
-/// recovery-capacity choices each scenario draws from.
-struct ScenarioSpace {
-  std::uint64_t seed = 2026;
-  int count = 200;
-  int max_faults_per_scenario = 3;
-  int gpu_count = 8;                    // falcon GPUs, install order
-  std::vector<int> host_ports = {0, 2};
-  std::vector<int> spare_choices = {0, 1, 2};
-  std::vector<double> attach_failure_choices = {0.0, 0.3, 0.9};
-  /// Health-poll cadence for every scenario (also the overlap window).
-  SimTime poll_interval = 0.25;
-  /// Fraction of non-first faults retimed into the previous fault's
-  /// detection window (overlapping-incident coverage).
-  double overlap_fraction = 0.25;
-};
-
-/// Deterministically sample `space.count` scenarios anchored to `timing`.
-std::vector<Scenario> generateScenarios(const ScenarioSpace& space,
+/// Deterministically sample `count` scenarios anchored to `timing`. The
+/// fault space (targets, per-scenario fault counts, recovery-capacity
+/// choices) is fixed in scenario.cpp.
+std::vector<Scenario> generateScenarios(int count,
                                         const BaselineTiming& timing);
 
 }  // namespace composim::core::chaos

@@ -124,19 +124,17 @@ ShrinkOutcome shrinkFaultSchedule(const FaultsConfig& input,
   // --- Time coarsening: a reproducer with "at": 30.0 tells a human more
   // than "at": 29.847. Try each surviving atom at 1 then 0 decimals,
   // keeping the coarsest time that still fails.
-  if (options.coarsen_times) {
-    for (std::size_t i = 0;
-         i < atoms.size() && out.evaluations < options.max_evaluations; ++i) {
-      for (const int decimals : {0, 1}) {
-        const SimTime coarse = std::max(0.001, roundTo(atoms[i].at, decimals));
-        if (coarse == atoms[i].at) break;  // already this coarse
-        std::vector<FaultAtom> candidate = atoms;
-        candidate[i].at = coarse;
-        if (out.evaluations >= options.max_evaluations) break;
-        if (evaluate(candidate)) {
-          atoms = std::move(candidate);
-          break;  // coarsest first: 0 decimals beats 1
-        }
+  for (std::size_t i = 0;
+       i < atoms.size() && out.evaluations < options.max_evaluations; ++i) {
+    for (const int decimals : {0, 1}) {
+      const SimTime coarse = std::max(0.001, roundTo(atoms[i].at, decimals));
+      if (coarse == atoms[i].at) break;  // already this coarse
+      std::vector<FaultAtom> candidate = atoms;
+      candidate[i].at = coarse;
+      if (out.evaluations >= options.max_evaluations) break;
+      if (evaluate(candidate)) {
+        atoms = std::move(candidate);
+        break;  // coarsest first: 0 decimals beats 1
       }
     }
   }

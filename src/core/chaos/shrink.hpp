@@ -26,8 +26,6 @@ using FaultPredicate = std::function<bool(const FaultsConfig&)>;
 struct ShrinkOptions {
   /// Hard cap on predicate evaluations (each one replays a run).
   int max_evaluations = 96;
-  /// Round surviving injection times to the coarsest failing decimal.
-  bool coarsen_times = true;
 };
 
 struct ShrinkOutcome {

@@ -401,18 +401,11 @@ std::string warmPrefixKey(const ExperimentSpec& spec) {
       << "|strategy=" << static_cast<int>(t.strategy)                //
       << "|precision=" << static_cast<int>(t.precision)              //
       << "|sharded=" << t.sharded                                    //
-      << "|optimizer=" << static_cast<int>(t.optimizer.kind)         //
       << "|batch=" << t.batch_per_gpu                                //
       << "|accum=" << t.gradient_accumulation_steps                  //
-      << "|groups=" << t.macro_groups                                //
       << "|buckets=" << t.gradient_buckets                           //
-      << "|step_overhead=" << t.step_overhead                        //
-      << "|ckpt_epoch=" << t.checkpoint_each_epoch                   //
       << "|ckpt_iters=" << t.checkpoint_every_iters                  //
-      << "|allreduce=" << static_cast<int>(t.allreduce_algorithm)    //
       << "|prefetch=" << t.pipeline.prefetch_batches                 //
-      << "|workers=" << t.pipeline.preprocess_workers                //
-      << "|pattern=" << static_cast<int>(t.pipeline.pattern)         //
       << "|seed=" << t.seed                                          //
       // Spares are installed at construction, so they are prefix
       // topology; every other faults field only shapes the tail.

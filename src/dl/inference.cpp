@@ -8,25 +8,37 @@
 
 namespace composim::dl {
 
+namespace {
+constexpr devices::Precision kPrecision = devices::Precision::FP16;
+constexpr std::uint64_t kSeed = 7;
+/// Result payload per request (detections / logits), D2H.
+constexpr Bytes kResultBytes = units::KB(16);
+/// Host-side cost per batch launch (request dispatch, tensor prep,
+/// Python serving stack) — the fixed cost dynamic batching amortizes.
+constexpr SimTime kHostOverheadPerLaunch = units::milliseconds(2.0);
+
+devices::KernelDesc forwardKernel(const ModelSpec& model, int batch) {
+  devices::KernelDesc k;
+  k.flops = model.forwardFlopsPerSample() * batch;
+  k.mem_bytes = model.activationBytesPerSample() * batch;
+  k.precision = kPrecision;
+  k.efficiency = model.fp16_efficiency;
+  return k;
+}
+}  // namespace
+
 InferenceEngine::InferenceEngine(Simulator& sim, fabric::FlowNetwork& net,
                                  devices::Gpu& gpu, fabric::NodeId hostMemory,
                                  ModelSpec model, InferenceOptions options)
     : sim_(sim), net_(net), gpu_(gpu), host_memory_(hostMemory),
-      model_(std::move(model)), options_(options), rng_(options.seed) {}
+      model_(std::move(model)), options_(options), rng_(kSeed) {}
 
 SimTime InferenceEngine::unloadedLatency() const {
-  devices::KernelDesc k;
-  k.flops = model_.forwardFlopsPerSample();
-  k.mem_bytes = model_.activationBytesPerSample();
-  k.precision = options_.precision;
-  k.efficiency = (options_.precision == devices::Precision::FP16)
-                     ? model_.fp16_efficiency
-                     : model_.fp32_efficiency;
   const auto upload = static_cast<double>(model_.input_bytes_per_sample);
   // Rough unloaded path: dispatch + PCIe3-class upload + kernel + result.
-  return options_.host_overhead_per_launch + upload / units::GBps(12.0) +
-         gpu_.kernelDuration(k) +
-         static_cast<double>(options_.result_bytes) / units::GBps(12.0);
+  return kHostOverheadPerLaunch + upload / units::GBps(12.0) +
+         gpu_.kernelDuration(forwardKernel(model_, 1)) +
+         static_cast<double>(kResultBytes) / units::GBps(12.0);
 }
 
 void InferenceEngine::serve(double arrivalRps, int numRequests,
@@ -71,20 +83,14 @@ void InferenceEngine::maybeLaunchBatch() {
   fabric::FlowOptions fo;
   fo.tag = "infer-h2d";
   fo.extraLatency =
-      fabric::catalog::dmaEndpointOverhead() + options_.host_overhead_per_launch;
+      fabric::catalog::dmaEndpointOverhead() + kHostOverheadPerLaunch;
   net_.startFlow(
       host_memory_, gpu_.node(), model_.input_bytes_per_sample * batch,
       [this, taken = std::move(taken), batch](const fabric::FlowResult&) mutable {
-        devices::KernelDesc k;
-        k.flops = model_.forwardFlopsPerSample() * batch;
-        k.mem_bytes = model_.activationBytesPerSample() * batch;
-        k.precision = options_.precision;
-        k.efficiency = (options_.precision == devices::Precision::FP16)
-                           ? model_.fp16_efficiency
-                           : model_.fp32_efficiency;
+        const devices::KernelDesc k = forwardKernel(model_, batch);
         gpu_.launchKernel(k, [this, taken = std::move(taken), batch]() mutable {
           net_.startFlow(gpu_.node(), host_memory_,
-                         options_.result_bytes * batch,
+                         kResultBytes * batch,
                          [this, taken = std::move(taken)](const fabric::FlowResult&) {
                            for (const auto& r : taken) {
                              latencies_ms_.push_back(units::to_ms(sim_.now() - r.arrival));

@@ -19,13 +19,6 @@ namespace composim::dl {
 
 struct InferenceOptions {
   int max_batch = 8;
-  devices::Precision precision = devices::Precision::FP16;
-  std::uint64_t seed = 7;
-  /// Result payload per request (detections / logits), D2H.
-  Bytes result_bytes = units::KB(16);
-  /// Host-side cost per batch launch (request dispatch, tensor prep,
-  /// Python serving stack) — the fixed cost dynamic batching amortizes.
-  SimTime host_overhead_per_launch = units::milliseconds(2.0);
 };
 
 struct InferenceStats {

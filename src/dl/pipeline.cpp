@@ -1,10 +1,14 @@
 #include "dl/pipeline.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 namespace composim::dl {
+
+namespace {
+/// CPU preprocessing parallelism per batch (DataLoader workers).
+constexpr int kPreprocessWorkers = 24;
+}  // namespace
 
 DataPipeline::DataPipeline(Simulator& sim, devices::HostCpu& cpu,
                            devices::StorageDevice& storage,
@@ -32,7 +36,7 @@ void DataPipeline::maybeProduce() {
     const Bytes stage = storageBytesPerBatch() + deviceBytesPerBatch();
     staging_bytes_ += stage;
     cpu_.allocateMemory(stage);
-    storage_.read(storageBytesPerBatch(), host_memory_, options_.pattern,
+    storage_.read(storageBytesPerBatch(), host_memory_, devices::AccessPattern::Random,
                   [this](const fabric::FlowResult& r) {
                     if (r.status != fabric::FlowStatus::Completed) {
                       // Storage path failed (e.g. injected link-down):
@@ -41,12 +45,11 @@ void DataPipeline::maybeProduce() {
                       return;
                     }
                     // Fan preprocessing across DataLoader workers.
-                    const int chunks = std::max(1, options_.preprocess_workers);
                     const SimTime per_chunk =
                         dataset_.cpu_preprocess_per_sample *
-                        samples_per_batch_ / chunks;
-                    auto remaining = std::make_shared<int>(chunks);
-                    for (int c = 0; c < chunks; ++c) {
+                        samples_per_batch_ / kPreprocessWorkers;
+                    auto remaining = std::make_shared<int>(kPreprocessWorkers);
+                    for (int c = 0; c < kPreprocessWorkers; ++c) {
                       cpu_.submit(per_chunk, [this, remaining] {
                         if (--*remaining == 0) onBatchReady();
                       });

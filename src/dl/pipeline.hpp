@@ -22,9 +22,6 @@ namespace composim::dl {
 
 struct PipelineOptions {
   int prefetch_batches = 4;
-  /// CPU preprocessing parallelism per batch (DataLoader workers).
-  int preprocess_workers = 24;
-  devices::AccessPattern pattern = devices::AccessPattern::Random;
 };
 
 class DataPipeline {

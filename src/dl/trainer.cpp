@@ -11,6 +11,20 @@ namespace composim::dl {
 namespace {
 constexpr Bytes kWorkspaceBytes = units::GiB(1.5);  // CUDA context + cuDNN
 constexpr int kWarmupIterations = 3;                // excluded from means
+constexpr int kMacroGroups = 12;                    // execution granularity
+/// Fixed per-iteration host-side cost (Python, launches, optimizer
+/// bookkeeping). Shows up as the GPU idle gap between iterations.
+constexpr SimTime kStepOverhead = units::milliseconds(10.0);
+
+// The optimizer is Adam, as all the paper's benchmarks use. Its state
+// bytes per parameter (excluding the working copy and gradient, which the
+// trainer counts by precision) set what ZeRO/FSDP sharding trades against
+// batch size (the Fig 16 "6 -> 10" effect): the m and v moments, plus an
+// FP32 master copy under mixed precision.
+constexpr Bytes adamStatePerParam(devices::Precision precision) {
+  return (precision == devices::Precision::FP16 ? 4 : 0) + 8;
+}
+constexpr double kAdamFlopsPerParam = 8.0;  // one element-wise update
 }  // namespace
 
 const char* toString(Strategy s) {
@@ -39,7 +53,7 @@ Trainer::Trainer(Simulator& sim, fabric::FlowNetwork& net,
   comm_ = std::make_unique<collectives::Communicator>(sim_, net_, topo_, ranks);
   track_ = "trainer/" + topo_.node(gpus_.front()->node()).name;
 
-  groups_ = model_.partition(options_.macro_groups);
+  groups_ = model_.partition(kMacroGroups);
 
   // Bucket plan: coalesce macro-group gradients into ~equal-size buckets,
   // each launched when its last backward group retires (groups run in
@@ -80,8 +94,8 @@ Bytes Trainer::h2dBytesPerGpu() const {
 Bytes Trainer::perGpuMemoryNeeded(int batchPerGpu) const {
   const Bytes elem = (options_.precision == devices::Precision::FP16) ? 2 : 4;
   const std::int64_t params = model_.totalParams();
-  const Bytes opt_per_param = options_.optimizer.statePerParam(options_.precision);
-  Bytes states = params * (2 * elem + opt_per_param);  // params + grads + opt
+  // params + grads + optimizer state
+  Bytes states = params * (2 * elem + adamStatePerParam(options_.precision));
   if (options_.sharded) states /= static_cast<Bytes>(gpus_.size());
   Bytes act = model_.trainingActivationBytesPerSample();
   if (options_.precision == devices::Precision::FP32) act *= 2;
@@ -323,8 +337,7 @@ void Trainer::runBackwardDdp(int group) {
                                if (--pending_allreduce_ == 0 && backward_done_) {
                                  onComputeAndCommDone();
                                }
-                             },
-                             options_.allreduce_algorithm);
+                             });
           }
         }
       }
@@ -383,8 +396,10 @@ void Trainer::optimizerStep(std::function<void()> then) {
   // Element-wise optimizer update: memory bound over all state bytes.
   const std::int64_t params = model_.totalParams();
   devices::KernelDesc k;
-  k.flops = static_cast<double>(params) * options_.optimizer.flopsPerParam();
-  k.mem_bytes = params * options_.optimizer.memBytesPerParam(options_.precision);
+  const Bytes elem = (options_.precision == devices::Precision::FP16) ? 2 : 4;
+  k.flops = static_cast<double>(params) * kAdamFlopsPerParam;
+  // Read param + grad + states, write param + states.
+  k.mem_bytes = params * (2 * elem + adamStatePerParam(options_.precision) * 2);
   k.precision = devices::Precision::FP32;
   k.efficiency = 0.5;
   const bool master_only = options_.strategy == Strategy::DataParallel;
@@ -407,10 +422,10 @@ void Trainer::endIteration() {
   // Host-side fixed cost between iterations (Python, launch latency,
   // LR-schedule bookkeeping): GPUs sit idle for it; the training process
   // threads show up in the Fig 13 CPU-utilization trace.
-  cpu_.submit(options_.step_overhead, nullptr);
-  cpu_.submit(options_.step_overhead, nullptr);
+  cpu_.submit(kStepOverhead, nullptr);
+  cpu_.submit(kStepOverhead, nullptr);
   beginTrackSpan("step-overhead", {{"bucket", "stall"}});
-  sim_.schedule(options_.step_overhead, [this, gen = gen_] {
+  sim_.schedule(kStepOverhead, [this, gen = gen_] {
     if (gen != gen_) return;
     endTrackSpan();  // step-overhead
     const SimTime dt = sim_.now() - iteration_start_;
@@ -465,11 +480,7 @@ void Trainer::endIteration() {
         }
         beginIteration();
       };
-      if (options_.checkpoint_each_epoch) {
-        checkpoint(std::move(resume));
-      } else {
-        sim_.schedule(0.0, std::move(resume));
-      }
+      checkpoint(std::move(resume));
     } else if (options_.checkpoint_every_iters > 0 &&
                iterations_done_ % options_.checkpoint_every_iters == 0) {
       checkpoint([this] { beginIteration(); });
@@ -804,7 +815,7 @@ void Trainer::finish(bool completed, const std::string& error) {
   if (options_.checkpoint_every_iters > 0) {
     ckpts_simulated += iterations_done_ / options_.checkpoint_every_iters;
   }
-  std::int64_t ckpts_full = options_.checkpoint_each_epoch ? epochs_ : 0;
+  std::int64_t ckpts_full = epochs_;
   if (options_.checkpoint_every_iters > 0) {
     ckpts_full += result_.iterations_full / options_.checkpoint_every_iters;
   }

@@ -31,7 +31,6 @@
 #include "devices/storage.hpp"
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
-#include "dl/optimizer.hpp"
 #include "dl/pipeline.hpp"
 #include "sim/random.hpp"
 
@@ -45,7 +44,6 @@ struct TrainerOptions {
   Strategy strategy = Strategy::DistributedDataParallel;
   devices::Precision precision = devices::Precision::FP16;
   bool sharded = false;
-  OptimizerModel optimizer{};  // Adam, as all the paper's benchmarks use
   int batch_per_gpu = 0;             // 0 = model.paper_batch_per_gpu
   int epochs = 0;                    // 0 = model.paper_epochs
   /// DDP gradient accumulation (no_sync micro-steps): each iteration runs
@@ -55,17 +53,11 @@ struct TrainerOptions {
   /// Cap simulated iterations per epoch (0 = full). Totals are
   /// extrapolated from the measured steady-state iteration time.
   int max_iterations_per_epoch = 0;
-  int macro_groups = 12;             // execution granularity
   int gradient_buckets = 6;          // DDP all-reduce coalescing
-  /// Fixed per-iteration host-side cost (Python, launches, optimizer
-  /// bookkeeping). Shows up as the GPU idle gap between iterations.
-  SimTime step_overhead = units::milliseconds(10.0);
-  bool checkpoint_each_epoch = true;
   /// Also checkpoint every N iterations (HuggingFace-style save_steps);
   /// 0 disables. Counted in the full-run extrapolation even when the
   /// simulated epoch is capped below N iterations.
   std::int64_t checkpoint_every_iters = 500;
-  collectives::Algorithm allreduce_algorithm = collectives::Algorithm::Auto;
   PipelineOptions pipeline;
   std::uint64_t seed = 42;
 };

@@ -30,6 +30,14 @@ TEST(Inference, ServesAllRequests) {
   EXPECT_GT(stats.latency_p50_ms, 0.0);
   EXPECT_LE(stats.latency_p50_ms, stats.latency_p95_ms);
   EXPECT_LE(stats.latency_p95_ms, stats.latency_p99_ms);
+  // Golden: the serving constants (FP16, arrival seed, result payload,
+  // per-launch host cost) fix every statistic exactly.
+  EXPECT_EQ(stats.duration, 0.46613172926515073);
+  EXPECT_EQ(stats.throughput_rps, 214.53163069943429);
+  EXPECT_EQ(stats.latency_p50_ms, 2.2883649308070297);
+  EXPECT_EQ(stats.latency_p95_ms, 4.5422188010830258);
+  EXPECT_EQ(stats.latency_p99_ms, 4.6825718948188717);
+  EXPECT_EQ(stats.mean_batch, 1.1764705882352942);
 }
 
 TEST(Inference, YoloMeetsRealTimeClaim) {

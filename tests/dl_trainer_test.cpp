@@ -112,10 +112,10 @@ TEST_F(TrainerFixture, CheckpointEveryNIterations) {
   TrainerOptions opt;
   opt.epochs = 1;
   opt.max_iterations_per_epoch = 10;
-  opt.checkpoint_each_epoch = false;
   opt.checkpoint_every_iters = 4;
   const auto r = train(opt, tinyModel(), tinyData());
-  EXPECT_EQ(r.checkpoint_bytes, 2LL * 8000000 * 4);  // after iters 4 and 8
+  // After iterations 4 and 8, plus the epoch end.
+  EXPECT_EQ(r.checkpoint_bytes, 3LL * 8000000 * 4);
 }
 
 TEST_F(TrainerFixture, DdpBeatsDpForCommHeavyModels) {
@@ -193,6 +193,32 @@ TEST_F(TrainerFixture, PaperBatchesFitForAllBenchmarks) {
               gpus.front()->capacity())
         << m.name;
   }
+}
+
+TEST_F(TrainerFixture, MemoryPlanChargesAdamState) {
+  // Adam keeps 8 bytes of state per parameter (m + v), plus a 4-byte FP32
+  // master copy under mixed precision. Sharding divides params, grads and
+  // optimizer state across the 8 ranks, so its saving isolates them.
+  auto gpus = sys.trainingGpus();
+  const std::int64_t params = tinyModel().totalParams();
+  const auto stateBytesPerParam = [&](devices::Precision precision) {
+    TrainerOptions plain;
+    plain.precision = precision;
+    TrainerOptions sharded = plain;
+    sharded.sharded = true;
+    Trainer tp(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
+               sys.hostMemory(), sys.trainingStorage(), tinyModel(),
+               tinyData(), plain);
+    Trainer ts(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
+               sys.hostMemory(), sys.trainingStorage(), tinyModel(),
+               tinyData(), sharded);
+    const Bytes saved = tp.perGpuMemoryNeeded(1) - ts.perGpuMemoryNeeded(1);
+    const Bytes states = saved * 8 / 7;  // saved = states - states / 8
+    const Bytes elem = precision == devices::Precision::FP16 ? 2 : 4;
+    return states / params - 2 * elem;  // minus the working copy and grad
+  };
+  EXPECT_EQ(stateBytesPerParam(devices::Precision::FP16), 12);
+  EXPECT_EQ(stateBytesPerParam(devices::Precision::FP32), 8);
 }
 
 TEST_F(TrainerFixture, ShardingReducesPerGpuMemory) {

@@ -1,11 +1,16 @@
 // Parallel sweep engine: serial and parallel replays of the same suite
 // must be byte-identical (RunTracker JSON and Chrome trace exports), the
-// pool must handle degenerate job counts, and a throwing spec must
-// surface as a Status without sinking its siblings.
+// pool must run --jobs tasks at once and handle degenerate job counts,
+// and a throwing spec must surface as a Status without sinking its
+// siblings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -198,6 +203,32 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   });
   EXPECT_EQ(emitted, kTasks);
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+TEST(WorkStealingPool, RunsJobsTasksAtOnce) {
+  // Four tasks meet at a latch: each waits until all four have arrived.
+  // The wait is bounded, so a pool that runs tasks one at a time sees one
+  // in flight and fails here instead of hanging.
+  constexpr int kJobs = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  int in_flight = 0;
+  int max_in_flight = 0;
+  std::vector<core::WorkStealingPool::Task> tasks;
+  for (int i = 0; i < kJobs; ++i) {
+    tasks.push_back([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      max_in_flight = std::max(max_in_flight, ++in_flight);
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return arrived == kJobs; });
+      --in_flight;
+    });
+  }
+  core::WorkStealingPool::runAll(std::move(tasks), kJobs);
+  EXPECT_EQ(max_in_flight, kJobs);
 }
 
 TEST(WorkStealingPool, EmptyBatchIsANoop) {

@@ -1,12 +1,10 @@
-// Tests for the run tracker, bandwidth probe and optimizer models.
+// Tests for the run tracker and bandwidth probe.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
 #include "core/composable_system.hpp"
-#include "dl/trainer.hpp"
-#include "dl/workload_registry.hpp"
 #include "fabric/bandwidth_probe.hpp"
 #include "telemetry/run_tracker.hpp"
 
@@ -91,39 +89,6 @@ TEST(BandwidthProbe, MatrixIsSymmetricForSymmetricFabric) {
     }
   }
 }
-
-TEST(OptimizerModel, StateSizesMatchKnownFootprints) {
-  using devices::Precision;
-  dl::OptimizerModel adam{dl::OptimizerKind::Adam};
-  EXPECT_EQ(adam.statePerParam(Precision::FP16), 12);  // master + m + v
-  EXPECT_EQ(adam.statePerParam(Precision::FP32), 8);   // m + v
-  dl::OptimizerModel sgd{dl::OptimizerKind::Sgd};
-  EXPECT_EQ(sgd.statePerParam(Precision::FP32), 0);
-  dl::OptimizerModel mom{dl::OptimizerKind::SgdMomentum};
-  EXPECT_EQ(mom.statePerParam(Precision::FP16), 8);
-  dl::OptimizerModel lamb{dl::OptimizerKind::Lamb};
-  EXPECT_GT(lamb.flopsPerParam(), adam.flopsPerParam());
-  EXPECT_GT(adam.memBytesPerParam(Precision::FP16),
-            sgd.memBytesPerParam(Precision::FP16));
-  EXPECT_STREQ(toString(dl::OptimizerKind::Adam), "Adam");
-}
-
-TEST(OptimizerModel, SgdEnablesLargerBatchThanAdam) {
-  core::ComposableSystem sys(core::SystemConfig::LocalGpus);
-  auto gpus = sys.trainingGpus();
-  const auto model = dl::workload("BERT-L");
-  dl::TrainerOptions adam;
-  dl::TrainerOptions sgd;
-  sgd.optimizer.kind = dl::OptimizerKind::Sgd;
-  dl::Trainer ta(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
-                 sys.hostMemory(), sys.trainingStorage(), model,
-                 dl::datasetFor(model), adam);
-  dl::Trainer ts(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
-                 sys.hostMemory(), sys.trainingStorage(), model,
-                 dl::datasetFor(model), sgd);
-  EXPECT_GT(ts.maxFeasibleBatchPerGpu(), ta.maxFeasibleBatchPerGpu());
-}
-
 
 TEST(DescribeRoute, NamesEveryHopAndTheBottleneck) {
   core::ComposableSystem sys(core::SystemConfig::FalconGpus);
