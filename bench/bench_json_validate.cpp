@@ -8,7 +8,7 @@
 //    growing chassis sweep whose routing/batching invariants held
 //    (positive route rates, batched arrivals bit-identical and no slower
 //    than serial, steady-state routing allocation-free, a warmed delivery
-//    wave of N flows within N + 2 allocations).
+//    wave within bench::kWaveAllocBudget allocations whatever its size).
 //  * "composim.bench.analysis/1" schema (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -46,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "falcon/json.hpp"
 
 using composim::falcon::Json;
@@ -109,8 +110,10 @@ int validateSimcore(const Json& doc) {
     return fail("wave_flows missing or non-positive");
   }
   if (wave_allocs == nullptr || !wave_allocs->isNumber() ||
-      wave_allocs->asDouble() > wave_flows->asDouble() + 2.0) {
-    return fail("wave_allocs missing or above wave_flows + 2");
+      wave_allocs->asDouble() >
+          static_cast<double>(composim::bench::kWaveAllocBudget)) {
+    return fail("wave_allocs missing or above the budget of " +
+                std::to_string(composim::bench::kWaveAllocBudget));
   }
   const Json* scenarios = scaling->find("scenarios");
   if (scenarios == nullptr || !scenarios->isArray() ||

@@ -1,5 +1,6 @@
 // composim bench: shared helpers for the bench binaries — the banner each
-// one prints, the `--jobs` worker count, and the measurement matrix.
+// one prints, the `--jobs` worker count, the measurement matrix, and the
+// warmed-wave allocation budget.
 //
 // Every bench that replays independent experiments takes `--jobs N` (or
 // the COMPOSIM_JOBS environment variable) and fans them out through
@@ -8,6 +9,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +20,12 @@
 #include "core/sweep_runner.hpp"
 
 namespace composim::bench {
+
+/// Heap allocations a warmed ring wave may make from startFlows() through
+/// delivery, whatever its flow count: startFlows' returned-id and route
+/// vectors. solver_scaling gates its measurement on it and
+/// bench_json_validate gates the exported figure, so both read this one.
+constexpr std::size_t kWaveAllocBudget = 2;
 
 inline void banner(const std::string& artifact, const std::string& caption) {
   std::printf("================================================================\n");

@@ -12,15 +12,15 @@
 //   - steady-state allocation count of warmed routeCached() hits via a
 //     counting global operator new (must be zero);
 //   - allocation count of one warmed 8-GPU ring wave, startFlows() through
-//     delivery, with the same counter (at most one per flow, its id-index
-//     node, plus startFlows' two per-call vectors).
+//     delivery, with the same counter (nothing per flow: only startFlows'
+//     two per-call vectors, bench::kWaveAllocBudget).
 //
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
 // gate: it exits 1 when batched bit-identity fails, when steady-state
-// routing allocates, when the warmed wave allocates more than N + 2
-// times for N flows, or when the batched setup speedup at the largest
+// routing allocates, when the warmed wave allocates more than
+// kWaveAllocBudget times, or when the batched setup speedup at the largest
 // (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "collectives/communicator.hpp"
+#include "bench/bench_util.hpp"
 #include "fabric/flow_network.hpp"
 #include "falcon/json.hpp"
 #include "sim/units.hpp"
@@ -236,9 +236,9 @@ constexpr std::size_t kWaveFlows = 8;
 /// Allocations of one warmed delivery wave: an 8-GPU ring (gpu i -> gpu
 /// i+1) admitted by one startFlows() call and run through delivery, on a
 /// network that has already run the same wave three times. Callbacks are
-/// built before counting. The budget is one id-index node per flow plus
-/// startFlows' returned-id and route vectors: the delivery path itself
-/// (batch events, slot reuse, callback hand-off) must not allocate.
+/// built before counting. The budget is startFlows' returned-id and route
+/// vectors: admission and the delivery path (slot reuse, batch events,
+/// callback hand-off) must not allocate per flow.
 std::size_t warmWaveAllocs(fabric::Topology& topo,
                            const std::vector<fabric::NodeId>& gpus) {
   Simulator sim;
@@ -354,11 +354,11 @@ int main(int argc, char** argv) {
   }
   std::printf("warmed %zu-flow wave allocations: %zu\n", kWaveFlows,
               wave_allocs);
-  if (wave_allocs > kWaveFlows + 2) {
+  if (wave_allocs > bench::kWaveAllocBudget) {
     std::fprintf(stderr,
                  "solver_scaling: warmed %zu-flow wave allocated %zu times "
                  "(budget %zu)\n",
-                 kWaveFlows, wave_allocs, kWaveFlows + 2);
+                 kWaveFlows, wave_allocs, bench::kWaveAllocBudget);
     ok = false;
   }
   if (largest_speedup < 5.0) {

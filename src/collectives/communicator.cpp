@@ -499,78 +499,4 @@ void Communicator::reduce(Bytes bytes, int root, CollectiveCallback done) {
   });
 }
 
-void Communicator::allGather(Bytes shardBytes, CollectiveCallback done) {
-  auto op = std::make_shared<Op>();
-  op->payload = shardBytes * size();
-  op->algorithm = Algorithm::Ring;
-  op->kind = "allGather";
-  enqueue([this, op, shardBytes, done] {
-    op->start = sim_.now();
-    beginOp(*op);
-    std::vector<int> everyone(static_cast<std::size_t>(size()));
-    for (int i = 0; i < size(); ++i) everyone[static_cast<std::size_t>(i)] = i;
-    runRing(op, everyone, shardBytes, size() - 1,
-            [this, op, done] { finish(op, done); });
-  });
-}
-
-void Communicator::allToAll(Bytes shardBytes, CollectiveCallback done) {
-  auto op = std::make_shared<Op>();
-  op->payload = shardBytes * (size() - 1);
-  op->algorithm = Algorithm::Ring;
-  op->kind = "allToAll";
-  enqueue([this, op, shardBytes, done] {
-    op->start = sim_.now();
-    beginOp(*op);
-    const int n = size();
-    if (n <= 1 || shardBytes <= 0) {
-      sim_.schedule(0.0, [this, op, done] { finish(op, done); });
-      return;
-    }
-    auto remaining = std::make_shared<int>(n * (n - 1));
-    std::vector<std::pair<int, int>> pairs;
-    pairs.reserve(static_cast<std::size_t>(n * (n - 1)));
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i != j) pairs.emplace_back(i, j);
-      }
-    }
-    sendChunks(op, pairs, shardBytes, [this, remaining, op, done] {
-      if (--*remaining == 0) finish(op, done);
-    });
-  });
-}
-
-void Communicator::barrier(CollectiveCallback done) {
-  auto op = std::make_shared<Op>();
-  op->payload = 0;
-  op->algorithm = Algorithm::Ring;
-  op->kind = "barrier";
-  enqueue([this, op, done] {
-    op->start = sim_.now();
-    beginOp(*op);
-    std::vector<int> everyone(static_cast<std::size_t>(size()));
-    for (int i = 0; i < size(); ++i) everyone[static_cast<std::size_t>(i)] = i;
-    // Two latency-only ring passes propagate "everyone arrived".
-    runRing(op, everyone, 1, 2 * (size() - 1),
-            [this, op, done] { finish(op, done); });
-  });
-}
-
-void Communicator::reduceScatter(Bytes bytes, CollectiveCallback done) {
-  auto op = std::make_shared<Op>();
-  op->payload = bytes;
-  op->algorithm = Algorithm::Ring;
-  op->kind = "reduceScatter";
-  enqueue([this, op, bytes, done] {
-    op->start = sim_.now();
-    beginOp(*op);
-    std::vector<int> everyone(static_cast<std::size_t>(size()));
-    for (int i = 0; i < size(); ++i) everyone[static_cast<std::size_t>(i)] = i;
-    const Bytes chunk = std::max<Bytes>(1, bytes / size());
-    runRing(op, everyone, chunk, size() - 1,
-            [this, op, done] { finish(op, done); });
-  });
-}
-
 }  // namespace composim::collectives

@@ -62,21 +62,6 @@ class Communicator {
   /// Reduce all ranks' buffers to `root` (inverted broadcast tree).
   void reduce(Bytes bytes, int root, CollectiveCallback done);
 
-  /// Ring all-gather: every rank ends with all N shards (bytes = shard size).
-  void allGather(Bytes shardBytes, CollectiveCallback done);
-
-  /// Ring reduce-scatter (bytes = full buffer size per rank).
-  void reduceScatter(Bytes bytes, CollectiveCallback done);
-
-  /// All-to-all personalized exchange: every rank sends a distinct
-  /// `shardBytes` block to every other rank (N(N-1) concurrent flows —
-  /// the expert-parallel / embedding-shuffle pattern).
-  void allToAll(Bytes shardBytes, CollectiveCallback done);
-
-  /// Barrier: a zero-payload ring pass; completes when every rank has
-  /// heard from every other.
-  void barrier(CollectiveCallback done);
-
   /// Islands of ranks mutually connected by pure-NVLink routes. Rank order
   /// is preserved inside each island.
   std::vector<std::vector<int>> nvlinkIslands() const;

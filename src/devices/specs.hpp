@@ -81,13 +81,5 @@ inline StorageSpec sata_boot_ssd() {
           0.30, units::microseconds(180.0), units::GB(2000)};
 }
 
-inline StorageSpec nas_10gbe() {
-  // Fig 15 baseline: dataset served over the X540 10 GbE NIC from shared
-  // storage. Sequential rate is wire-limited; random small-file reads pay
-  // a heavy protocol penalty.
-  return {"10GbE NAS (baseline storage)", units::Gbps(8.2), units::Gbps(6.0),
-          0.30, units::microseconds(450.0), units::GB(100000)};
-}
-
 }  // namespace specs
 }  // namespace composim::devices

@@ -86,13 +86,6 @@ std::string TensorShape::toString() const {
   return s + "]";
 }
 
-const OpNode* Graph::findOp(const std::string& id) const {
-  for (const OpNode& op : ops) {
-    if (op.id == id) return &op;
-  }
-  return nullptr;
-}
-
 namespace {
 
 Status opError(const OpNode& op, const std::string& why,

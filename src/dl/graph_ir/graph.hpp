@@ -153,8 +153,6 @@ struct Graph {
   /// Deterministic topological order (Kahn's algorithm, earliest-declared
   /// ready op first); FailedPrecondition on a cycle, naming one op in it.
   Status topologicalOrder(std::vector<std::size_t>* order) const;
-
-  const OpNode* findOp(const std::string& id) const;
 };
 
 }  // namespace composim::dl::graph_ir

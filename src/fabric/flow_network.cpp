@@ -47,28 +47,32 @@ FlowId FlowNetwork::admitUnroutable(NodeId src, NodeId dst, FlowCallback done) {
   return kInvalidFlow;
 }
 
-FlowId FlowNetwork::admitLatencyOnly(SimTime latency, NodeId src, NodeId dst,
-                                     Bytes bytes, FlowCallback done,
-                                     const std::string& tag,
-                                     std::uint64_t correlation) {
-  // Control message or same-node transfer: latency only. Tracked as a
-  // cancellable scheduled event so the returned id stays live until the
-  // callback fires (cancelFlow() revokes it and reports Failed).
+FlowId FlowNetwork::admitLatencyOnly(const Route& route, NodeId src,
+                                     NodeId dst, Bytes bytes, FlowCallback done,
+                                     const FlowOptions& options) {
+  // Control message or same-node transfer: latency only. The scheduled
+  // completion owns everything the callback needs; latency_in_flight_
+  // keeps the network non-quiescent until it lands.
   const FlowId id = next_id_++;
   ++flows_started_;
-  LatencyFlow lf;
-  lf.bytes = bytes;
-  lf.start = sim_.now();
-  lf.done = std::move(done);
-  lf.span = beginFlowSpan(src, dst, bytes, tag, correlation);
-  lf.event = sim_.schedule(latency, [this, id] { onLatencyFlowDone(id); });
-  latency_flows_.emplace(id, std::move(lf));
+  ++latency_in_flight_;
+  const AsyncSpanId span =
+      beginFlowSpan(src, dst, bytes, options.tag, options.correlation);
+  sim_.schedule(route.latency + options.extraLatency,
+                [this, bytes, start = sim_.now(), span, done = std::move(done)] {
+                  --latency_in_flight_;
+                  ++flows_completed_;
+                  if (ProfileSink* sink = sim_.profiler()) {
+                    sink->endAsyncSpan(span, {{"status", "completed"}});
+                  }
+                  if (done) done({FlowStatus::Completed, bytes, start, sim_.now()});
+                });
   return id;
 }
 
 FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
                                   Bytes bytes, FlowCallback done,
-                                  FlowOptions options,
+                                  const FlowOptions& options,
                                   std::vector<LinkId>& seeds) {
   const FlowId id = next_id_++;
   ++flows_started_;
@@ -93,10 +97,9 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
   f.arrival_latency = route.latency + options.extraLatency;
   f.projected_finish = kInf;
   f.done = std::move(done);
-  f.tag = std::move(options.tag);
   f.heap_pos = kNoPos;
   f.active_pos = kNoPos;
-  f.span = beginFlowSpan(src, dst, bytes, f.tag, options.correlation);
+  f.span = beginFlowSpan(src, dst, bytes, options.tag, options.correlation);
   f.ideal_s = 0.0;
   if (f.span != kInvalidAsyncSpan) {
     // Contention-free reference: the whole payload at the uncontended
@@ -106,7 +109,6 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
       f.ideal_s = static_cast<double>(bytes) / ideal_rate;
     }
   }
-  id_to_slot_.emplace(id, slot);
   for (LinkId l : f.links) {
     ++topo_.counters(l).flows;
     // Ids are monotonic, so appending keeps the list id-sorted.
@@ -121,15 +123,13 @@ FlowId FlowNetwork::startFlow(NodeId src, NodeId dst, Bytes bytes,
   const auto& route = topo_.routeCached(src, dst);
   if (!route) return admitUnroutable(src, dst, std::move(done));
   if (bytes <= 0 || route->links.empty()) {
-    return admitLatencyOnly(route->latency + options.extraLatency, src, dst,
-                            bytes, std::move(done), options.tag,
-                            options.correlation);
+    return admitLatencyOnly(*route, src, dst, bytes, std::move(done), options);
   }
   advanceProgress();
   ensureLinkTables();
   arrival_seeds_.clear();
   const FlowId id = admitByteFlow(*route, src, dst, bytes, std::move(done),
-                                  std::move(options), arrival_seeds_);
+                                  options, arrival_seeds_);
   resolveAfterChange(arrival_seeds_);
   scheduleNextCompletion();
   return id;
@@ -164,13 +164,11 @@ std::vector<FlowId> FlowNetwork::startFlows(std::vector<FlowRequest> requests) {
     if (!route) {
       ids.push_back(admitUnroutable(rq.src, rq.dst, std::move(rq.done)));
     } else if (rq.bytes <= 0 || route->links.empty()) {
-      ids.push_back(admitLatencyOnly(route->latency + rq.options.extraLatency,
-                                     rq.src, rq.dst, rq.bytes,
-                                     std::move(rq.done), rq.options.tag,
-                                     rq.options.correlation));
+      ids.push_back(admitLatencyOnly(*route, rq.src, rq.dst, rq.bytes,
+                                     std::move(rq.done), rq.options));
     } else {
       ids.push_back(admitByteFlow(*route, rq.src, rq.dst, rq.bytes,
-                                  std::move(rq.done), std::move(rq.options),
+                                  std::move(rq.done), rq.options,
                                   arrival_seeds_));
     }
   }
@@ -181,101 +179,26 @@ std::vector<FlowId> FlowNetwork::startFlows(std::vector<FlowRequest> requests) {
   return ids;
 }
 
-void FlowNetwork::onLatencyFlowDone(FlowId id) {
-  auto it = latency_flows_.find(id);
-  if (it == latency_flows_.end()) return;
-  LatencyFlow lf = std::move(it->second);
-  latency_flows_.erase(it);
-  ++flows_completed_;
-  if (ProfileSink* sink = sim_.profiler()) {
-    sink->endAsyncSpan(lf.span, {{"status", "completed"}});
-  }
-  FlowResult r{FlowStatus::Completed, lf.bytes, lf.start, sim_.now()};
-  if (lf.done) lf.done(r);
-}
-
-bool FlowNetwork::cancelLatencyFlow(FlowId id) {
-  auto lit = latency_flows_.find(id);
-  if (lit == latency_flows_.end()) return false;
-  LatencyFlow lf = std::move(lit->second);
-  latency_flows_.erase(lit);
-  sim_.cancel(lf.event);
-  ++flows_failed_;
-  if (ProfileSink* sink = sim_.profiler()) {
-    sink->endAsyncSpan(lf.span, {{"status", "failed"}});
-  }
-  FlowResult r{FlowStatus::Failed, 0, lf.start, sim_.now()};
-  if (lf.done) lf.done(r);
-  return true;
-}
-
-bool FlowNetwork::cancelFlow(FlowId id) {
-  if (cancelLatencyFlow(id)) return true;
-  auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return false;
-  advanceProgress();
-  const std::uint32_t slot = it->second;
-  // Local copy: the Failed callback runs inline and may start new flows.
-  std::vector<LinkId> seeds = slots_[slot].links;
-  finishFlow(slot, FlowStatus::Failed);
-  resolveAfterChange(seeds);
-  scheduleNextCompletion();
-  return true;
-}
-
-std::size_t FlowNetwork::cancelFlows(const std::vector<FlowId>& ids) {
-  bool any_active = false;
-  for (FlowId id : ids) {
-    if (id_to_slot_.count(id) != 0) {
-      any_active = true;
-      break;
-    }
-  }
-  if (any_active) advanceProgress();
-  // Local seeds: Failed callbacks run inline and may re-enter
-  // startFlow(s)/cancelFlow(s), which clobber the member scratch.
-  std::vector<LinkId> seeds;
-  std::size_t cancelled = 0;
-  for (FlowId id : ids) {
-    if (cancelLatencyFlow(id)) {
-      ++cancelled;
-      continue;
-    }
-    auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end()) continue;
-    const std::uint32_t slot = it->second;
-    seeds.insert(seeds.end(), slots_[slot].links.begin(),
-                 slots_[slot].links.end());
-    finishFlow(slot, FlowStatus::Failed);
-    ++cancelled;
-  }
-  if (any_active) {
-    resolveAfterChange(seeds);
-    scheduleNextCompletion();
-  }
-  return cancelled;
-}
-
 void FlowNetwork::failLink(LinkId link) {
   advanceProgress();
   topo_.setLinkUp(link, false);
   ++topo_.counters(link).errors;
   ensureLinkTables();
-  // Victims come straight from the link->flows index. Capture ids (not
-  // slots) before finishing: Failed callbacks run inline, may start new
-  // flows, and a new flow could reuse a just-freed slot.
+  // Victims come straight from the link->flows index, captured as (id,
+  // slot) before finishing any: Failed callbacks run inline and may fail
+  // other links or start flows, so a victim may already be gone and its
+  // slot may hold a newer flow by the time its turn comes.
   const auto& on_link = link_flows_[static_cast<std::size_t>(link)];
-  std::vector<FlowId> victims;
+  std::vector<std::pair<FlowId, std::uint32_t>> victims;
   std::vector<LinkId> seeds{link};
   victims.reserve(on_link.size());
   for (std::uint32_t slot : on_link) {
-    victims.push_back(slots_[slot].id);
+    victims.emplace_back(slots_[slot].id, slot);
     seeds.insert(seeds.end(), slots_[slot].links.begin(), slots_[slot].links.end());
   }
   std::sort(victims.begin(), victims.end());
-  for (FlowId vid : victims) {
-    auto it = id_to_slot_.find(vid);
-    if (it != id_to_slot_.end()) finishFlow(it->second, FlowStatus::Failed);
+  for (const auto& [id, slot] : victims) {
+    if (slots_[slot].id == id) finishFlow(slot, FlowStatus::Failed);
   }
   resolveAfterChange(seeds);
   scheduleNextCompletion();
@@ -290,8 +213,11 @@ void FlowNetwork::notifyTopologyChanged() {
 }
 
 Bandwidth FlowNetwork::flowRate(FlowId id) const {
-  auto it = id_to_slot_.find(id);
-  return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
+  if (id == kInvalidFlow) return 0.0;  // free slots carry kInvalidFlow
+  for (const ActiveFlow& f : slots_) {
+    if (f.id == id) return f.rate;
+  }
+  return 0.0;
 }
 
 FlowNetwork::State FlowNetwork::state() const {
@@ -322,8 +248,6 @@ void FlowNetwork::restoreState(const State& st) {
   }
   slots_.assign(st.slot_count, ActiveFlow{});
   free_slots_ = st.free_slots;
-  id_to_slot_.clear();
-  latency_flows_.clear();
   for (auto& v : link_flows_) v.clear();
   ensureLinkTables();
   // Zeroed scratch reads as "stale" under the epoch-equality tests, which
@@ -722,7 +646,6 @@ void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
     auto& v = link_flows_[static_cast<std::size_t>(l)];
     v.erase(std::find(v.begin(), v.end(), slot));  // order-preserving
   }
-  id_to_slot_.erase(f.id);
   if (status == FlowStatus::Completed) {
     ++flows_completed_;
   } else {

@@ -23,15 +23,18 @@
 // scheduled back to back with nothing in between (DESIGN.md §2.1.3).
 // Batches live in a pool that keeps its capacity, the batch event's
 // capture fits std::function's local buffer, and a freed flow slot keeps
-// its link vector, so a warmed wave allocates only each flow's id-index
-// node.
+// its link vector, so a warmed wave allocates nothing per flow.
+//
+// A byte flow lives only in its slot: flows end by completing or by
+// failLink, and every lookup by FlowId (flowRate, failLink's victim
+// check) reads the slots. A latency-only flow (zero bytes or same node)
+// takes no slot; it is one scheduled event that owns its callback.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -67,7 +70,7 @@ struct FlowOptions {
   /// Extra fixed latency added before data starts moving (software stack,
   /// doorbell, DMA setup).
   SimTime extraLatency = 0.0;
-  /// Label recorded in per-flow accounting (for tests/traces).
+  /// Name of the flow's profiling span ("flow" when empty).
   std::string tag;
   /// Causal correlation id stamped on the flow's profile span as "corr":
   /// the issuer (e.g. a Communicator op) allocates one id from
@@ -112,18 +115,6 @@ class FlowNetwork {
   /// (kInvalidFlow for unroutable entries, which still fail soft).
   std::vector<FlowId> startFlows(std::vector<FlowRequest> requests);
 
-  /// Abort an in-flight flow; its callback fires with Failed status.
-  /// Returns false if the flow is unknown (already finished). Latency-only
-  /// flows (zero-byte or same-node) are cancellable too: their scheduled
-  /// completion is revoked and the callback fires Failed instead.
-  bool cancelFlow(FlowId id);
-
-  /// Batched teardown: cancel every listed flow with a single rate
-  /// recomputation (collective abort). Unknown ids are skipped; returns
-  /// the number actually cancelled. Bit-identical to serial cancelFlow()
-  /// calls at the same timestamp.
-  std::size_t cancelFlows(const std::vector<FlowId>& ids);
-
   /// Fail every flow crossing `link` (used for link-down injection) and
   /// mark the link down in the topology. Victims come straight from the
   /// link->flows index (no scan of unrelated flows).
@@ -134,9 +125,11 @@ class FlowNetwork {
   /// like real DMA transfers, they finish on the path they started on.
   void notifyTopologyChanged();
 
-  std::size_t activeFlows() const { return id_to_slot_.size(); }
+  /// Byte flows in flight (latency-only flows hold no slot).
+  std::size_t activeFlows() const { return slots_.size() - free_slots_.size(); }
 
-  /// Instantaneous rate of a flow (bytes/s); 0 if unknown.
+  /// Instantaneous rate of a flow (bytes/s); 0 if unknown or finished.
+  /// Scans the slots: for tests and benches, not for the hot path.
   Bandwidth flowRate(FlowId id) const;
 
   /// Total payload bytes carried so far in the given link direction.
@@ -207,7 +200,6 @@ class FlowNetwork {
     // changes and never drifts with progress advancement.
     SimTime projected_finish = std::numeric_limits<SimTime>::infinity();
     FlowCallback done;
-    std::string tag;
     std::uint32_t heap_pos = kNoPos;    // position in completion_heap_
     std::uint32_t active_pos = kNoPos;  // position in active_ (rate > 0)
     AsyncSpanId span = kInvalidAsyncSpan;
@@ -218,29 +210,18 @@ class FlowNetwork {
     SimTime ideal_s = 0.0;
   };
 
-  /// Latency-only transfer (zero bytes or same-node): a cancellable
-  /// scheduled completion, tracked so the returned FlowId stays live.
-  struct LatencyFlow {
-    EventId event = kInvalidEvent;
-    Bytes bytes = 0;
-    SimTime start = 0.0;
-    FlowCallback done;
-    AsyncSpanId span = kInvalidAsyncSpan;
-  };
-
   void advanceProgress();
   void ensureLinkTables();
   // Admission helpers shared by startFlow and startFlows. The caller runs
   // advanceProgress()/ensureLinkTables() before any byte-flow admission
   // and resolveAfterChange(seeds) after the batch.
   FlowId admitUnroutable(NodeId src, NodeId dst, FlowCallback done);
-  FlowId admitLatencyOnly(SimTime latency, NodeId src, NodeId dst, Bytes bytes,
-                          FlowCallback done, const std::string& tag,
-                          std::uint64_t correlation);
+  FlowId admitLatencyOnly(const Route& route, NodeId src, NodeId dst,
+                          Bytes bytes, FlowCallback done,
+                          const FlowOptions& options);
   FlowId admitByteFlow(const Route& route, NodeId src, NodeId dst, Bytes bytes,
-                       FlowCallback done, FlowOptions options,
+                       FlowCallback done, const FlowOptions& options,
                        std::vector<LinkId>& seeds);
-  bool cancelLatencyFlow(FlowId id);
   /// Open a profiling span for a flow (no-op when profiling is off).
   /// `correlation` != 0 is recorded as the span's "corr" arg.
   AsyncSpanId beginFlowSpan(NodeId src, NodeId dst, Bytes bytes,
@@ -268,7 +249,6 @@ class FlowNetwork {
   void applyRate(std::uint32_t slot, Bandwidth rate);
   void scheduleNextCompletion();
   void onCompletionEvent();
-  void onLatencyFlowDone(FlowId id);
   void finishFlow(std::uint32_t slot, FlowStatus status);
   /// Append a completed flow's callback to the current wave's batch for
   /// arrival time `at`, opening the batch on first use.
@@ -276,7 +256,7 @@ class FlowNetwork {
   /// Batch event: invoke batch `b`'s callbacks in order, then free it.
   void deliverBatch(std::uint32_t b);
   bool inFlight() const {
-    return !id_to_slot_.empty() || !latency_flows_.empty() ||
+    return activeFlows() != 0 || latency_in_flight_ != 0 ||
            free_batches_.size() != batches_.size();
   }
 
@@ -291,11 +271,10 @@ class FlowNetwork {
   Simulator& sim_;
   Topology& topo_;
 
-  // Flow storage: dense reusable slots + id lookup for the public API.
+  // Flow storage: dense reusable slots; a free slot's id is kInvalidFlow.
   std::vector<ActiveFlow> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
-  std::unordered_map<FlowId, LatencyFlow> latency_flows_;
+  std::uint64_t latency_in_flight_ = 0;  // scheduled latency-only flows
 
   // Persistent bipartite index, dense by LinkId. Each per-link list is
   // kept in ascending FlowId order (append monotonic ids, order-preserving

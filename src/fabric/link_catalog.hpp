@@ -58,12 +58,6 @@ inline LinkSpec memoryBus() {
   return {units::GBps(100.0), units::microseconds(0.08), LinkKind::MemoryBus};
 }
 
-/// 10 GbE NIC path (the hosts' X540-AT2), used for NAS-style baseline
-/// storage in the Fig 15 study.
-inline LinkSpec tenGbE() {
-  return {units::Gbps(9.0), units::microseconds(12.0), LinkKind::Ethernet};
-}
-
 /// Fixed endpoint overhead applied by devices when they initiate a DMA
 /// (p2p write doorbell + engine start). Calibrated against Table IV.
 inline SimTime dmaEndpointOverhead() { return units::microseconds(1.30); }

@@ -39,15 +39,18 @@ TEST(FlowEdge, ZeroMaxRateStallsUntilCancelled) {
   fabric::FlowNetwork net(sim, topo);
   const auto a = topo.addNode("a", fabric::NodeKind::Gpu);
   const auto b = topo.addNode("b", fabric::NodeKind::Gpu);
-  topo.addDuplexLink(a, b, units::GBps(10), 0.0, fabric::LinkKind::PCIe4);
+  const auto [ab, ba] =
+      topo.addDuplexLink(a, b, units::GBps(10), 0.0, fabric::LinkKind::PCIe4);
+  (void)ba;
   fabric::FlowOptions opt;
   opt.maxRate = 0.0;
   fabric::FlowResult res;
-  const auto id = net.startFlow(a, b, units::MiB(1),
-                                [&](const fabric::FlowResult& r) { res = r; }, opt);
+  net.startFlow(a, b, units::MiB(1),
+                [&](const fabric::FlowResult& r) { res = r; }, opt);
   sim.run();  // drains: the stalled flow schedules nothing
   EXPECT_EQ(net.activeFlows(), 1u);
-  EXPECT_TRUE(net.cancelFlow(id));
+  net.failLink(ab);  // the only way to end a flow that never moves
+  EXPECT_EQ(net.activeFlows(), 0u);
   EXPECT_EQ(res.status, fabric::FlowStatus::Failed);
   EXPECT_EQ(res.bytes, 0);
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,63 +137,6 @@ TEST(FlowNetwork, RateCapIsRespectedAndSlackRedistributed) {
   EXPECT_NEAR(n.net.flowRate(fast), units::GBps(8), 1e3);
 }
 
-TEST(FlowNetwork, CancelFlowReportsFailure) {
-  Net n;
-  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
-  const NodeId b = n.topo.addNode("b", NodeKind::Gpu);
-  n.topo.addDuplexLink(a, b, units::GBps(1), 0.0, LinkKind::PCIe4);
-  FlowResult res;
-  bool called = false;
-  auto id = n.net.startFlow(a, b, units::GB(1), [&](const FlowResult& r) {
-    res = r;
-    called = true;
-  });
-  n.sim.schedule(0.5, [&] { EXPECT_TRUE(n.net.cancelFlow(id)); });
-  n.sim.run();
-  EXPECT_TRUE(called);
-  EXPECT_EQ(res.status, FlowStatus::Failed);
-  EXPECT_NEAR(static_cast<double>(res.bytes), 0.5e9, 1e6);  // half delivered
-  EXPECT_FALSE(n.net.cancelFlow(id));  // already gone
-}
-
-TEST(FlowNetwork, ZeroByteFlowIsCancellable) {
-  // Latency-only flows (zero-byte and same-node) must return a live id:
-  // cancelling one revokes the scheduled completion and reports Failed
-  // exactly once.
-  Net n;
-  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
-  const NodeId b = n.topo.addNode("b", NodeKind::Gpu);
-  n.topo.addDuplexLink(a, b, units::GBps(10), units::microseconds(2), LinkKind::NVLink);
-  int calls = 0;
-  FlowResult res;
-  const FlowId id = n.net.startFlow(a, b, 0, [&](const FlowResult& r) {
-    res = r;
-    ++calls;
-  });
-  ASSERT_NE(id, kInvalidFlow);
-  EXPECT_TRUE(n.net.cancelFlow(id));
-  EXPECT_FALSE(n.net.cancelFlow(id));  // double-cancel
-  n.sim.run();
-  EXPECT_EQ(calls, 1);  // no Completed callback after the Failed one
-  EXPECT_EQ(res.status, FlowStatus::Failed);
-  EXPECT_EQ(res.bytes, 0);
-  EXPECT_EQ(n.net.flowsFailed(), 1u);
-  EXPECT_EQ(n.net.flowsCompleted(), 0u);
-}
-
-TEST(FlowNetwork, SameNodeFlowIsCancellable) {
-  Net n;
-  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
-  int calls = 0;
-  const FlowId id =
-      n.net.startFlow(a, a, units::MiB(10), [&](const FlowResult&) { ++calls; });
-  ASSERT_NE(id, kInvalidFlow);
-  EXPECT_TRUE(n.net.cancelFlow(id));
-  n.sim.run();
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(n.net.flowsFailed(), 1u);
-}
-
 TEST(FlowNetwork, FailLinkKillsCrossingFlowsOnly) {
   Net n;
   const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
@@ -209,6 +153,94 @@ TEST(FlowNetwork, FailLinkKillsCrossingFlowsOnly) {
   EXPECT_EQ(sSurvivor, FlowStatus::Completed);
   EXPECT_EQ(n.topo.link(l1).counters.errors, 1u);
   EXPECT_EQ(n.net.flowsFailed(), 1u);
+}
+
+TEST(FlowNetwork, FailLinkSkipsVictimsWhoseSlotWasReused) {
+  // failLink(l1) has two victims, v1 (a->m) and v2 (a->m->b). v1's Failed
+  // callback fails l2, which tears v2 down first, and then starts a flow
+  // on another route that takes v2's freed slot. The outer failLink must
+  // recognise that slot as no longer v2's and leave the new flow alone.
+  Net n;
+  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
+  const NodeId m = n.topo.addNode("m", NodeKind::PcieSwitch);
+  const NodeId b = n.topo.addNode("b", NodeKind::Gpu);
+  const NodeId c = n.topo.addNode("c", NodeKind::Gpu);
+  const NodeId d = n.topo.addNode("d", NodeKind::Gpu);
+  const LinkId l1 = n.topo.addLink(a, m, units::GBps(1), 0.0, LinkKind::PCIe4);
+  const LinkId l2 = n.topo.addLink(m, b, units::GBps(1), 0.0, LinkKind::PCIe4);
+  n.topo.addLink(c, d, units::GBps(1), 0.0, LinkKind::PCIe4);
+  int v1_failed = 0, v2_failed = 0;
+  FlowResult fresh;
+  bool fresh_done = false;
+  n.net.startFlow(a, m, units::GB(1), [&](const FlowResult& r) {
+    EXPECT_EQ(r.status, FlowStatus::Failed);
+    ++v1_failed;
+    n.net.failLink(l2);
+    EXPECT_NE(n.net.startFlow(c, d, units::MB(1),
+                              [&](const FlowResult& r2) {
+                                fresh = r2;
+                                fresh_done = true;
+                              }),
+              kInvalidFlow);
+  });
+  n.net.startFlow(a, b, units::GB(1), [&](const FlowResult& r) {
+    EXPECT_EQ(r.status, FlowStatus::Failed);
+    ++v2_failed;
+  });
+  n.sim.schedule(0.001, [&] { n.net.failLink(l1); });
+  n.sim.run();
+  EXPECT_EQ(v1_failed, 1);
+  EXPECT_EQ(v2_failed, 1);
+  EXPECT_TRUE(fresh_done);
+  EXPECT_EQ(fresh.status, FlowStatus::Completed);
+  EXPECT_EQ(fresh.bytes, units::MB(1));
+  EXPECT_EQ(n.net.flowsFailed(), 2u);
+  EXPECT_EQ(n.net.flowsCompleted(), 1u);
+  EXPECT_EQ(n.net.activeFlows(), 0u);
+}
+
+TEST(FlowNetwork, PendingLatencyOnlyFlowsBlockSnapshots) {
+  // Zero-byte and same-node flows hold no slot, so activeFlows() never
+  // counts them, but the network is not quiescent until they land.
+  Net n;
+  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
+  const NodeId b = n.topo.addNode("b", NodeKind::Gpu);
+  n.topo.addDuplexLink(a, b, units::GBps(10), units::microseconds(2), LinkKind::NVLink);
+  int landed = 0;
+  const auto count = [&landed](const FlowResult& r) {
+    EXPECT_EQ(r.status, FlowStatus::Completed);
+    ++landed;
+  };
+  EXPECT_NO_THROW(n.net.state());
+  for (const bool same_node : {false, true}) {
+    const FlowId id = same_node ? n.net.startFlow(a, a, units::MiB(1), count)
+                                : n.net.startFlow(a, b, 0, count);
+    EXPECT_NE(id, kInvalidFlow);
+    EXPECT_EQ(n.net.activeFlows(), 0u);
+    EXPECT_THROW(n.net.state(), std::logic_error);
+    n.sim.run();
+    EXPECT_EQ(n.net.activeFlows(), 0u);
+    EXPECT_NO_THROW(n.net.state());
+  }
+  EXPECT_EQ(landed, 2);
+  EXPECT_EQ(n.net.flowsCompleted(), 2u);
+}
+
+TEST(FlowNetwork, FinishedFlowHasNoRateEvenAfterItsSlotIsReused) {
+  Net n;
+  const NodeId a = n.topo.addNode("a", NodeKind::Gpu);
+  const NodeId b = n.topo.addNode("b", NodeKind::Gpu);
+  n.topo.addDuplexLink(a, b, units::GBps(10), 0.0, LinkKind::PCIe4);
+  const FlowId first = n.net.startFlow(a, b, units::MB(1), [](const FlowResult&) {});
+  EXPECT_GT(n.net.flowRate(first), 0.0);
+  n.sim.run();
+  EXPECT_EQ(n.net.flowRate(first), 0.0);
+  EXPECT_EQ(n.net.flowRate(kInvalidFlow), 0.0);
+  const FlowId second = n.net.startFlow(a, b, units::GB(1), [](const FlowResult&) {});
+  EXPECT_NE(second, first);
+  EXPECT_NEAR(n.net.flowRate(second), units::GBps(10), 1e3);
+  EXPECT_EQ(n.net.flowRate(first), 0.0);
+  EXPECT_EQ(n.net.flowRate(kInvalidFlow), 0.0);
 }
 
 TEST(FlowNetwork, StartFlowFailsSoftWithoutRoute) {
@@ -306,27 +338,29 @@ TEST(FlowNetwork, SameTimeEventFromDeliveryRunsAfterItsBatch) {
   EXPECT_EQ(w.log, (std::vector<std::string>{"1", "3", "later", "0", "2"}));
 }
 
-TEST(FlowNetwork, DeliveryMayStartAndCancelFlowsWithoutDisturbingItsBatch) {
+TEST(FlowNetwork, DeliveryMayStartFlowsAndFailLinksWithoutDisturbingItsBatch) {
   Wave w;
   const NodeId c = w.n.topo.addNode("c", NodeKind::Gpu);
-  w.n.topo.addDuplexLink(w.a, c, units::GBps(1), 0.0, LinkKind::PCIe4);
-  // Unrelated long flow on its own link, cancelled from a delivery.
-  const FlowId unrelated = w.n.net.startFlow(
-      w.a, c, units::GB(1), [&w](const FlowResult& r) {
-        EXPECT_EQ(r.status, FlowStatus::Failed);
-        w.log.push_back("cancelled");
-      });
-  w.start([&w, unrelated](int i) {
+  const auto [a_to_c, c_to_a] =
+      w.n.topo.addDuplexLink(w.a, c, units::GBps(1), 0.0, LinkKind::PCIe4);
+  (void)c_to_a;
+  // Unrelated long flow on its own link, torn down from a delivery by
+  // failing that link.
+  w.n.net.startFlow(w.a, c, units::GB(1), [&w](const FlowResult& r) {
+    EXPECT_EQ(r.status, FlowStatus::Failed);
+    w.log.push_back("failed");
+  });
+  w.start([&w, link = a_to_c](int i) {
     if (i == 1) {
       // Lands after the slow batch: 10 MB alone at 1 GB/s.
       w.n.net.startFlow(w.a, w.b, units::MB(10), [&w](const FlowResult&) {
         w.log.push_back("new");
       });
-      EXPECT_TRUE(w.n.net.cancelFlow(unrelated));
+      w.n.net.failLink(link);
     }
   });
   w.n.sim.run();
-  EXPECT_EQ(w.log, (std::vector<std::string>{"1", "cancelled", "3", "0", "2",
+  EXPECT_EQ(w.log, (std::vector<std::string>{"1", "failed", "3", "0", "2",
                                              "new"}));
   EXPECT_EQ(w.n.net.flowsCompleted(), 5u);
   EXPECT_EQ(w.n.net.flowsFailed(), 1u);

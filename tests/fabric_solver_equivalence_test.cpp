@@ -18,14 +18,12 @@ namespace composim::fabric {
 namespace {
 
 struct Op {
-  enum class Kind { Arrive, Cancel, FailLink, Sample } kind;
+  enum class Kind { Arrive, FailLink, Sample } kind;
   SimTime time = 0.0;
   // Arrive
   std::size_t src = 0, dst = 0;
   Bytes bytes = 0;
   FlowOptions options;
-  // Cancel: index into the arrival list
-  std::size_t target = 0;
   // FailLink
   LinkId link = kInvalidLink;
 };
@@ -66,12 +64,11 @@ Scenario makeScenario(std::uint64_t seed) {
     }
     sc.ops.push_back(op);
   }
+  // Unused draws, kept so each seed's link failure and sample times stay
+  // the same.
   for (int i = 0; i < 6; ++i) {
-    Op op;
-    op.kind = Op::Kind::Cancel;
-    op.time = rng.uniform(0.0, 0.6);
-    op.target = static_cast<std::size_t>(rng.uniformInt(0, arrivals - 1));
-    sc.ops.push_back(op);
+    (void)rng.uniform(0.0, 0.6);
+    (void)rng.uniformInt(0, arrivals - 1);
   }
   {
     Op op;
@@ -149,11 +146,6 @@ Outcome replay(const Scenario& sc, bool incremental) {
         });
         break;
       }
-      case Op::Kind::Cancel:
-        // The target may not have started yet or may already be done;
-        // either way the (deterministic) no-op matches across modes.
-        sim.schedule(op.time, [&, op] { net.cancelFlow(ids[op.target]); });
-        break;
       case Op::Kind::FailLink:
         sim.schedule(op.time, [&, op] { net.failLink(op.link); });
         break;
