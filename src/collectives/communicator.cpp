@@ -381,7 +381,7 @@ void Communicator::runHierarchical(std::shared_ptr<Op> op, Bytes bytes,
 }
 
 void Communicator::finish(std::shared_ptr<Op> op, CollectiveCallback done) {
-  ++completed_;
+  ++st_.completed;
   if (ProfileSink* sink = sim_.profiler()) {
     sink->endSpan(profile_keys_.get(*sink, track_).track,
                   {{"bytes_on_fabric", op->bytes_on_fabric}});

@@ -78,7 +78,7 @@ class Communicator {
   /// Protocol-derated rate cap for a route between two ranks.
   Bandwidth protocolRate(fabric::NodeId a, fabric::NodeId b) const;
 
-  std::uint64_t collectivesCompleted() const { return completed_; }
+  std::uint64_t collectivesCompleted() const { return st_.completed; }
 
   /// Quiescent-point snapshot: with no collective in flight the only
   /// persistent state is the completion counter. Throws std::logic_error
@@ -91,14 +91,14 @@ class Communicator {
     if (op_active_ || !op_queue_.empty()) {
       throw std::logic_error("Communicator::state: collective in flight");
     }
-    return State{completed_};
+    return st_;
   }
 
   void restoreState(const State& st) {
     if (op_active_ || !op_queue_.empty()) {
       throw std::logic_error("Communicator::restoreState: collective in flight");
     }
-    completed_ = st.completed;
+    st_ = st;
   }
 
  private:
@@ -150,7 +150,7 @@ class Communicator {
     ProfileKey category = kNoProfileKey;
   };
   ProfileKeyCache<ProfileKeys> profile_keys_;
-  std::uint64_t completed_ = 0;
+  State st_;
   std::deque<std::function<void()>> op_queue_;
   bool op_active_ = false;
 };

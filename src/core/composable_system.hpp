@@ -43,6 +43,15 @@ enum class SystemConfig {
 };
 
 const char* toString(SystemConfig c);
+
+/// Falcon GPUs every configuration installs (4 per drawer); fault
+/// schedules name them by index, 0 to kFalconGpus - 1.
+inline constexpr int kFalconGpus = 8;
+/// The free Falcon slots spare GPUs fill, in install order (the NVMe
+/// holds slot {1, 4}).
+inline constexpr std::array<falcon::SlotId, 7> kSpareGpuSlots = {
+    {{0, 4}, {0, 5}, {0, 6}, {0, 7}, {1, 5}, {1, 6}, {1, 7}}};
+
 /// All five Table III configurations in paper order.
 std::vector<SystemConfig> allConfigs();
 /// The three GPU-placement configurations (Fig 10-13 sweeps).

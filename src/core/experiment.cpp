@@ -63,15 +63,12 @@ struct Stack {
     // built only when a fault schedule is present.
     if (options.faults.enabled) {
       const FaultsConfig& faults = options.faults;
-      // Pre-install spares in the free Falcon slots (the NVMe slot {1,4}
-      // is taken); quarantined devices free their slots but are never
-      // reused.
-      static constexpr falcon::SlotId kSpareSlots[] = {
-          {0, 4}, {0, 5}, {0, 6}, {0, 7}, {1, 5}, {1, 6}, {1, 7}};
+      // Pre-install spares in the free Falcon slots; quarantined devices
+      // free their slots but are never reused.
       for (int i = 0; i < faults.spare_gpus &&
-                      i < static_cast<int>(std::size(kSpareSlots));
+                      i < static_cast<int>(kSpareGpuSlots.size());
            ++i) {
-        system.installSpareGpu(kSpareSlots[static_cast<std::size_t>(i)]);
+        system.installSpareGpu(kSpareGpuSlots[static_cast<std::size_t>(i)]);
       }
       system.chassis().setTransientAttachFailureRate(
           faults.attach_failure_rate, faults.seed + 1);
@@ -86,8 +83,8 @@ struct Stack {
 
     // Metrics pipeline: shared subsystem collectors scraped on the sample
     // interval, with SLO alert evaluation after every scrape. Collector
-    // registration order is load-bearing: a fork restores collector
-    // closure state by index (MetricsScraper::restoreCollectorStates).
+    // registration order is load-bearing: a fork restores the scraper's
+    // rate probes and counter baselines by creation order.
     const SimTime scrape_interval = options.metrics.scrape_interval > 0.0
                                         ? options.metrics.scrape_interval
                                         : options.sample_interval;
@@ -384,7 +381,6 @@ SimSnapshot WarmedExperiment::snapshot() const {
   snap.trainer = stack.trainer->state();
   snap.registry = stack.metrics->registry().state();
   snap.scraper = stack.metrics->scraper().state();
-  snap.collectors = stack.metrics->scraper().collectorStates();
   snap.alerts = stack.metrics->alerts().state();
   if (stack.profiler) {
     snap.traced = true;
@@ -438,7 +434,6 @@ ExperimentResult WarmedExperiment::resumeFromSnapshot(
   if (stack.profiler && snap.traced) stack.profiler->setState(snap.profiler);
   stack.metrics->registry().restoreState(snap.registry);
   stack.metrics->scraper().setState(snap.scraper);
-  stack.metrics->scraper().restoreCollectorStates(snap.collectors);
   stack.metrics->alerts().setState(snap.alerts);
   stack.trainer->restoreRun(snap.trainer, stack.doneCallback());
 

@@ -220,7 +220,6 @@ struct SimSnapshot {
   dl::Trainer::State trainer;
   telemetry::MetricsRegistry::State registry;
   telemetry::MetricsScraper::State scraper;
-  std::vector<telemetry::MetricsScraper::CollectorState> collectors;
   telemetry::AlertEngine::State alerts;
   bool traced = false;
   telemetry::Profiler::State profiler;  // meaningful only when traced

@@ -113,6 +113,20 @@ Status checkEntryKeys(const falcon::Json& entry, const char* kind,
   return Status::success();
 }
 
+/// A fault entry's target (key `key`, an index below `limit`) and its
+/// time `at`, which must not be negative.
+Status checkTarget(const char* kind, const char* key, std::int64_t index,
+                   int limit, double at) {
+  if (index < 0 || index >= limit) {
+    return faultsError(std::string(kind) + " entry '" + key +
+                       "' must be in [0, " + std::to_string(limit) + ")");
+  }
+  if (at < 0.0) {
+    return faultsError(std::string(kind) + " entry 'at' must be >= 0");
+  }
+  return Status::success();
+}
+
 }  // namespace
 
 Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
@@ -145,8 +159,14 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
       faults.error_storm_threshold = static_cast<std::uint64_t>(v->asInt());
     }
     if (const auto* v = doc.find("spare_gpus")) {
-      faults.spare_gpus = static_cast<int>(v->asInt());
-      if (faults.spare_gpus < 0) return faultsError("spare_gpus must be >= 0");
+      const std::int64_t spares = v->asInt();
+      if (spares < 0 ||
+          spares > static_cast<std::int64_t>(kSpareGpuSlots.size())) {
+        return faultsError("spare_gpus must be in [0, " +
+                           std::to_string(kSpareGpuSlots.size()) +
+                           "], the free Falcon slots");
+      }
+      faults.spare_gpus = static_cast<int>(spares);
     }
     if (const auto* v = doc.find("attach_failure_rate")) {
       faults.attach_failure_rate = v->asDouble();
@@ -188,8 +208,14 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
             !st.ok) {
           return st;
         }
-        faults.gpu_falloffs.push_back({static_cast<int>(f.at("gpu").asInt()),
-                                       f.at("at").asDouble()});
+        const std::int64_t gpu = f.at("gpu").asInt();
+        const double at = f.at("at").asDouble();
+        if (Status st =
+                checkTarget("gpu_falloffs", "gpu", gpu, kFalconGpus, at);
+            !st.ok) {
+          return st;
+        }
+        faults.gpu_falloffs.push_back({static_cast<int>(gpu), at});
       }
     }
     if (const auto* v = doc.find("ecc_storms")) {
@@ -199,11 +225,21 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
             !st.ok) {
           return st;
         }
+        const std::int64_t gpu = f.at("gpu").asInt();
         FaultsConfig::EccStorm storm;
-        storm.gpu_index = static_cast<int>(f.at("gpu").asInt());
         storm.at = f.at("at").asDouble();
+        if (Status st =
+                checkTarget("ecc_storms", "gpu", gpu, kFalconGpus, storm.at);
+            !st.ok) {
+          return st;
+        }
+        storm.gpu_index = static_cast<int>(gpu);
         if (const auto* e = f.find("errors")) {
-          storm.errors = static_cast<std::uint64_t>(e->asInt());
+          const std::int64_t errors = e->asInt();
+          if (errors < 0) {
+            return faultsError("ecc_storms entry 'errors' must be >= 0");
+          }
+          storm.errors = static_cast<std::uint64_t>(errors);
         }
         faults.ecc_storms.push_back(storm);
       }
@@ -215,9 +251,19 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
             !st.ok) {
           return st;
         }
+        const std::int64_t port = f.at("port").asInt();
+        const double at = f.at("at").asDouble();
+        if (Status st = checkTarget("host_port_flaps", "port", port,
+                                    falcon::FalconChassis::kHostPorts, at);
+            !st.ok) {
+          return st;
+        }
+        const double downtime = f.at("downtime").asDouble();
+        if (!(downtime > 0.0)) {
+          return faultsError("host_port_flaps entry 'downtime' must be > 0");
+        }
         faults.host_port_flaps.push_back(
-            {static_cast<int>(f.at("port").asInt()), f.at("at").asDouble(),
-             f.at("downtime").asDouble()});
+            {static_cast<int>(port), at, downtime});
       }
     }
   } catch (const std::exception& e) {
@@ -226,13 +272,6 @@ Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out) {
   }
   *out = std::move(faults);
   return Status::success();
-}
-
-FaultsConfig parseFaultsConfig(const falcon::Json& doc) {
-  FaultsConfig faults;
-  const Status st = parseFaultsConfig(doc, &faults);
-  if (!st.ok) throw std::invalid_argument(st.detail);
-  return faults;
 }
 
 falcon::Json faultsConfigToJson(const FaultsConfig& faults) {
@@ -365,7 +404,9 @@ std::vector<ExperimentSpec> parseExperimentSuite(const falcon::Json& doc) {
       s.options.watchdog = v->asDouble();
     }
     if (const auto* v = e.find("faults")) {
-      s.options.faults = parseFaultsConfig(*v);
+      if (const Status st = parseFaultsConfig(*v, &s.options.faults); !st) {
+        throw std::invalid_argument(st.detail);
+      }
     }
     if (const auto* v = e.find("metrics")) {
       s.options.metrics = parseMetricsConfig(*v);

@@ -58,15 +58,15 @@ SystemConfig configFromName(const std::string& name);
 ///
 /// Parsing a faults object always sets enabled = true.
 ///
-/// The Status overload validates strictly: unknown keys (top-level or per
-/// fault entry), wrong shapes and out-of-range values return
-/// InvalidArgument whose detail lists the valid fault kinds, mirroring
-/// WorkloadRegistry's NotFound-lists-known-names pattern. On error *out
-/// is untouched.
+/// Validation is strict: unknown keys (top-level or per fault entry),
+/// wrong shapes and out-of-range values return InvalidArgument whose
+/// detail lists the valid fault kinds, mirroring WorkloadRegistry's
+/// NotFound-lists-known-names pattern. A `gpu` must index one of the
+/// kFalconGpus Falcon GPUs, a `port` one of the chassis host ports, every
+/// `at` and `errors` must be >= 0, every `downtime` > 0, and `spare_gpus`
+/// may not exceed the kSpareGpuSlots free slots. On error *out is
+/// untouched.
 Status parseFaultsConfig(const falcon::Json& doc, FaultsConfig* out);
-
-/// Legacy throwing wrapper over the Status overload.
-FaultsConfig parseFaultsConfig(const falcon::Json& doc);
 
 /// Serialize a fault schedule back to the --faults JSON document with a
 /// fixed key order (defaults included), so shrunk chaos reproducers are

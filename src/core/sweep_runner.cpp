@@ -1,7 +1,8 @@
 #include "core/sweep_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,81 +11,14 @@
 
 namespace composim::core {
 
-namespace {
-
-/// Per-worker deque with its own lock. Contention is negligible at
-/// experiment granularity (milliseconds to minutes per task), so plain
-/// mutexes keep the pool obviously correct under TSan instead of
-/// cleverly lock-free.
-struct WorkerQueue {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;  // indices into the shared task vector
-};
-
-struct PoolState {
-  explicit PoolState(std::size_t workers, std::size_t ntasks)
-      : queues(workers), done(ntasks, 0) {}
-
-  std::vector<WorkerQueue> queues;
-
-  // Completion ledger, guarded by done_mu; the caller drains it in
-  // submission order.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::vector<char> done;
-};
-
-/// Pop from the worker's own deque (LIFO keeps its round-robin share
-/// cache-warm); steal FIFO from siblings when empty so the oldest —
-/// typically longest-waiting — work migrates first.
-bool nextTask(PoolState& state, std::size_t self, std::size_t& out) {
-  {
-    WorkerQueue& mine = state.queues[self];
-    std::lock_guard<std::mutex> lock(mine.mu);
-    if (!mine.tasks.empty()) {
-      out = mine.tasks.back();
-      mine.tasks.pop_back();
-      return true;
-    }
-  }
-  const std::size_t n = state.queues.size();
-  for (std::size_t off = 1; off < n; ++off) {
-    WorkerQueue& victim = state.queues[(self + off) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = victim.tasks.front();
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void workerLoop(PoolState& state, std::size_t self,
-                std::vector<WorkStealingPool::Task>& tasks) {
-  std::size_t idx = 0;
-  // The batch is fixed up front — running tasks never enqueue more — so
-  // an empty sweep over every queue means this worker is finished.
-  while (nextTask(state, self, idx)) {
-    tasks[idx]();
-    {
-      std::lock_guard<std::mutex> lock(state.done_mu);
-      state.done[idx] = 1;
-    }
-    state.done_cv.notify_one();
-  }
-}
-
-}  // namespace
-
-int WorkStealingPool::resolveJobs(int jobs) {
+int WorkerPool::resolveJobs(int jobs) {
   if (jobs > 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void WorkStealingPool::runAll(std::vector<Task> tasks, int jobs,
-                              const std::function<void(std::size_t)>& onTaskDone) {
+void WorkerPool::runAll(std::vector<Task> tasks, int jobs,
+                        const std::function<void(std::size_t)>& onTaskDone) {
   const std::size_t n = tasks.size();
   if (n == 0) return;
   const std::size_t workers = std::min<std::size_t>(
@@ -99,26 +33,40 @@ void WorkStealingPool::runAll(std::vector<Task> tasks, int jobs,
     return;
   }
 
-  PoolState state(workers, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state.queues[i % workers].tasks.push_back(i);
-  }
+  // Workers claim task indices from one shared cursor. The batch is fixed
+  // up front (running tasks never enqueue more), so a worker whose claim
+  // lands past the end is finished. Completions go into a ledger guarded
+  // by done_mu, which the caller drains in submission order. Contention
+  // is negligible at experiment granularity (milliseconds to minutes per
+  // task), so a plain mutex keeps the pool obviously correct under TSan.
+  std::atomic<std::size_t> cursor{0};
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  std::vector<char> done(n, 0);
 
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back(
-        [&state, &tasks, w] { workerLoop(state, w, tasks); });
+    threads.emplace_back([&] {
+      for (std::size_t i = cursor++; i < n; i = cursor++) {
+        tasks[i]();
+        {
+          std::lock_guard<std::mutex> lock(done_mu);
+          done[i] = 1;
+        }
+        done_cv.notify_one();
+      }
+    });
   }
 
   // Drain completions in submission order on the calling thread; the
   // callback therefore observes exactly the serial emission order.
   std::size_t next_emit = 0;
   {
-    std::unique_lock<std::mutex> lock(state.done_mu);
+    std::unique_lock<std::mutex> lock(done_mu);
     while (next_emit < n) {
-      state.done_cv.wait(lock, [&] { return state.done[next_emit] != 0; });
-      while (next_emit < n && state.done[next_emit]) {
+      done_cv.wait(lock, [&] { return done[next_emit] != 0; });
+      while (next_emit < n && done[next_emit]) {
         const std::size_t i = next_emit++;
         if (onTaskDone) {
           lock.unlock();
@@ -144,7 +92,7 @@ struct PrefixGroup {
 }  // namespace
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : jobs_(WorkStealingPool::resolveJobs(options.jobs)),
+    : jobs_(WorkerPool::resolveJobs(options.jobs)),
       share_warm_prefixes_(options.share_warm_prefixes) {}
 
 std::vector<SweepRun> SweepRunner::run(
@@ -186,7 +134,7 @@ std::vector<SweepRun> SweepRunner::run(
   // Phase A: one task per shared prefix. A barrier (not a pipeline) is
   // required here — a member's tail cannot start before its group's
   // snapshot exists, and members of one group may sit on many workers.
-  std::vector<WorkStealingPool::Task> prefix_tasks;
+  std::vector<WorkerPool::Task> prefix_tasks;
   for (PrefixGroup& g : groups) {
     if (g.members.empty()) continue;
     PrefixGroup* group = &g;
@@ -219,12 +167,12 @@ std::vector<SweepRun> SweepRunner::run(
     });
   }
   if (!prefix_tasks.empty()) {
-    WorkStealingPool::runAll(std::move(prefix_tasks), jobs_);
+    WorkerPool::runAll(std::move(prefix_tasks), jobs_);
   }
 
   // Phase B: every spec runs — group members fork from their snapshot,
   // everyone else (and members of a failed prefix) runs whole.
-  std::vector<WorkStealingPool::Task> tasks;
+  std::vector<WorkerPool::Task> tasks;
   tasks.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     PrefixGroup* group = group_of[i];
@@ -261,10 +209,10 @@ std::vector<SweepRun> SweepRunner::run(
   }
 
   if (onReady) {
-    WorkStealingPool::runAll(std::move(tasks), jobs_,
+    WorkerPool::runAll(std::move(tasks), jobs_,
                              [&out, &onReady](std::size_t i) { onReady(out[i]); });
   } else {
-    WorkStealingPool::runAll(std::move(tasks), jobs_);
+    WorkerPool::runAll(std::move(tasks), jobs_);
   }
   return out;
 }

@@ -4,7 +4,7 @@
 // per-topology x per-GPU-count); replaying it one experiment at a time
 // wastes every host core but one. Experiments are embarrassingly
 // parallel — each run owns a private Simulator/Topology/FlowNetwork/
-// Trainer stack and shares nothing — so a work-stealing pool fans them
+// Trainer stack and shares nothing — so a worker pool fans them
 // out across threads while keeping the *observable* output bit-identical
 // to a serial replay:
 //
@@ -30,12 +30,11 @@
 
 namespace composim::core {
 
-/// Fixed-size work-stealing thread pool for a one-shot batch of
-/// independent tasks. Tasks are dealt round-robin onto per-worker
-/// deques; a worker drains its own deque LIFO and, when empty, steals
-/// FIFO from its siblings, so long tasks parked on one worker get
-/// redistributed instead of serializing the tail.
-class WorkStealingPool {
+/// Fixed-size thread pool for a one-shot batch of independent tasks.
+/// Workers claim tasks in submission order from one shared cursor, so
+/// an idle worker always takes the next unclaimed task and long tasks
+/// never queue behind one another on a busy worker.
+class WorkerPool {
  public:
   using Task = std::function<void()>;
 
@@ -68,12 +67,12 @@ auto sweepOrdered(int jobs, std::size_t count, Fn&& fn)
     -> std::vector<decltype(fn(std::size_t{}))> {
   using R = decltype(fn(std::size_t{}));
   std::vector<R> out(count);
-  std::vector<WorkStealingPool::Task> tasks;
+  std::vector<WorkerPool::Task> tasks;
   tasks.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     tasks.push_back([&out, &fn, i] { out[i] = fn(i); });
   }
-  WorkStealingPool::runAll(std::move(tasks), jobs);
+  WorkerPool::runAll(std::move(tasks), jobs);
   return out;
 }
 

@@ -16,7 +16,7 @@ SimTime Gpu::kernelDuration(const KernelDesc& k) const {
 }
 
 void Gpu::launchKernel(const KernelDesc& k, std::function<void()> done) {
-  ++kernels_launched_;
+  ++st_.kernels_launched;
   queue_.push_back(Pending{k, std::move(done)});
   if (!busy_) startNext();
 }
@@ -35,37 +35,37 @@ void Gpu::startNext() {
 
   sim_.schedule(d, [this, d, cb = std::move(p.done)]() mutable {
     busy_ = false;
-    busy_accum_ += d;
-    mem_busy_accum_ += current_mem_busy_;
+    st_.busy_accum += d;
+    st_.mem_busy_accum += current_mem_busy_;
     current_mem_busy_ = 0.0;
-    ++kernels_retired_;
+    ++st_.kernels_retired;
     if (cb) cb();
     startNext();
   });
 }
 
 void Gpu::allocate(Bytes bytes) {
-  if (allocated_ + bytes > spec_.mem_capacity) {
+  if (st_.allocated + bytes > spec_.mem_capacity) {
     throw GpuOutOfMemory(name_ + ": allocation of " + formatBytes(bytes) +
                          " exceeds " + formatBytes(spec_.mem_capacity) +
-                         " (in use: " + formatBytes(allocated_) + ")");
+                         " (in use: " + formatBytes(st_.allocated) + ")");
   }
-  allocated_ += bytes;
+  st_.allocated += bytes;
 }
 
 void Gpu::free(Bytes bytes) {
-  allocated_ = std::max<Bytes>(0, allocated_ - bytes);
+  st_.allocated = std::max<Bytes>(0, st_.allocated - bytes);
 }
 
 SimTime Gpu::busyTime() const {
-  return busy_accum_ + (busy_ ? sim_.now() - busy_since_ : 0.0);
+  return st_.busy_accum + (busy_ ? sim_.now() - busy_since_ : 0.0);
 }
 
 SimTime Gpu::memBusyTime() const {
-  if (!busy_) return mem_busy_accum_;
+  if (!busy_) return st_.mem_busy_accum;
   // Attribute the in-flight kernel's memory time proportionally.
   const SimTime elapsed = sim_.now() - busy_since_;
-  return mem_busy_accum_ + std::min(current_mem_busy_, elapsed);
+  return st_.mem_busy_accum + std::min(current_mem_busy_, elapsed);
 }
 
 }  // namespace composim::devices

@@ -60,24 +60,25 @@ class Gpu {
   /// --- memory allocator ---
   void allocate(Bytes bytes);
   void free(Bytes bytes);
-  Bytes allocatedBytes() const { return allocated_; }
+  Bytes allocatedBytes() const { return st_.allocated; }
   Bytes capacity() const { return spec_.mem_capacity; }
   double memoryUtilization() const {
-    return static_cast<double>(allocated_) / static_cast<double>(spec_.mem_capacity);
+    return static_cast<double>(st_.allocated) /
+           static_cast<double>(spec_.mem_capacity);
   }
 
   /// Attribute `duration` of NCCL communication-kernel time to this GPU's
   /// busy accounting (collectives run on SMs and show as utilization in
   /// nvidia-smi, but they do not occupy the simulated compute queue).
   void creditCommBusy(SimTime duration) {
-    if (duration > 0.0) busy_accum_ += duration;
+    if (duration > 0.0) st_.busy_accum += duration;
   }
 
   /// --- cumulative accounting (telemetry samples the deltas) ---
   SimTime busyTime() const;
   SimTime memBusyTime() const;
-  std::uint64_t kernelsLaunched() const { return kernels_launched_; }
-  std::uint64_t kernelsRetired() const { return kernels_retired_; }
+  std::uint64_t kernelsLaunched() const { return st_.kernels_launched; }
+  std::uint64_t kernelsRetired() const { return st_.kernels_retired; }
   bool busy() const { return busy_; }
 
   /// Quiescent-point snapshot (no kernel running or queued): allocator and
@@ -94,19 +95,14 @@ class Gpu {
     if (busy_ || !queue_.empty()) {
       throw std::logic_error("Gpu::state: kernel in flight on " + name_);
     }
-    return State{allocated_, busy_accum_, mem_busy_accum_, kernels_launched_,
-                 kernels_retired_};
+    return st_;
   }
 
   void restoreState(const State& st) {
     if (busy_ || !queue_.empty()) {
       throw std::logic_error("Gpu::restoreState: kernel in flight on " + name_);
     }
-    allocated_ = st.allocated;
-    busy_accum_ = st.busy_accum;
-    mem_busy_accum_ = st.mem_busy_accum;
-    kernels_launched_ = st.kernels_launched;
-    kernels_retired_ = st.kernels_retired;
+    st_ = st;
   }
 
  private:
@@ -122,15 +118,11 @@ class Gpu {
   GpuSpec spec_;
   std::string name_;
 
-  Bytes allocated_ = 0;
+  State st_;
   std::deque<Pending> queue_;
   bool busy_ = false;
   SimTime busy_since_ = 0.0;
-  SimTime busy_accum_ = 0.0;
-  SimTime mem_busy_accum_ = 0.0;
   SimTime current_mem_busy_ = 0.0;
-  std::uint64_t kernels_launched_ = 0;
-  std::uint64_t kernels_retired_ = 0;
 };
 
 }  // namespace composim::devices

@@ -7,8 +7,8 @@ namespace composim::devices {
 
 void HostCpu::touchAccounting() {
   const SimTime now = sim_.now();
-  busy_accum_ += busy_threads_ * (now - last_change_);
-  last_change_ = now;
+  st_.busy_accum += busy_threads_ * (now - st_.last_change);
+  st_.last_change = now;
 }
 
 void HostCpu::submit(SimTime duration, std::function<void()> done) {
@@ -36,11 +36,11 @@ void HostCpu::dispatch(Task task) {
 }
 
 SimTime HostCpu::busyThreadTime() const {
-  return busy_accum_ + busy_threads_ * (sim_.now() - last_change_);
+  return st_.busy_accum + busy_threads_ * (sim_.now() - st_.last_change);
 }
 
 void HostCpu::freeMemory(Bytes bytes) {
-  host_mem_used_ = std::max<Bytes>(0, host_mem_used_ - bytes);
+  st_.host_mem_used = std::max<Bytes>(0, st_.host_mem_used - bytes);
 }
 
 }  // namespace composim::devices

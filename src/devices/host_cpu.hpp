@@ -37,18 +37,18 @@ class HostCpu {
   SimTime busyThreadTime() const;
 
   /// --- host memory accounting (Fig 14) ---
-  void allocateMemory(Bytes bytes) { host_mem_used_ += bytes; }
+  void allocateMemory(Bytes bytes) { st_.host_mem_used += bytes; }
   void freeMemory(Bytes bytes);
-  Bytes memoryUsed() const { return host_mem_used_; }
+  Bytes memoryUsed() const { return st_.host_mem_used; }
   Bytes memoryCapacity() const { return spec_.system_memory; }
   double memoryUtilization() const {
-    return static_cast<double>(host_mem_used_) /
+    return static_cast<double>(st_.host_mem_used) /
            static_cast<double>(spec_.system_memory);
   }
 
   /// Quiescent-point snapshot (no task running or queued).
   struct State {
-    SimTime busy_accum = 0.0;
+    SimTime busy_accum = 0.0;  // integral of busy threads over time
     SimTime last_change = 0.0;
     Bytes host_mem_used = 0;
   };
@@ -57,16 +57,14 @@ class HostCpu {
     if (busy_threads_ != 0 || !queue_.empty()) {
       throw std::logic_error("HostCpu::state: tasks in flight");
     }
-    return State{busy_accum_, last_change_, host_mem_used_};
+    return st_;
   }
 
   void restoreState(const State& st) {
     if (busy_threads_ != 0 || !queue_.empty()) {
       throw std::logic_error("HostCpu::restoreState: tasks in flight");
     }
-    busy_accum_ = st.busy_accum;
-    last_change_ = st.last_change;
-    host_mem_used_ = st.host_mem_used;
+    st_ = st;
   }
 
  private:
@@ -83,9 +81,7 @@ class HostCpu {
   CpuSpec spec_;
   std::deque<Task> queue_;
   int busy_threads_ = 0;
-  SimTime busy_accum_ = 0.0;      // integral of busy_threads_ over time
-  SimTime last_change_ = 0.0;
-  Bytes host_mem_used_ = 0;
+  State st_;
 };
 
 }  // namespace composim::devices

@@ -2,8 +2,7 @@
 //
 // Public-datasheet constants for the hardware in the paper's test bed
 // (Section V-A): NVIDIA Tesla V100-SXM2 / V100-PCIE / P100, Intel Xeon
-// Gold 6148 hosts, Intel 4 TB NVMe drives, X540 10 GbE NICs, and a NAS
-// stand-in used as the slow-storage baseline of Fig 15.
+// Gold 6148 hosts, Intel 4 TB NVMe drives and the SATA boot SSD.
 #pragma once
 
 #include <string>

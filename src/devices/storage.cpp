@@ -7,13 +7,13 @@ namespace composim::devices {
 void StorageDevice::read(Bytes bytes, fabric::NodeId destination,
                          AccessPattern pattern,
                          std::function<void(const fabric::FlowResult&)> done) {
-  bytes_read_ += bytes;
+  st_.bytes_read += bytes;
   submit(PendingOp{true, bytes, destination, pattern, std::move(done)});
 }
 
 void StorageDevice::write(Bytes bytes, fabric::NodeId source,
                           std::function<void(const fabric::FlowResult&)> done) {
-  bytes_written_ += bytes;
+  st_.bytes_written += bytes;
   submit(PendingOp{false, bytes, source, AccessPattern::Sequential,
                    std::move(done)});
 }

@@ -1,4 +1,4 @@
-// composim: storage device model (NVMe, NAS baseline).
+// composim: storage device model (NVMe drives, boot SSD).
 //
 // Reads and writes are issued as fabric flows from/to the storage node, so
 // a Falcon-attached NVMe naturally pays the drawer-switch + host-adapter
@@ -49,8 +49,8 @@ class StorageDevice {
   void write(Bytes bytes, fabric::NodeId source,
              std::function<void(const fabric::FlowResult&)> done);
 
-  Bytes bytesRead() const { return bytes_read_; }
-  Bytes bytesWritten() const { return bytes_written_; }
+  Bytes bytesRead() const { return st_.bytes_read; }
+  Bytes bytesWritten() const { return st_.bytes_written; }
   std::size_t queuedOps() const { return queue_.size(); }
 
   /// Quiescent-point snapshot (no op in flight or queued).
@@ -63,7 +63,7 @@ class StorageDevice {
     if (busy_ || !queue_.empty()) {
       throw std::logic_error("StorageDevice::state: ops in flight on " + name_);
     }
-    return State{bytes_read_, bytes_written_};
+    return st_;
   }
 
   void restoreState(const State& st) {
@@ -71,8 +71,7 @@ class StorageDevice {
       throw std::logic_error("StorageDevice::restoreState: ops in flight on " +
                              name_);
     }
-    bytes_read_ = st.bytes_read;
-    bytes_written_ = st.bytes_written;
+    st_ = st;
   }
 
  private:
@@ -91,8 +90,7 @@ class StorageDevice {
   fabric::NodeId node_;
   StorageSpec spec_;
   std::string name_;
-  Bytes bytes_read_ = 0;
-  Bytes bytes_written_ = 0;
+  State st_;
   bool busy_ = false;
   std::deque<PendingOp> queue_;
 };

@@ -23,18 +23,18 @@ Bytes DataPipeline::storageBytesPerBatch() const {
 }
 
 void DataPipeline::start() {
-  if (running_) return;
-  running_ = true;
+  if (st_.running) return;
+  st_.running = true;
   maybeProduce();
 }
 
-void DataPipeline::stop() { running_ = false; }
+void DataPipeline::stop() { st_.running = false; }
 
 void DataPipeline::maybeProduce() {
-  while (running_ && in_flight_ + ready_ < options_.prefetch_batches) {
+  while (st_.running && in_flight_ + st_.ready < options_.prefetch_batches) {
     ++in_flight_;
     const Bytes stage = storageBytesPerBatch() + deviceBytesPerBatch();
-    staging_bytes_ += stage;
+    st_.staging_bytes += stage;
     cpu_.allocateMemory(stage);
     storage_.read(storageBytesPerBatch(), host_memory_, devices::AccessPattern::Random,
                   [this](const fabric::FlowResult& r) {
@@ -60,8 +60,8 @@ void DataPipeline::maybeProduce() {
 
 void DataPipeline::onBatchReady() {
   --in_flight_;
-  ++ready_;
-  ++produced_;
+  ++st_.ready;
+  ++st_.produced;
   deliverIfPossible();
   maybeProduce();
 }
@@ -73,14 +73,14 @@ void DataPipeline::requestBatch(std::function<void()> ready) {
 }
 
 void DataPipeline::deliverIfPossible() {
-  while (ready_ > 0 && !waiters_.empty()) {
+  while (st_.ready > 0 && !waiters_.empty()) {
     auto [asked_at, cb] = std::move(waiters_.front());
     waiters_.pop_front();
-    --ready_;
-    ++delivered_;
-    stall_time_ += sim_.now() - asked_at;
+    --st_.ready;
+    ++st_.delivered;
+    st_.stall_time += sim_.now() - asked_at;
     const Bytes stage = storageBytesPerBatch() + deviceBytesPerBatch();
-    staging_bytes_ -= stage;
+    st_.staging_bytes -= stage;
     cpu_.freeMemory(stage);
     sim_.schedule(0.0, std::move(cb));
   }

@@ -1,12 +1,11 @@
 // composim: training input pipeline (paper Fig 8).
 //
 // Models the PyTorch DataLoader path: batches are read from storage (as
-// fabric flows, so a Falcon-attached NVMe pays the switch path and a NAS
-// baseline pays the NIC), staged in host memory, preprocessed by CPU
-// worker threads, and queued for the trainer. Prefetching keeps up to
-// `prefetch_batches` batches in flight, which is what hides storage and
-// CPU latency under GPU compute — until the storage device becomes the
-// bottleneck (the Fig 15 effect).
+// fabric flows, so a Falcon-attached NVMe pays the switch path), staged
+// in host memory, preprocessed by CPU worker threads, and queued for the
+// trainer. Prefetching keeps up to `prefetch_batches` batches in flight,
+// which is what hides storage and CPU latency under GPU compute — until
+// the storage device becomes the bottleneck (the Fig 15 effect).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +42,11 @@ class DataPipeline {
   /// a later event) once a preprocessed batch is available and consumed.
   void requestBatch(std::function<void()> ready);
 
-  std::int64_t batchesDelivered() const { return delivered_; }
-  std::int64_t batchesProduced() const { return produced_; }
+  std::int64_t batchesDelivered() const { return st_.delivered; }
+  std::int64_t batchesProduced() const { return st_.produced; }
   /// Cumulative time consumers spent waiting on the pipeline.
-  SimTime stallTime() const { return stall_time_; }
-  Bytes hostStagingBytes() const { return staging_bytes_; }
+  SimTime stallTime() const { return st_.stall_time; }
+  Bytes hostStagingBytes() const { return st_.staging_bytes; }
 
   Bytes storageBytesPerBatch() const;
   Bytes deviceBytesPerBatch() const {
@@ -60,7 +59,7 @@ class DataPipeline {
   /// accounting and is restored there.
   struct State {
     bool running = false;
-    int ready = 0;
+    int ready = 0;  // batches waiting for a consumer
     std::int64_t delivered = 0;
     std::int64_t produced = 0;
     SimTime stall_time = 0.0;
@@ -71,20 +70,14 @@ class DataPipeline {
     if (in_flight_ != 0 || !waiters_.empty()) {
       throw std::logic_error("DataPipeline::state: batches in flight");
     }
-    return State{running_, ready_, delivered_, produced_, stall_time_,
-                 staging_bytes_};
+    return st_;
   }
 
   void restoreState(const State& st) {
     if (in_flight_ != 0 || !waiters_.empty()) {
       throw std::logic_error("DataPipeline::restoreState: batches in flight");
     }
-    running_ = st.running;
-    ready_ = st.ready;
-    delivered_ = st.delivered;
-    produced_ = st.produced;
-    stall_time_ = st.stall_time;
-    staging_bytes_ = st.staging_bytes;
+    st_ = st;
   }
 
  private:
@@ -100,14 +93,9 @@ class DataPipeline {
   int samples_per_batch_;
   PipelineOptions options_;
 
-  bool running_ = false;
-  int in_flight_ = 0;      // batches being read/preprocessed
-  int ready_ = 0;          // batches waiting for a consumer
+  State st_;
+  int in_flight_ = 0;  // batches being read/preprocessed
   std::deque<std::pair<SimTime, std::function<void()>>> waiters_;
-  std::int64_t delivered_ = 0;
-  std::int64_t produced_ = 0;
-  SimTime stall_time_ = 0.0;
-  Bytes staging_bytes_ = 0;
 };
 
 }  // namespace composim::dl

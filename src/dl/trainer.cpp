@@ -83,7 +83,7 @@ Trainer::Trainer(Simulator& sim, fabric::FlowNetwork& net,
 
 Trainer::~Trainer() {
   for (auto* g : gpus_) {
-    if (allocated_per_gpu_ > 0) g->free(allocated_per_gpu_);
+    if (st_.allocated_per_gpu > 0) g->free(st_.allocated_per_gpu);
   }
 }
 
@@ -144,23 +144,24 @@ std::int64_t Trainer::iterationsPerEpochFull() const {
 void Trainer::start(std::function<void(const TrainingResult&)> done) {
   done_ = std::move(done);
   started_ = true;
-  run_start_ = sim_.now();
+  st_.run_start = sim_.now();
 
   const Bytes need = perGpuMemoryNeeded(batch_per_gpu_);
   try {
     for (auto* g : gpus_) g->allocate(need);
-    allocated_per_gpu_ = need;
+    st_.allocated_per_gpu = need;
   } catch (const devices::GpuOutOfMemory& oom) {
     for (auto* g : gpus_) g->free(need);  // free() clamps, safe for partial
-    allocated_per_gpu_ = 0;
+    st_.allocated_per_gpu = 0;
     finish(false, oom.what());
     return;
   }
 
   // Framework footprint on the host: PyTorch + CUDA contexts + pinned
   // buffers per GPU (Fig 14's baseline system-memory usage).
-  host_base_memory_ = units::GiB(10) + units::GiB(1.5) * static_cast<Bytes>(gpus_.size());
-  cpu_.allocateMemory(host_base_memory_);
+  st_.host_base_memory =
+      units::GiB(10) + units::GiB(1.5) * static_cast<Bytes>(gpus_.size());
+  cpu_.allocateMemory(st_.host_base_memory);
 
   iters_per_epoch_sim_ =
       epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
@@ -220,7 +221,7 @@ void Trainer::prefetchNextInput() {
                          sink->endAsyncSpan(h2d_span);
                        }
                        if (gen != gen_) return;
-                       input_ready_ = true;
+                       st_.input_ready = true;
                        if (input_waiter_) {
                          auto w = std::move(input_waiter_);
                          input_waiter_ = nullptr;
@@ -235,18 +236,18 @@ void Trainer::prefetchNextInput() {
 void Trainer::beginIteration() {
   // The clock starts before any wait on the input pipeline: a data-bound
   // iteration is a long iteration.
-  iteration_start_ = sim_.now();
-  micro_step_ = 0;
+  st_.iteration_start = sim_.now();
+  st_.micro_step = 0;
   backward_done_ = false;
   pending_allreduce_ = 0;
   beginTrackSpan("iteration",
-                 {{"iter", iterations_done_}, {"epoch", epoch_}});
+                 {{"iter", st_.iterations_done}, {"epoch", st_.epoch}});
   startMicroStep();
 }
 
 void Trainer::startMicroStep() {
   auto proceed = [this] {
-    input_ready_ = false;
+    st_.input_ready = false;
     // Double buffering: fetch + upload the next micro-batch under this
     // one's compute.
     prefetchNextInput();
@@ -258,7 +259,7 @@ void Trainer::startMicroStep() {
       runForward(0);
     }
   };
-  if (input_ready_) {
+  if (st_.input_ready) {
     proceed();
   } else {
     beginTrackSpan("input-wait", {{"bucket", "stall"}});
@@ -297,13 +298,13 @@ void Trainer::runBackwardDdp(int group) {
   if (group < 0) {
     endTrackSpan();  // backward
     const int accum = std::max(1, options_.gradient_accumulation_steps);
-    if (micro_step_ < accum - 1) {
-      ++micro_step_;
+    if (st_.micro_step < accum - 1) {
+      ++st_.micro_step;
       startMicroStep();
       return;
     }
     backward_done_ = true;
-    backward_done_time_ = sim_.now();
+    st_.backward_done_time = sim_.now();
     // The span covers only the all-reduce tail not hidden under backward.
     beginTrackSpan("gradient-sync", {{"bucket", "sync"}, {"buckets_pending", pending_allreduce_}});
     if (pending_allreduce_ == 0) onComputeAndCommDone();
@@ -320,7 +321,7 @@ void Trainer::runBackwardDdp(int group) {
   // Gradient sync happens only on the final accumulation micro-step
   // (DDP's no_sync context for the earlier ones).
   const bool sync_step =
-      micro_step_ >= std::max(1, options_.gradient_accumulation_steps) - 1;
+      st_.micro_step >= std::max(1, options_.gradient_accumulation_steps) - 1;
   auto remaining = std::make_shared<int>(static_cast<int>(gpus_.size()));
   for (auto* gpu : gpus_) {
     gpu->launchKernel(k, [this, remaining, group, sync_step, gen = gen_] {
@@ -378,7 +379,7 @@ void Trainer::onComputeAndCommDone() {
   if (options_.strategy == Strategy::DistributedDataParallel) {
     // Gradient all-reduce time not hidden under backward ran as NCCL
     // kernels: nvidia-smi counts it as GPU utilization.
-    const SimTime exposed = sim_.now() - backward_done_time_;
+    const SimTime exposed = sim_.now() - st_.backward_done_time;
     for (auto* gpu : gpus_) gpu->creditCommBusy(exposed);
     endTrackSpan({{"exposed_s", exposed}});  // gradient-sync
   } else {
@@ -428,28 +429,19 @@ void Trainer::endIteration() {
   sim_.schedule(kStepOverhead, [this, gen = gen_] {
     if (gen != gen_) return;
     endTrackSpan();  // step-overhead
-    const SimTime dt = sim_.now() - iteration_start_;
+    const SimTime dt = sim_.now() - st_.iteration_start;
     endTrackSpan({{"dt_s", dt}});  // iteration
-    iteration_times_.push_back(dt);
+    st_.iteration_times.push_back(dt);
     if (iteration_observer_) iteration_observer_(dt);
-    ++iterations_done_;
-    ++iter_in_epoch_;
+    ++st_.iterations_done;
+    ++st_.iter_in_epoch;
 
-    // Synthetic but realistic loss trajectory for the tracker. The noise
-    // draw is retained separately: the deterministic part depends on the
-    // planned total (a tail parameter under warm-prefix forking), so a
-    // fork re-derives the curve from the draws under its own total.
-    const double total =
-        static_cast<double>(iters_per_epoch_sim_) * std::max(1, epochs_);
-    const double progress = static_cast<double>(iterations_done_) / total;
-    const double base = (model_.domain == Domain::NLP) ? 3.2 : 6.2;
-    const double floor = (model_.domain == Domain::NLP) ? 0.9 : 1.6;
+    // Synthetic but realistic loss trajectory for the tracker.
     const double noise = rng_.normal(0.0, 0.02);
-    loss_noise_.push_back(noise);
-    result_.loss_curve.push_back(floor + (base - floor) * std::exp(-3.0 * progress) +
-                                 noise);
+    st_.loss_noise.push_back(noise);
+    loss_curve_.push_back(lossAt(st_.iterations_done, noise));
 
-    if (pause_at_ > 0 && iterations_done_ == pause_at_) {
+    if (pause_at_ > 0 && st_.iterations_done == pause_at_) {
       // Warm-prefix boundary: stop the loop here. The caller guaranteed
       // (warmPrefixApplicable) this point is strictly inside an epoch and
       // not an iteration-count checkpoint, so the suppressed continuation
@@ -466,11 +458,11 @@ void Trainer::endIteration() {
       return;
     }
 
-    if (iter_in_epoch_ >= iters_per_epoch_sim_) {
-      iter_in_epoch_ = 0;
-      ++epoch_;
+    if (st_.iter_in_epoch >= iters_per_epoch_sim_) {
+      st_.iter_in_epoch = 0;
+      ++st_.epoch;
       auto resume = [this] {
-        if (epoch_ >= epochs_) {
+        if (st_.epoch >= epochs_) {
           finish(true, {});
           return;
         }
@@ -482,7 +474,7 @@ void Trainer::endIteration() {
       };
       checkpoint(std::move(resume));
     } else if (options_.checkpoint_every_iters > 0 &&
-               iterations_done_ % options_.checkpoint_every_iters == 0) {
+               st_.iterations_done % options_.checkpoint_every_iters == 0) {
       checkpoint([this] { beginIteration(); });
     } else {
       beginIteration();
@@ -508,16 +500,16 @@ void Trainer::checkpoint(std::function<void()> then) {
                                   [this, ckpt, started, cont, gen](const fabric::FlowResult&) {
                                     if (gen != gen_) return;
                                     checkpointing_ = false;
-                                    result_.checkpoint_bytes += ckpt;
-                                    result_.checkpoint_time += sim_.now() - started;
+                                    st_.checkpoint_bytes += ckpt;
+                                    st_.checkpoint_time += sim_.now() - started;
                                     if (checkpoint_observer_) {
                                       checkpoint_observer_(sim_.now() - started);
                                     }
                                     // The checkpoint is durable: this is
                                     // now the restore/replay point.
-                                    ckpt_epoch_ = epoch_;
-                                    ckpt_iter_in_epoch_ = iter_in_epoch_;
-                                    ckpt_iters_done_ = iterations_done_;
+                                    st_.ckpt_epoch = st_.epoch;
+                                    st_.ckpt_iter_in_epoch = st_.iter_in_epoch;
+                                    st_.ckpt_iters_done = st_.iterations_done;
                                     endTrackSpan();  // checkpoint
                                     (*cont)();
                                   });
@@ -537,8 +529,8 @@ void Trainer::applyPendingResize() {
   ++resize_count_;
 
   // Release the outgoing composition.
-  for (auto* g : gpus_) g->free(allocated_per_gpu_);
-  allocated_per_gpu_ = 0;
+  for (auto* g : gpus_) g->free(st_.allocated_per_gpu);
+  st_.allocated_per_gpu = 0;
   gpus_ = std::move(pending_resize_);
   pending_resize_.clear();
 
@@ -547,10 +539,10 @@ void Trainer::applyPendingResize() {
   const Bytes need = perGpuMemoryNeeded(batch_per_gpu_);
   try {
     for (auto* g : gpus_) g->allocate(need);
-    allocated_per_gpu_ = need;
+    st_.allocated_per_gpu = need;
   } catch (const devices::GpuOutOfMemory& oom) {
     for (auto* g : gpus_) g->free(need);
-    allocated_per_gpu_ = 0;
+    st_.allocated_per_gpu = 0;
     finish(false, std::string("resize failed: ") + oom.what());
     return;
   }
@@ -577,7 +569,7 @@ void Trainer::recomposeGang() {
                                              options_.pipeline);
   pipeline_->start();
 
-  input_ready_ = false;
+  st_.input_ready = false;
   input_waiter_ = nullptr;
   iters_per_epoch_sim_ =
       epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
@@ -594,37 +586,37 @@ bool Trainer::requestRestore(std::vector<devices::Gpu*> gpus,
   // iteration had open must close before the restore span opens.
   while (track_depth_ > 0) endTrackSpan({{"aborted", 1}});
   checkpointing_ = false;
-  input_ready_ = false;
+  st_.input_ready = false;
   input_waiter_ = nullptr;
   backward_done_ = false;
   pending_allreduce_ = 0;
-  micro_step_ = 0;
+  st_.micro_step = 0;
 
   // Rewind to the replay window. Iterations completed since the last
   // durable checkpoint are lost work: they will be re-run.
-  const std::int64_t lost = iterations_done_ - ckpt_iters_done_;
-  result_.lost_iterations += lost;
-  ++result_.restores;
-  iterations_done_ = ckpt_iters_done_;
-  iter_in_epoch_ = ckpt_iter_in_epoch_;
-  epoch_ = ckpt_epoch_;
-  if (result_.loss_curve.size() > static_cast<std::size_t>(ckpt_iters_done_)) {
-    result_.loss_curve.resize(static_cast<std::size_t>(ckpt_iters_done_));
-    loss_noise_.resize(static_cast<std::size_t>(ckpt_iters_done_));
+  const std::int64_t lost = st_.iterations_done - st_.ckpt_iters_done;
+  st_.lost_iterations += lost;
+  ++st_.restores;
+  st_.iterations_done = st_.ckpt_iters_done;
+  st_.iter_in_epoch = st_.ckpt_iter_in_epoch;
+  st_.epoch = st_.ckpt_epoch;
+  if (loss_curve_.size() > static_cast<std::size_t>(st_.ckpt_iters_done)) {
+    loss_curve_.resize(static_cast<std::size_t>(st_.ckpt_iters_done));
+    st_.loss_noise.resize(static_cast<std::size_t>(st_.ckpt_iters_done));
   }
 
   // Swap the gang. free() clamps, so GPUs that already fell off the bus
   // release cleanly too.
-  for (auto* g : gpus_) g->free(allocated_per_gpu_);
-  allocated_per_gpu_ = 0;
+  for (auto* g : gpus_) g->free(st_.allocated_per_gpu);
+  st_.allocated_per_gpu = 0;
   gpus_ = std::move(gpus);
   const Bytes need = perGpuMemoryNeeded(batch_per_gpu_);
   try {
     for (auto* g : gpus_) g->allocate(need);
-    allocated_per_gpu_ = need;
+    st_.allocated_per_gpu = need;
   } catch (const devices::GpuOutOfMemory& oom) {
     for (auto* g : gpus_) g->free(need);
-    allocated_per_gpu_ = 0;
+    st_.allocated_per_gpu = 0;
     finish(false, std::string("restore failed: ") + oom.what());
     return true;  // the request was accepted; it ended the run
   }
@@ -650,7 +642,7 @@ bool Trainer::requestRestore(std::vector<devices::Gpu*> gpus,
                      [this, remaining, restore_start, resumed,
                       gen](const fabric::FlowResult&) {
                        if (--*remaining > 0 || gen != gen_) return;
-                       result_.restore_time += sim_.now() - restore_start;
+                       st_.restore_time += sim_.now() - restore_start;
                        endTrackSpan();  // restore
                        prefetchNextInput();
                        if (*resumed) (*resumed)();
@@ -687,28 +679,8 @@ Trainer::State Trainer::state() const {
     throw std::logic_error(
         "Trainer::state: only a paused (warm-prefix) run can be captured");
   }
-  State st;
+  State st = st_;
   st.rng = rng_.state();
-  st.micro_step = micro_step_;
-  st.epoch = epoch_;
-  st.iter_in_epoch = iter_in_epoch_;
-  st.iterations_done = iterations_done_;
-  st.ckpt_epoch = ckpt_epoch_;
-  st.ckpt_iter_in_epoch = ckpt_iter_in_epoch_;
-  st.ckpt_iters_done = ckpt_iters_done_;
-  st.input_ready = input_ready_;
-  st.backward_done_time = backward_done_time_;
-  st.host_base_memory = host_base_memory_;
-  st.iteration_start = iteration_start_;
-  st.iteration_times = iteration_times_;
-  st.allocated_per_gpu = allocated_per_gpu_;
-  st.run_start = run_start_;
-  st.checkpoint_time = result_.checkpoint_time;
-  st.checkpoint_bytes = result_.checkpoint_bytes;
-  st.restores = result_.restores;
-  st.lost_iterations = result_.lost_iterations;
-  st.restore_time = result_.restore_time;
-  st.loss_noise = loss_noise_;
   return st;
 }
 
@@ -722,49 +694,33 @@ void Trainer::restoreRun(const State& st,
   started_ = true;
   paused_ = true;
 
+  // Memory the prefix allocated is already accounted in the restored
+  // device states; adopting st_ hands that bookkeeping to finish()/~Trainer.
+  st_ = st;
   rng_.setState(st.rng);
-  micro_step_ = st.micro_step;
-  epoch_ = st.epoch;
-  iter_in_epoch_ = st.iter_in_epoch;
-  iterations_done_ = st.iterations_done;
-  ckpt_epoch_ = st.ckpt_epoch;
-  ckpt_iter_in_epoch_ = st.ckpt_iter_in_epoch;
-  ckpt_iters_done_ = st.ckpt_iters_done;
-  input_ready_ = st.input_ready;
   input_waiter_ = nullptr;
   backward_done_ = false;
-  backward_done_time_ = st.backward_done_time;
   pending_allreduce_ = 0;
-  iteration_start_ = st.iteration_start;
-  iteration_times_ = st.iteration_times;
-  run_start_ = st.run_start;
-  // Memory the prefix allocated is already accounted in the restored
-  // device states; adopt the bookkeeping so finish()/~Trainer release it.
-  host_base_memory_ = st.host_base_memory;
-  allocated_per_gpu_ = st.allocated_per_gpu;
-
-  result_.checkpoint_time = st.checkpoint_time;
-  result_.checkpoint_bytes = st.checkpoint_bytes;
-  result_.restores = st.restores;
-  result_.lost_iterations = st.lost_iterations;
-  result_.restore_time = st.restore_time;
 
   // Re-derive the loss curve from the captured noise draws under THIS
   // trainer's planned total, which may differ from the prefix donor's.
   iters_per_epoch_sim_ =
       epochIterations(model_, dataset_, options_, gpus_.size()).simulated;
-  loss_noise_ = st.loss_noise;
+  loss_curve_.clear();
+  loss_curve_.reserve(st_.loss_noise.size());
+  for (std::size_t i = 0; i < st_.loss_noise.size(); ++i) {
+    loss_curve_.push_back(
+        lossAt(static_cast<std::int64_t>(i + 1), st_.loss_noise[i]));
+  }
+}
+
+double Trainer::lossAt(std::int64_t iteration, double noise) const {
   const double total =
       static_cast<double>(iters_per_epoch_sim_) * std::max(1, epochs_);
+  const double progress = static_cast<double>(iteration) / total;
   const double base = (model_.domain == Domain::NLP) ? 3.2 : 6.2;
   const double floor = (model_.domain == Domain::NLP) ? 0.9 : 1.6;
-  result_.loss_curve.clear();
-  result_.loss_curve.reserve(loss_noise_.size());
-  for (std::size_t i = 0; i < loss_noise_.size(); ++i) {
-    const double progress = static_cast<double>(i + 1) / total;
-    result_.loss_curve.push_back(
-        floor + (base - floor) * std::exp(-3.0 * progress) + loss_noise_[i]);
-  }
+  return floor + (base - floor) * std::exp(-3.0 * progress) + noise;
 }
 
 bool Trainer::abortTraining(const std::string& reason) {
@@ -780,55 +736,61 @@ bool Trainer::abortTraining(const std::string& reason) {
 void Trainer::finish(bool completed, const std::string& error) {
   finished_ = true;
   pipeline_->stop();
-  if (host_base_memory_ > 0) {
-    cpu_.freeMemory(host_base_memory_);
-    host_base_memory_ = 0;
+  if (st_.host_base_memory > 0) {
+    cpu_.freeMemory(st_.host_base_memory);
+    st_.host_base_memory = 0;
   }
-  result_.completed = completed;
-  result_.error = error;
-  result_.epochs = epoch_;
-  result_.iterations_run = iterations_done_;
-  result_.iterations_full = iterationsPerEpochFull() * epochs_;
-  result_.simulated_time = sim_.now() - run_start_;
-  result_.data_stall_time = pipeline_->stallTime();
+  TrainingResult result;
+  result.completed = completed;
+  result.error = error;
+  result.epochs = st_.epoch;
+  result.iterations_run = st_.iterations_done;
+  result.iterations_full = iterationsPerEpochFull() * epochs_;
+  result.simulated_time = sim_.now() - st_.run_start;
+  result.data_stall_time = pipeline_->stallTime();
+  result.checkpoint_time = st_.checkpoint_time;
+  result.checkpoint_bytes = st_.checkpoint_bytes;
+  result.restores = st_.restores;
+  result.lost_iterations = st_.lost_iterations;
+  result.restore_time = st_.restore_time;
+  result.loss_curve = std::move(loss_curve_);  // finish() runs once
 
   // Steady-state statistics (skip warmup; pipeline priming distorts the
   // first iterations).
-  if (!iteration_times_.empty()) {
+  const std::vector<SimTime>& times = st_.iteration_times;
+  if (!times.empty()) {
     const std::size_t skip =
-        iteration_times_.size() > kWarmupIterations * 2 ? kWarmupIterations : 0;
+        times.size() > kWarmupIterations * 2 ? kWarmupIterations : 0;
     double sum = 0.0;
-    for (std::size_t i = skip; i < iteration_times_.size(); ++i) {
-      sum += iteration_times_[i];
-    }
-    const auto n = static_cast<double>(iteration_times_.size() - skip);
-    result_.mean_iteration_time = sum / n;
+    for (std::size_t i = skip; i < times.size(); ++i) sum += times[i];
+    const auto n = static_cast<double>(times.size() - skip);
+    result.mean_iteration_time = sum / n;
     const double global_batch =
         static_cast<double>(batch_per_gpu_) * static_cast<double>(gpus_.size()) *
         std::max(1, options_.gradient_accumulation_steps);
-    result_.samples_per_second = global_batch / result_.mean_iteration_time;
+    result.samples_per_second = global_batch / result.mean_iteration_time;
   }
   // A full run checkpoints at every epoch boundary plus every
   // checkpoint_every_iters steps; capped simulations measured at least
   // the epoch-boundary ones, whose mean prices the rest.
-  std::int64_t ckpts_simulated = epoch_;
+  std::int64_t ckpts_simulated = st_.epoch;
   if (options_.checkpoint_every_iters > 0) {
-    ckpts_simulated += iterations_done_ / options_.checkpoint_every_iters;
+    ckpts_simulated += st_.iterations_done / options_.checkpoint_every_iters;
   }
   std::int64_t ckpts_full = epochs_;
   if (options_.checkpoint_every_iters > 0) {
-    ckpts_full += result_.iterations_full / options_.checkpoint_every_iters;
+    ckpts_full += result.iterations_full / options_.checkpoint_every_iters;
   }
   const SimTime per_ckpt =
-      result_.checkpoint_time / std::max<std::int64_t>(1, ckpts_simulated);
-  result_.extrapolated_total_time =
-      result_.mean_iteration_time * static_cast<double>(result_.iterations_full) +
+      st_.checkpoint_time / std::max<std::int64_t>(1, ckpts_simulated);
+  result.extrapolated_total_time =
+      result.mean_iteration_time * static_cast<double>(result.iterations_full) +
       per_ckpt * static_cast<double>(ckpts_full);
 
   if (done_) {
     auto d = std::move(done_);
     done_ = nullptr;
-    d(result_);
+    d(result);
   }
 }
 

@@ -195,10 +195,13 @@ class Trainer {
     int epoch = 0;
     std::int64_t iter_in_epoch = 0;
     std::int64_t iterations_done = 0;
+    // Replay window: what the last durable checkpoint captured. Zero-state
+    // (fresh initialization) counts as a checkpoint, so a restore before
+    // the first write replays from iteration 0.
     int ckpt_epoch = 0;
     std::int64_t ckpt_iter_in_epoch = 0;
     std::int64_t ckpt_iters_done = 0;
-    bool input_ready = false;
+    bool input_ready = false;  // H2D for the current iteration done
     SimTime backward_done_time = 0.0;
     Bytes host_base_memory = 0;
     SimTime iteration_start = 0.0;
@@ -210,6 +213,8 @@ class Trainer {
     int restores = 0;
     std::int64_t lost_iterations = 0;
     SimTime restore_time = 0.0;
+    /// Per-iteration loss noise draws, kept alongside the loss curve so a
+    /// fork can recompute the curve under a different planned total.
     std::vector<double> loss_noise;
   };
 
@@ -228,12 +233,12 @@ class Trainer {
   int batchPerGpu() const { return batch_per_gpu_; }
   int epochs() const { return epochs_; }
   std::int64_t iterationsPerEpochFull() const;
-  std::int64_t iterationsCompleted() const { return iterations_done_; }
-  int currentEpoch() const { return epoch_; }
+  std::int64_t iterationsCompleted() const { return st_.iterations_done; }
+  int currentEpoch() const { return st_.epoch; }
   bool checkpointing() const { return checkpointing_; }
   int resizeCount() const { return resize_count_; }
-  int restoreCount() const { return result_.restores; }
-  std::int64_t lostIterations() const { return result_.lost_iterations; }
+  int restoreCount() const { return st_.restores; }
+  std::int64_t lostIterations() const { return st_.lost_iterations; }
   bool finished() const { return finished_; }
   std::size_t groupSize() const { return gpus_.size(); }
   const std::vector<devices::Gpu*>& gpuGroup() const { return gpus_; }
@@ -268,6 +273,10 @@ class Trainer {
   /// in-flight callbacks still reference them.
   void recomposeGang();
   void finish(bool completed, const std::string& error);
+  /// Loss after `iteration` (1-based) iterations with noise draw `noise`.
+  /// It depends on the planned total, a tail parameter under warm-prefix
+  /// forking, so a fork re-derives the curve from the retained draws.
+  double lossAt(std::int64_t iteration, double noise) const;
 
   Bytes gradBytes() const { return model_.gradientBytes(options_.precision); }
   Bytes h2dBytesPerGpu() const;
@@ -309,10 +318,13 @@ class Trainer {
   std::int64_t iters_per_epoch_sim_ = 0;
 
   // run state
+  /// Everything a warm-prefix fork carries. Its rng words are stale here:
+  /// rng_ holds the live stream and state() fills them in.
+  State st_;
   std::function<void(const TrainingResult&)> done_;
-  TrainingResult result_;
-  int micro_step_ = 0;
-  int epoch_ = 0;
+  /// One entry per simulated iteration; restoreRun re-derives it from
+  /// st_.loss_noise.
+  std::vector<double> loss_curve_;
   std::vector<devices::Gpu*> pending_resize_;
   bool resize_requested_ = false;
   int resize_count_ = 0;
@@ -323,8 +335,6 @@ class Trainer {
   /// Communicators from before a restore, kept alive for the same reason:
   /// orphaned collective flows still call back into them.
   std::vector<std::unique_ptr<collectives::Communicator>> retired_comms_;
-  std::int64_t iter_in_epoch_ = 0;
-  std::int64_t iterations_done_ = 0;
   bool checkpointing_ = false;
   bool started_ = false;
   // Warm-prefix pause: when armed, the end of iteration `pause_at_` stops
@@ -333,9 +343,6 @@ class Trainer {
   std::int64_t pause_at_ = 0;
   std::function<void()> on_paused_;
   bool paused_ = false;
-  /// Per-iteration loss noise draws, kept alongside the loss curve so a
-  /// fork can recompute the curve under a different planned total.
-  std::vector<double> loss_noise_;
   /// Continuation generation: bumped by requestRestore so every callback
   /// captured before the restore (kernels, flows, collectives, scheduled
   /// events) returns without touching trainer state.
@@ -343,25 +350,11 @@ class Trainer {
   /// Open spans on track_ (so a mid-iteration restore can close them all
   /// and keep the trace B/E-balanced).
   int track_depth_ = 0;
-  // Replay window: what the last durable checkpoint captured. Zero-state
-  // (fresh initialization) counts as a checkpoint, so a restore before the
-  // first write replays from iteration 0.
-  int ckpt_epoch_ = 0;
-  std::int64_t ckpt_iter_in_epoch_ = 0;
-  std::int64_t ckpt_iters_done_ = 0;
-  bool input_ready_ = false;               // H2D for current iteration done
   std::function<void()> input_waiter_;
-  int pending_compute_ = 0;                // outstanding kernels/collectives
   bool backward_done_ = false;
-  SimTime backward_done_time_ = 0.0;
   int pending_allreduce_ = 0;
-  Bytes host_base_memory_ = 0;
-  SimTime iteration_start_ = 0.0;
-  std::vector<SimTime> iteration_times_;
   std::function<void(SimTime)> iteration_observer_;
   std::function<void(SimTime)> checkpoint_observer_;
-  Bytes allocated_per_gpu_ = 0;
-  SimTime run_start_ = 0.0;
 };
 
 }  // namespace composim::dl

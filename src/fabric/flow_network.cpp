@@ -32,8 +32,8 @@ AsyncSpanId FlowNetwork::beginFlowSpan(NodeId src, NodeId dst, Bytes bytes,
 }
 
 FlowId FlowNetwork::admitUnroutable(NodeId src, NodeId dst, FlowCallback done) {
-  ++flows_started_;
-  ++flows_failed_;
+  ++st_.flows_started;
+  ++st_.flows_failed;
   if (ProfileSink* sink = sim_.profiler()) {
     const ProfileKeys& keys = profile_keys_.get(*sink);
     sink->instant(keys.fabric, keys.unroutable,
@@ -53,15 +53,15 @@ FlowId FlowNetwork::admitLatencyOnly(const Route& route, NodeId src,
   // Control message or same-node transfer: latency only. The scheduled
   // completion owns everything the callback needs; latency_in_flight_
   // keeps the network non-quiescent until it lands.
-  const FlowId id = next_id_++;
-  ++flows_started_;
+  const FlowId id = st_.next_id++;
+  ++st_.flows_started;
   ++latency_in_flight_;
   const AsyncSpanId span =
       beginFlowSpan(src, dst, bytes, options.tag, options.correlation);
   sim_.schedule(route.latency + options.extraLatency,
                 [this, bytes, start = sim_.now(), span, done = std::move(done)] {
                   --latency_in_flight_;
-                  ++flows_completed_;
+                  ++st_.flows_completed;
                   if (ProfileSink* sink = sim_.profiler()) {
                     sink->endAsyncSpan(span, {{"status", "completed"}});
                   }
@@ -74,17 +74,17 @@ FlowId FlowNetwork::admitByteFlow(const Route& route, NodeId src, NodeId dst,
                                   Bytes bytes, FlowCallback done,
                                   const FlowOptions& options,
                                   std::vector<LinkId>& seeds) {
-  const FlowId id = next_id_++;
-  ++flows_started_;
+  const FlowId id = st_.next_id++;
+  ++st_.flows_started;
   std::uint32_t slot;
-  if (free_slots_.empty()) {
+  if (st_.free_slots.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     flow_epoch_.push_back(0);
     flow_fixed_.push_back(0);
   } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+    slot = st_.free_slots.back();
+    st_.free_slots.pop_back();
   }
   ActiveFlow& f = slots_[slot];
   f.id = id;
@@ -207,7 +207,7 @@ void FlowNetwork::failLink(LinkId link) {
 void FlowNetwork::notifyTopologyChanged() {
   advanceProgress();
   ensureLinkTables();
-  ++recomputations_;
+  ++st_.recomputations;
   resolveAllComponents();
   scheduleNextCompletion();
 }
@@ -226,18 +226,8 @@ FlowNetwork::State FlowNetwork::state() const {
         "FlowNetwork::state: flows still in flight (snapshot requires a "
         "quiescent point)");
   }
-  State st;
+  State st = st_;
   st.slot_count = static_cast<std::uint32_t>(slots_.size());
-  st.free_slots = free_slots_;
-  st.epoch = epoch_;
-  st.solve_epoch = solve_epoch_;
-  st.next_id = next_id_;
-  st.last_update = last_update_;
-  st.flows_started = flows_started_;
-  st.flows_completed = flows_completed_;
-  st.flows_failed = flows_failed_;
-  st.recomputations = recomputations_;
-  st.component_solves = component_solves_;
   return st;
 }
 
@@ -246,8 +236,8 @@ void FlowNetwork::restoreState(const State& st) {
     throw std::logic_error(
         "FlowNetwork::restoreState: target network has flows in flight");
   }
+  st_ = st;
   slots_.assign(st.slot_count, ActiveFlow{});
-  free_slots_ = st.free_slots;
   for (auto& v : link_flows_) v.clear();
   ensureLinkTables();
   // Zeroed scratch reads as "stale" under the epoch-equality tests, which
@@ -255,27 +245,18 @@ void FlowNetwork::restoreState(const State& st) {
   flow_epoch_.assign(st.slot_count, 0);
   flow_fixed_.assign(st.slot_count, 0);
   std::fill(link_epoch_.begin(), link_epoch_.end(), 0);
-  epoch_ = st.epoch;
-  solve_epoch_ = st.solve_epoch;
-  next_id_ = st.next_id;
-  last_update_ = st.last_update;
   active_.clear();
   completion_heap_.clear();
   completion_event_ = kInvalidEvent;
   completion_time_ = kInf;
   batches_.clear();
   free_batches_.clear();
-  flows_started_ = st.flows_started;
-  flows_completed_ = st.flows_completed;
-  flows_failed_ = st.flows_failed;
-  recomputations_ = st.recomputations;
-  component_solves_ = st.component_solves;
 }
 
 void FlowNetwork::advanceProgress() {
   const SimTime now = sim_.now();
-  const SimTime elapsed = now - last_update_;
-  last_update_ = now;
+  const SimTime elapsed = now - st_.last_update;
+  st_.last_update = now;
   if (elapsed <= 0.0 || active_.empty()) return;
   for (std::uint32_t slot : active_) {
     ActiveFlow& f = slots_[slot];
@@ -296,24 +277,24 @@ void FlowNetwork::ensureLinkTables() {
 }
 
 void FlowNetwork::resolveAfterChange(const std::vector<LinkId>& seeds) {
-  ++recomputations_;
+  ++st_.recomputations;
   if (!incremental_) {
     resolveAllComponents();
     return;
   }
-  ++epoch_;
+  ++st_.epoch;
   for (LinkId l : seeds) {
-    if (link_epoch_[static_cast<std::size_t>(l)] == epoch_) continue;
+    if (link_epoch_[static_cast<std::size_t>(l)] == st_.epoch) continue;
     collectComponent(l);
     solveComponent();
   }
 }
 
 void FlowNetwork::resolveAllComponents() {
-  ++epoch_;
+  ++st_.epoch;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     const ActiveFlow& f = slots_[slot];
-    if (f.id == kInvalidFlow || flow_epoch_[slot] == epoch_) continue;
+    if (f.id == kInvalidFlow || flow_epoch_[slot] == st_.epoch) continue;
     collectComponent(f.links.front());
     solveComponent();
   }
@@ -322,19 +303,19 @@ void FlowNetwork::resolveAllComponents() {
 void FlowNetwork::collectComponent(LinkId seed) {
   comp_links_.clear();
   comp_flows_.clear();
-  link_epoch_[static_cast<std::size_t>(seed)] = epoch_;
+  link_epoch_[static_cast<std::size_t>(seed)] = st_.epoch;
   comp_links_.push_back(seed);
   // comp_links_ doubles as the BFS worklist over the bipartite index.
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
     const LinkId l = comp_links_[i];
     for (std::uint32_t slot : link_flows_[static_cast<std::size_t>(l)]) {
-      if (flow_epoch_[slot] == epoch_) continue;
-      flow_epoch_[slot] = epoch_;
+      if (flow_epoch_[slot] == st_.epoch) continue;
+      flow_epoch_[slot] = st_.epoch;
       comp_flows_.push_back(slot);
       for (LinkId l2 : slots_[slot].links) {
         auto& mark = link_epoch_[static_cast<std::size_t>(l2)];
-        if (mark == epoch_) continue;
-        mark = epoch_;
+        if (mark == st_.epoch) continue;
+        mark = st_.epoch;
         comp_links_.push_back(l2);
       }
     }
@@ -376,7 +357,7 @@ void FlowNetwork::solveComponent() {
     if (sink != nullptr) profileLinkCounters(*sink);
     return;
   }
-  ++component_solves_;
+  ++st_.component_solves;
 
   if (naive_sharing_) {
     // Ablation mode: every flow gets min over links of capacity/<flows on
@@ -405,7 +386,7 @@ void FlowNetwork::solveComponent() {
   for (std::uint32_t slot : comp_flows_) {
     if (std::isfinite(slots_[slot].max_rate)) comp_capped_.push_back(slot);
   }
-  ++solve_epoch_;
+  ++st_.solve_epoch;
 
   std::size_t remaining = comp_flows_.size();
   while (remaining > 0) {
@@ -426,7 +407,7 @@ void FlowNetwork::solveComponent() {
       }
     }
     for (std::uint32_t slot : comp_capped_) {
-      if (flow_fixed_[slot] == solve_epoch_) continue;
+      if (flow_fixed_[slot] == st_.solve_epoch) continue;
       if (slots_[slot].max_rate < best) {
         best = slots_[slot].max_rate;
         best_link = kInvalidLink;
@@ -436,7 +417,7 @@ void FlowNetwork::solveComponent() {
 
     // Fix the constrained flows at `best` and charge their links.
     const auto fix = [&](std::uint32_t slot) {
-      flow_fixed_[slot] = solve_epoch_;
+      flow_fixed_[slot] = st_.solve_epoch;
       applyRate(slot, best);
       for (LinkId l : slots_[slot].links) {
         const auto li = static_cast<std::size_t>(l);
@@ -449,7 +430,7 @@ void FlowNetwork::solveComponent() {
       fix(best_capped);
     } else if (best_link != kInvalidLink) {
       for (std::uint32_t slot : link_flows_[static_cast<std::size_t>(best_link)]) {
-        if (flow_fixed_[slot] != solve_epoch_) fix(slot);
+        if (flow_fixed_[slot] != st_.solve_epoch) fix(slot);
       }
     } else {
       break;  // defensive: no constraint found (should not happen)
@@ -647,9 +628,9 @@ void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
     v.erase(std::find(v.begin(), v.end(), slot));  // order-preserving
   }
   if (status == FlowStatus::Completed) {
-    ++flows_completed_;
+    ++st_.flows_completed;
   } else {
-    ++flows_failed_;
+    ++st_.flows_failed;
   }
   const Bytes carried = (status == FlowStatus::Completed)
                             ? f.total
@@ -676,7 +657,7 @@ void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
   f.id = kInvalidFlow;
   f.links.clear();
   f.done = nullptr;
-  free_slots_.push_back(slot);
+  st_.free_slots.push_back(slot);
   if (!done) return;
   if (status == FlowStatus::Completed) {
     // Delivery completes one propagation latency after the last byte is

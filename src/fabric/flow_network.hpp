@@ -126,7 +126,9 @@ class FlowNetwork {
   void notifyTopologyChanged();
 
   /// Byte flows in flight (latency-only flows hold no slot).
-  std::size_t activeFlows() const { return slots_.size() - free_slots_.size(); }
+  std::size_t activeFlows() const {
+    return slots_.size() - st_.free_slots.size();
+  }
 
   /// Instantaneous rate of a flow (bytes/s); 0 if unknown or finished.
   /// Scans the slots: for tests and benches, not for the hot path.
@@ -135,16 +137,16 @@ class FlowNetwork {
   /// Total payload bytes carried so far in the given link direction.
   Bytes linkBytes(LinkId l) const { return topo_.link(l).counters.bytes; }
 
-  std::uint64_t flowsStarted() const { return flows_started_; }
-  std::uint64_t flowsCompleted() const { return flows_completed_; }
-  std::uint64_t flowsFailed() const { return flows_failed_; }
+  std::uint64_t flowsStarted() const { return st_.flows_started; }
+  std::uint64_t flowsCompleted() const { return st_.flows_completed; }
+  std::uint64_t flowsFailed() const { return st_.flows_failed; }
 
   /// Number of max-min rate recomputations (exposed for the ablation bench).
-  std::uint64_t rateRecomputations() const { return recomputations_; }
+  std::uint64_t rateRecomputations() const { return st_.recomputations; }
 
   /// Individual connected-component solves performed (each recomputation
   /// solves one component incrementally, or all of them in full mode).
-  std::uint64_t componentSolves() const { return component_solves_; }
+  std::uint64_t componentSolves() const { return st_.component_solves; }
 
   /// Use naive equal-split instead of max-min fairness (ablation only).
   void setNaiveSharing(bool naive) { naive_sharing_ = naive; }
@@ -169,10 +171,10 @@ class FlowNetwork {
   struct State {
     std::uint32_t slot_count = 0;
     std::vector<std::uint32_t> free_slots;
-    std::uint64_t epoch = 0;
-    std::uint64_t solve_epoch = 0;
+    std::uint64_t epoch = 0;        // component-membership stamp
+    std::uint64_t solve_epoch = 0;  // solve-round stamp
     FlowId next_id = 1;
-    SimTime last_update = 0.0;
+    SimTime last_update = 0.0;      // progress last advanced to
     std::uint64_t flows_started = 0;
     std::uint64_t flows_completed = 0;
     std::uint64_t flows_failed = 0;
@@ -273,7 +275,9 @@ class FlowNetwork {
 
   // Flow storage: dense reusable slots; a free slot's id is kInvalidFlow.
   std::vector<ActiveFlow> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  // Fork-carried counters and the free-slot list (reuse order). Its
+  // slot_count is stale here: state() fills it from slots_.
+  State st_;
   std::uint64_t latency_in_flight_ = 0;  // scheduled latency-only flows
 
   // Persistent bipartite index, dense by LinkId. Each per-link list is
@@ -290,8 +294,6 @@ class FlowNetwork {
   std::vector<LinkId> comp_links_;         // BFS worklist + component links
   std::vector<std::uint32_t> comp_flows_;
   std::vector<std::uint32_t> comp_capped_;  // component flows with finite cap
-  std::uint64_t epoch_ = 0;
-  std::uint64_t solve_epoch_ = 0;
 
   std::vector<std::uint32_t> active_;           // slots with rate > 0
   std::vector<std::uint32_t> completion_heap_;  // slots by projected_finish
@@ -314,15 +316,8 @@ class FlowNetwork {
   std::vector<std::uint32_t> free_batches_;
   std::vector<std::uint32_t> wave_batches_;
 
-  FlowId next_id_ = 1;
-  SimTime last_update_ = 0.0;
   EventId completion_event_ = kInvalidEvent;
   SimTime completion_time_ = std::numeric_limits<SimTime>::infinity();
-  std::uint64_t flows_started_ = 0;
-  std::uint64_t flows_completed_ = 0;
-  std::uint64_t flows_failed_ = 0;
-  std::uint64_t recomputations_ = 0;
-  std::uint64_t component_solves_ = 0;
   bool naive_sharing_ = false;
   bool incremental_ = true;
 };

@@ -13,7 +13,6 @@ const char* toString(NodeKind k) {
     case NodeKind::PcieSwitch: return "PCIeSwitch";
     case NodeKind::HostMemory: return "HostMemory";
     case NodeKind::Storage: return "Storage";
-    case NodeKind::Nic: return "NIC";
     case NodeKind::Other: return "Other";
   }
   return "?";

@@ -1,7 +1,7 @@
 // composim: interconnect topology graph.
 //
 // Nodes are endpoints or forwarding elements (GPU, CPU root complex, PCIe
-// switch, memory, storage, NIC). Links are *directed* with per-direction
+// switch, memory, storage). Links are *directed* with per-direction
 // capacity; addDuplexLink creates the usual full-duplex pair. Routing is
 // latency-weighted Dijkstra with a cache invalidated on any mutation, so
 // dynamic attach/detach (the composable part) recomputes paths lazily.
@@ -33,7 +33,6 @@ enum class NodeKind {
   PcieSwitch,
   HostMemory,
   Storage,
-  Nic,
   Other,
 };
 

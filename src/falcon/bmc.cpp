@@ -23,13 +23,14 @@ Bmc::Bmc(Simulator& sim, FalconChassis& chassis, std::string serial)
 }
 
 void Bmc::logEvent(std::string severity, std::string message) {
-  events_.push_back(BmcEvent{sim_.now(), std::move(severity), std::move(message)});
+  st_.events.push_back(
+      BmcEvent{sim_.now(), std::move(severity), std::move(message)});
 }
 
 std::vector<BmcEvent> Bmc::exportEvents(const std::string& minSeverity) const {
   const int min = severityRank(minSeverity);
   std::vector<BmcEvent> out;
-  for (const auto& e : events_) {
+  for (const auto& e : st_.events) {
     if (severityRank(e.severity) >= min) out.push_back(e);
   }
   return out;
@@ -107,14 +108,14 @@ Bmc::State Bmc::state() const {
   if (sampling_) {
     throw std::logic_error("Bmc::state: stop periodic sampling first");
   }
-  return State{events_};
+  return st_;
 }
 
 void Bmc::restoreState(const State& st) {
   if (sampling_) {
     throw std::logic_error("Bmc::restoreState: stop periodic sampling first");
   }
-  events_ = st.events;
+  st_ = st;
 }
 
 std::vector<LinkHealthRow> Bmc::linkHealth() const {

@@ -49,10 +49,10 @@ class Bmc {
 
   // --- event log ---
   void logEvent(std::string severity, std::string message);
-  const std::vector<BmcEvent>& eventLog() const { return events_; }
+  const std::vector<BmcEvent>& eventLog() const { return st_.events; }
   /// Export events at or above a severity ("info" < "warning" < "alert").
   std::vector<BmcEvent> exportEvents(const std::string& minSeverity) const;
-  void clearEventLog() { events_.clear(); }
+  void clearEventLog() { st_.events.clear(); }
 
   // --- sensors ---
   /// Register a 0..1 activity source for a drawer (e.g. a GPU's busy
@@ -98,7 +98,7 @@ class Bmc {
   Simulator& sim_;
   FalconChassis& chassis_;
   std::string serial_;
-  std::vector<BmcEvent> events_;
+  State st_;
   std::vector<std::vector<std::function<double()>>> thermal_;
   double alert_threshold_ = 75.0;
   bool sampling_ = false;

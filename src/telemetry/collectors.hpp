@@ -16,6 +16,9 @@
 // Rate-style gauges (GPU utilization %, PCIe GB/s) read a cumulative
 // counter through a RateProbe, which differentiates between scrapes —
 // exactly how nvidia-smi computes utilization over its sample window.
+// The scraper owns every probe and counter baseline a collector uses, so
+// a warm-prefix fork carries them in MetricsScraper::State and the
+// collectors themselves know nothing about forking.
 #pragma once
 
 #include <functional>
@@ -45,48 +48,6 @@ class Trainer;
 }  // namespace composim::dl
 
 namespace composim::telemetry {
-
-/// Converts a cumulative counter probe into a per-interval rate:
-/// sample_i = (counter_i - counter_{i-1}) / (t_i - t_{i-1}) * scale.
-/// A zero-length interval (two polls at the same simulated instant, e.g. a
-/// final scrape landing on a scheduled tick) cannot be differentiated;
-/// the probe holds the previous rate instead of dividing by zero.
-class RateProbe {
- public:
-  RateProbe(Simulator& sim, std::function<double()> cumulative,
-            double scale = 1.0)
-      : sim_(sim), cumulative_(std::move(cumulative)), scale_(scale) {}
-
-  double operator()();
-
-  /// Differentiation state (baseline + held rate), exposed so a forked
-  /// run's collectors resume rate computation exactly where the warmed
-  /// prefix left off instead of re-priming at the fork point.
-  struct State {
-    double last_value = 0.0;
-    double last_rate = 0.0;
-    SimTime last_time = 0.0;
-    bool primed = false;
-  };
-
-  State state() const { return State{last_value_, last_rate_, last_time_, primed_}; }
-
-  void setState(const State& st) {
-    last_value_ = st.last_value;
-    last_rate_ = st.last_rate;
-    last_time_ = st.last_time;
-    primed_ = st.primed;
-  }
-
- private:
-  Simulator& sim_;
-  std::function<double()> cumulative_;
-  double scale_;
-  double last_value_ = 0.0;
-  double last_rate_ = 0.0;
-  SimTime last_time_ = 0.0;
-  bool primed_ = false;
-};
 
 /// Aggregate GPU telemetry across the training gang, nvidia-smi style:
 ///   gpu_util_pct        gauge, busy-time rate scaled to percent, clamped

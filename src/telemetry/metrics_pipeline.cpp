@@ -1,5 +1,6 @@
 #include "telemetry/metrics_pipeline.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -15,51 +16,63 @@ MetricsScraper::MetricsScraper(Simulator& sim, MetricsRegistry& registry,
   }
 }
 
+double RateProbe::operator()() {
+  const double value = cumulative_();
+  const SimTime now = sim_.now();
+  if (st_.primed && now <= st_.last_time) {
+    // Back-to-back polls at the same instant: no interval to differentiate
+    // over, so hold the last computed rate (and leave the baseline alone —
+    // the in-between counter delta still counts toward the next interval).
+    return st_.last_rate;
+  }
+  if (st_.primed) {
+    st_.last_rate = (value - st_.last_value) / (now - st_.last_time) * scale_;
+  }
+  st_.last_value = value;
+  st_.last_time = now;
+  st_.primed = true;
+  return st_.last_rate;
+}
+
 void MetricsScraper::addCollector(std::function<void()> update) {
-  collectors_.push_back(Collector{std::move(update), nullptr, nullptr});
+  collectors_.push_back(std::move(update));
 }
 
-void MetricsScraper::addCollector(std::function<void()> update,
-                                  std::function<CollectorState()> save,
-                                  std::function<void(const CollectorState&)> load) {
-  collectors_.push_back(
-      Collector{std::move(update), std::move(save), std::move(load)});
+RateProbe& MetricsScraper::rateProbe(std::function<double()> cumulative,
+                                     double scale) {
+  if (sim_ == nullptr) {
+    throw std::logic_error("MetricsScraper::rateProbe: scraper finalized");
+  }
+  return probes_.emplace_back(*sim_, std::move(cumulative), scale);
 }
 
-std::vector<MetricsScraper::CollectorState> MetricsScraper::collectorStates()
-    const {
-  std::vector<CollectorState> out;
-  out.reserve(collectors_.size());
-  for (const Collector& c : collectors_) {
-    out.push_back(c.save ? c.save() : CollectorState{});
-  }
-  return out;
-}
-
-void MetricsScraper::restoreCollectorStates(
-    const std::vector<CollectorState>& states) {
-  if (states.size() != collectors_.size()) {
-    throw std::logic_error(
-        "MetricsScraper::restoreCollectorStates: collector count mismatch");
-  }
-  for (std::size_t i = 0; i < collectors_.size(); ++i) {
-    if (collectors_[i].load) collectors_[i].load(states[i]);
-  }
-}
+double& MetricsScraper::counterBaseline() { return baselines_.emplace_back(); }
 
 MetricsScraper::State MetricsScraper::state() const {
   if (running_) {
     throw std::logic_error("MetricsScraper::state: stop scraping first");
   }
-  return State{series_, scrapes_};
+  State st{series_, scrapes_, {}, {baselines_.begin(), baselines_.end()}};
+  st.probes.reserve(probes_.size());
+  for (const RateProbe& p : probes_) st.probes.push_back(p.state());
+  return st;
 }
 
 void MetricsScraper::setState(const State& st) {
   if (running_) {
     throw std::logic_error("MetricsScraper::setState: stop scraping first");
   }
+  if (st.probes.size() != probes_.size() ||
+      st.baselines.size() != baselines_.size()) {
+    throw std::logic_error(
+        "MetricsScraper::setState: probe or baseline count mismatch");
+  }
   series_ = st.series;
   scrapes_ = st.scrapes;
+  for (std::size_t i = 0; i < probes_.size(); ++i) {
+    probes_[i].setState(st.probes[i]);
+  }
+  std::copy(st.baselines.begin(), st.baselines.end(), baselines_.begin());
 }
 
 void MetricsScraper::start() {
@@ -89,7 +102,7 @@ void MetricsScraper::stopAndCancelTick() {
 void MetricsScraper::scrapeOnce() {
   if (sim_ == nullptr) return;
   const SimTime now = sim_->now();
-  for (const auto& c : collectors_) c.update();
+  for (const auto& update : collectors_) update();
   for (const std::string& name : registry_.familyNames()) {
     const bool histo = registry_.type(name) == MetricType::Histogram;
     for (const auto& inst : registry_.instruments(name)) {
@@ -164,7 +177,9 @@ Status MetricsScraper::writeJsonl(const std::string& path) const {
 void MetricsScraper::finalize() {
   running_ = false;
   sim_ = nullptr;
-  collectors_.clear();  // collectors capture subsystem refs; drop them too
+  // Collectors and probes capture subsystem refs; drop them too.
+  collectors_.clear();
+  probes_.clear();
 }
 
 Status MetricsPipeline::writePrometheus(const std::string& path) const {

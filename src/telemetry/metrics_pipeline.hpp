@@ -19,9 +19,11 @@
 // that produced it.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -32,6 +34,39 @@
 
 namespace composim::telemetry {
 
+/// Converts a cumulative counter probe into a per-interval rate:
+/// sample_i = (counter_i - counter_{i-1}) / (t_i - t_{i-1}) * scale.
+/// A zero-length interval (two polls at the same simulated instant, e.g. a
+/// final scrape landing on a scheduled tick) cannot be differentiated;
+/// the probe holds the previous rate instead of dividing by zero.
+class RateProbe {
+ public:
+  RateProbe(Simulator& sim, std::function<double()> cumulative,
+            double scale = 1.0)
+      : sim_(sim), cumulative_(std::move(cumulative)), scale_(scale) {}
+
+  double operator()();
+
+  /// Differentiation state (baseline + held rate): a forked run's probe
+  /// resumes rate computation exactly where the warmed prefix left off
+  /// instead of re-priming at the fork point.
+  struct State {
+    double last_value = 0.0;
+    double last_rate = 0.0;
+    SimTime last_time = 0.0;
+    bool primed = false;
+  };
+
+  State state() const { return st_; }
+  void setState(const State& st) { st_ = st; }
+
+ private:
+  Simulator& sim_;
+  std::function<double()> cumulative_;
+  double scale_;
+  State st_;
+};
+
 class MetricsScraper {
  public:
   MetricsScraper(Simulator& sim, MetricsRegistry& registry, SimTime interval);
@@ -40,31 +75,19 @@ class MetricsScraper {
   MetricsScraper& operator=(const MetricsScraper&) = delete;
 
   SimTime interval() const { return interval_; }
-  /// The simulator scrapes run against (null after finalize()). Collectors
-  /// use it to build rate probes over cumulative counters.
-  Simulator* simulator() const { return sim_; }
 
   /// Register a pull callback run before every snapshot (subsystem state
-  /// -> registry instruments).
+  /// -> registry instruments). Collectors keep no state of their own:
+  /// what they carry from one scrape to the next lives in the probes and
+  /// baselines below, which the scraper owns and State carries.
   void addCollector(std::function<void()> update);
 
-  /// Flattened closure state of one collector (RateProbe baselines and
-  /// similar scalars), in a fixed per-collector order.
-  using CollectorState = std::vector<double>;
-
-  /// Register a collector together with save/load hooks for its closure
-  /// state, so warm-prefix forks can resume rate differentiation exactly
-  /// where the prefix left off. Collectors registered without hooks are
-  /// treated as stateless (they save an empty vector).
-  void addCollector(std::function<void()> update,
-                    std::function<CollectorState()> save,
-                    std::function<void(const CollectorState&)> load);
-
-  /// Closure states of every collector, in registration order.
-  std::vector<CollectorState> collectorStates() const;
-  /// Restore closure states captured by collectorStates(); the target must
-  /// have registered the same collectors in the same order.
-  void restoreCollectorStates(const std::vector<CollectorState>& states);
+  /// A rate probe over `cumulative`, owned by the scraper. Throws
+  /// std::logic_error after finalize().
+  RateProbe& rateProbe(std::function<double()> cumulative, double scale = 1.0);
+  /// A counter baseline a collector differences by hand (the BMC's
+  /// accumulated error counts), owned by the scraper; starts at 0.
+  double& counterBaseline();
 
   /// Evaluate `engine` after every scrape (not owned).
   void setAlertEngine(AlertEngine* engine) { alerts_ = engine; }
@@ -97,25 +120,24 @@ class MetricsScraper {
   /// the system that produced the series.
   void finalize();
 
-  /// Scrape-history snapshot: every TimeSeries plus the scrape counter.
-  /// Collector closure state is captured separately (collectorStates())
-  /// because the fork re-registers fresh collector closures against its
-  /// own subsystems. Valid only while stopped.
+  /// Scrape-history snapshot: every TimeSeries, the scrape counter and
+  /// the rate probes' and counter baselines' states in creation order.
+  /// A fork re-registers the same collectors against its own subsystems,
+  /// which recreates the probes and baselines in the same order, and then
+  /// restores this. Valid only while stopped.
   struct State {
     std::map<std::string, TimeSeries> series;
     std::size_t scrapes = 0;
+    std::vector<RateProbe::State> probes;
+    std::vector<double> baselines;
   };
 
   State state() const;
+  /// Throws std::logic_error while scraping or when the probe or baseline
+  /// count differs from `st`'s.
   void setState(const State& st);
 
  private:
-  struct Collector {
-    std::function<void()> update;
-    std::function<CollectorState()> save;
-    std::function<void(const CollectorState&)> load;
-  };
-
   void tick();
   TimeSeries& seriesFor(const std::string& name);
 
@@ -125,7 +147,10 @@ class MetricsScraper {
   bool running_ = false;
   EventId pending_tick_ = kInvalidEvent;
   std::size_t scrapes_ = 0;
-  std::vector<Collector> collectors_;
+  std::vector<std::function<void()>> collectors_;
+  // Deques: collectors hold references that must survive later creations.
+  std::deque<RateProbe> probes_;
+  std::deque<double> baselines_;
   AlertEngine* alerts_ = nullptr;
   std::map<std::string, TimeSeries> series_;
 };

@@ -114,6 +114,10 @@ TEST(FaultsConfigJson, ParseErrorsAreTypedAndListValidKinds) {
       R"({"attach_backoff_jitter": 1.0})",            // jitter must be < 1
       R"({"attach_retry_budget": -1})",               // negative budget
       R"({"ecc_storms": [{"port": 1, "at": 1}]})",    // wrong entry shape
+      R"({"gpu_falloffs": [{"gpu": 8, "at": 1}]})",   // no such Falcon GPU
+      R"({"host_port_flaps": [{"port": 4, "at": 1, "downtime": 1}]})",
+      R"({"ecc_storms": [{"gpu": 1, "at": -1}]})",    // before the run
+      R"({"spare_gpus": 8})",                         // 7 free slots
   };
   for (const char* doc : bad_docs) {
     FaultsConfig out;
@@ -124,9 +128,17 @@ TEST(FaultsConfigJson, ParseErrorsAreTypedAndListValidKinds) {
     EXPECT_NE(st.detail.find("valid fault kinds"), std::string::npos) << doc;
     EXPECT_EQ(out.seed, 4242u) << "out must be untouched on error: " << doc;
   }
-  // The legacy throwing wrapper surfaces the same detail.
-  EXPECT_THROW(parseFaultsConfig(falcon::Json::parse(R"({"bogus": 1})")),
-               std::invalid_argument);
+  // A suite experiment's faults object throws with the same detail.
+  try {
+    parseExperimentSuite(falcon::Json::parse(
+        R"({"experiments": [{"name": "x", "workload": "ResNet-50",)"
+        R"( "config": "localGPUs", "faults": {"bogus": 1}}]})"));
+    ADD_FAILURE() << "bad faults object accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("valid fault kinds"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Oracle registry ---

@@ -1,9 +1,8 @@
 // Tests for the core extensions: the 16-GPU composition, the second
-// tenant host, gradient accumulation, the NIC, and JSON experiment suites.
+// tenant host, gradient accumulation and JSON experiment suites.
 #include <gtest/gtest.h>
 
 #include "core/experiment_config.hpp"
-#include "devices/nic.hpp"
 #include "dl/trainer.hpp"
 #include "dl/workload_registry.hpp"
 
@@ -120,24 +119,6 @@ TEST(GradientAccumulation, IterationCostsSubLinearInMicroSteps) {
   // the throughput argument for accumulation.
   EXPECT_GT(t3 / t1, 2.0);
   EXPECT_LT(t3 / t1, 3.05);
-}
-
-TEST(Nic, WiresExternalPortAndCountsTraffic) {
-  ComposableSystem sys(SystemConfig::LocalGpus);
-  devices::Nic nic(sys.topology(), sys.hostRoot(), devices::specs::x540_10gbe(),
-                   "eth0");
-  const auto nas = sys.topology().addNode("nas", fabric::NodeKind::Storage);
-  sys.topology().addDuplexLink(nic.externalPort(), nas, units::Gbps(40),
-                               units::microseconds(80), fabric::LinkKind::Ethernet);
-  fabric::FlowResult res;
-  sys.network().startFlow(nas, sys.hostMemory(), units::GB(1),
-                          [&](const fabric::FlowResult& r) { res = r; });
-  sys.sim().run();
-  EXPECT_EQ(res.status, fabric::FlowStatus::Completed);
-  // Wire-limited by the 10 GbE NIC: ~1.175 GB/s.
-  EXPECT_NEAR(res.duration(), 1e9 / units::Gbps(9.4), 1e-3);
-  EXPECT_NEAR(static_cast<double>(nic.bytesReceived()), 1e9, 1e6);
-  EXPECT_EQ(nic.bytesTransmitted(), 0);
 }
 
 TEST(ExperimentConfig, ParsesFullSuite) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/experiment_config.hpp"
 #include "dl/graph_ir/loader.hpp"
@@ -266,6 +267,45 @@ TEST(JsonDepth, FaultsLoaderReturnsInvalidArgument) {
   const Status st = core::loadFaultsConfig(deepSpec("gpu_falloffs"), &faults);
   EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
   EXPECT_FALSE(faults.enabled);
+}
+
+TEST(JsonDepth, FaultTargetsOutsideTheChassisAreInvalidArgument) {
+  // Past the parser, an index outside the chassis or a non-positive
+  // downtime throws out of the simulation and extra spares are silently
+  // capped, so each must fail here with a typed status.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"gpu_falloffs": [{"gpu": 99, "at": 1.0}]})", "'gpu'"},
+      {R"({"gpu_falloffs": [{"gpu": 4294967296, "at": 1.0}]})", "'gpu'"},
+      {R"({"ecc_storms": [{"gpu": -1, "at": 1.0}]})", "'gpu'"},
+      {R"({"host_port_flaps": [{"port": 9, "at": 1.0, "downtime": 1}]})",
+       "'port'"},
+      {R"({"gpu_falloffs": [{"gpu": 1, "at": -0.5}]})", "'at'"},
+      {R"({"host_port_flaps": [{"port": 0, "at": 1.0, "downtime": -5}]})",
+       "'downtime'"},
+      {R"({"ecc_storms": [{"gpu": 1, "at": 1.0, "errors": -1}]})",
+       "'errors'"},
+      {R"({"spare_gpus": 8})", "spare_gpus"},
+  };
+  for (const auto& [doc, key] : cases) {
+    core::FaultsConfig faults;
+    const Status st = core::loadFaultsConfig(doc, &faults);
+    EXPECT_EQ(st.code, StatusCode::InvalidArgument) << doc;
+    EXPECT_NE(st.detail.find(key), std::string::npos) << st.detail;
+    EXPECT_FALSE(faults.enabled) << doc;
+  }
+  // The in-range edges load.
+  core::FaultsConfig faults;
+  EXPECT_TRUE(core::loadFaultsConfig(
+                  R"({"spare_gpus": 7, "gpu_falloffs": [{"gpu": 7, "at": 0}],)"
+                  R"( "host_port_flaps": [{"port": 3, "at": 0,)"
+                  R"( "downtime": 1}]})",
+                  &faults)
+                  .ok);
+  // A suite experiment's faults object is held to the same rules.
+  const Status st =
+      loadSuiteWith(R"("faults": {"gpu_falloffs": [{"gpu": 8, "at": 1}]})");
+  EXPECT_EQ(st.code, StatusCode::InvalidArgument) << st.toString();
+  EXPECT_NE(st.detail.find("'gpu'"), std::string::npos) << st.detail;
 }
 
 TEST(JsonDepth, MetricsLoaderReturnsInvalidArgument) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -249,6 +252,80 @@ TEST(MetricsScraper, JsonlDumpIsExactAndOrdered) {
             "{\"metric\":\"a\",\"t\":1,\"value\":0.25}\n"
             "{\"metric\":\"b\",\"t\":0,\"value\":1}\n"
             "{\"metric\":\"b\",\"t\":1,\"value\":2}\n");
+}
+
+/// A scraper over two plain sources: a cumulative counter read through a
+/// rate probe and an error total a collector differences by hand.
+struct ProbeRig {
+  Simulator sim;
+  MetricsRegistry reg;
+  MetricsScraper scraper{sim, reg, 1.0};
+  double bytes = 0.0;
+  double errors = 0.0;
+
+  ProbeRig() {
+    RateProbe* rate = &scraper.rateProbe([this] { return bytes; }, 2.0);
+    double* last_errors = &scraper.counterBaseline();
+    Gauge& gauge = reg.gauge("rate");
+    Counter& total = reg.counter("errors_total");
+    scraper.addCollector([this, rate, last_errors, &gauge, &total] {
+      gauge.set((*rate)());
+      total.add(errors - *last_errors);
+      *last_errors = errors;
+    });
+  }
+
+  /// Move the sources to (bytes, errors) one second on, then scrape.
+  void stepAndScrape(double b, double e) {
+    sim.schedule(1.0, [this, b, e] {
+      bytes = b;
+      errors = e;
+      scraper.scrapeOnce();
+    });
+    sim.run();
+  }
+};
+
+TEST(MetricsScraper, StateCarriesProbesAndBaselinesIntoAFreshScraper) {
+  ProbeRig donor;
+  donor.scraper.scrapeOnce();  // primes the probe at t = 0
+  donor.stepAndScrape(3.0, 5.0);
+  ASSERT_DOUBLE_EQ(donor.scraper.series("rate").last(), 6.0);
+
+  // The fork: same collectors, subsystem and clock state copied over,
+  // then the registry and scraper restored.
+  ProbeRig fork;
+  fork.bytes = donor.bytes;
+  fork.errors = donor.errors;
+  fork.sim.setState(donor.sim.state());
+  fork.reg.restoreState(donor.reg.state());
+  fork.scraper.setState(donor.scraper.state());
+
+  donor.stepAndScrape(7.0, 9.0);
+  fork.stepAndScrape(7.0, 9.0);
+  for (const char* name : {"rate", "errors_total"}) {
+    const TimeSeries& d = donor.scraper.series(name);
+    const TimeSeries& f = fork.scraper.series(name);
+    ASSERT_EQ(d.size(), 3u) << name;
+    ASSERT_EQ(f.size(), 3u) << name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.last()),
+              std::bit_cast<std::uint64_t>(f.last()))
+        << name;
+  }
+  // A re-primed probe would read 0 and a lost baseline would count all 9
+  // errors again.
+  EXPECT_DOUBLE_EQ(fork.scraper.series("rate").last(), 8.0);
+  EXPECT_DOUBLE_EQ(fork.scraper.series("errors_total").last(), 9.0);
+  EXPECT_EQ(donor.scraper.jsonlDump(), fork.scraper.jsonlDump());
+}
+
+TEST(MetricsScraper, SetStateRejectsADifferentProbeSet) {
+  ProbeRig donor;
+  donor.scraper.scrapeOnce();
+  Simulator sim;
+  MetricsRegistry reg;
+  MetricsScraper bare(sim, reg, 1.0);
+  EXPECT_THROW(bare.setState(donor.scraper.state()), std::logic_error);
 }
 
 TEST(MetricsPipeline, ExperimentExportsAreRunToRunDeterministic) {

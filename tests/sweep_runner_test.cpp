@@ -183,21 +183,21 @@ TEST(SweepRunner, OnReadyStreamsInSubmissionOrder) {
   }
 }
 
-TEST(WorkStealingPool, ResolveJobs) {
-  EXPECT_GE(core::WorkStealingPool::resolveJobs(0), 1);
-  EXPECT_EQ(core::WorkStealingPool::resolveJobs(3), 3);
-  EXPECT_GE(core::WorkStealingPool::resolveJobs(-5), 1);
+TEST(WorkerPool, ResolveJobs) {
+  EXPECT_GE(core::WorkerPool::resolveJobs(0), 1);
+  EXPECT_EQ(core::WorkerPool::resolveJobs(3), 3);
+  EXPECT_GE(core::WorkerPool::resolveJobs(-5), 1);
 }
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
+TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
   constexpr std::size_t kTasks = 64;
   std::vector<std::atomic<int>> counts(kTasks);
-  std::vector<core::WorkStealingPool::Task> tasks;
+  std::vector<core::WorkerPool::Task> tasks;
   for (std::size_t i = 0; i < kTasks; ++i) {
     tasks.push_back([&counts, i] { counts[i].fetch_add(1); });
   }
   std::size_t emitted = 0;
-  core::WorkStealingPool::runAll(std::move(tasks), 4, [&](std::size_t i) {
+  core::WorkerPool::runAll(std::move(tasks), 4, [&](std::size_t i) {
     EXPECT_EQ(i, emitted);  // in-order streaming
     ++emitted;
   });
@@ -205,7 +205,7 @@ TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(WorkStealingPool, RunsJobsTasksAtOnce) {
+TEST(WorkerPool, RunsJobsTasksAtOnce) {
   // Four tasks meet at a latch: each waits until all four have arrived.
   // The wait is bounded, so a pool that runs tasks one at a time sees one
   // in flight and fails here instead of hanging.
@@ -215,7 +215,7 @@ TEST(WorkStealingPool, RunsJobsTasksAtOnce) {
   int arrived = 0;
   int in_flight = 0;
   int max_in_flight = 0;
-  std::vector<core::WorkStealingPool::Task> tasks;
+  std::vector<core::WorkerPool::Task> tasks;
   for (int i = 0; i < kJobs; ++i) {
     tasks.push_back([&] {
       std::unique_lock<std::mutex> lock(mu);
@@ -227,12 +227,12 @@ TEST(WorkStealingPool, RunsJobsTasksAtOnce) {
       --in_flight;
     });
   }
-  core::WorkStealingPool::runAll(std::move(tasks), kJobs);
+  core::WorkerPool::runAll(std::move(tasks), kJobs);
   EXPECT_EQ(max_in_flight, kJobs);
 }
 
-TEST(WorkStealingPool, EmptyBatchIsANoop) {
-  core::WorkStealingPool::runAll({}, 4,
+TEST(WorkerPool, EmptyBatchIsANoop) {
+  core::WorkerPool::runAll({}, 4,
                                  [](std::size_t) { FAIL() << "no tasks"; });
 }
 
