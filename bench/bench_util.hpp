@@ -2,10 +2,10 @@
 // one prints, the `--jobs` worker count, the measurement matrix, and the
 // warmed-wave allocation budget.
 //
-// Every bench that replays independent experiments takes `--jobs N` (or
-// the COMPOSIM_JOBS environment variable) and fans them out through
-// core::sweepOrdered; results come back in submission order, so the
-// printed artifact is byte-identical at any job count.
+// paper_repro takes `--jobs N` (or the COMPOSIM_JOBS environment variable)
+// and fans its runs out through core::sweepOrdered; results come back in
+// submission order, so the printed artifacts are byte-identical at any
+// job count.
 #pragma once
 
 #include <charconv>
@@ -48,7 +48,7 @@ inline void banner(const std::string& artifact, const std::string& caption) {
 /// Worker count for a bench: `--jobs N` wins, then COMPOSIM_JOBS, then 0
 /// (auto = hardware_concurrency, resolved by the pool). A missing value, or
 /// one that is not a non-negative integer, is a usage error.
-inline int jobsFromArgs(int argc, char** argv, std::string_view usage = "[--jobs N]") {
+inline int jobsFromArgs(int argc, char** argv, std::string_view usage) {
   std::string source = "COMPOSIM_JOBS";
   const char* text = std::getenv("COMPOSIM_JOBS");
   for (int i = 1; i < argc; ++i) {

@@ -23,7 +23,6 @@ const char* toString(Algorithm a) {
     case Algorithm::Ring: return "ring";
     case Algorithm::Tree: return "tree";
     case Algorithm::Hierarchical: return "hierarchical";
-    case Algorithm::Naive: return "naive";
   }
   return "?";
 }
@@ -447,25 +446,6 @@ void Communicator::runAllReduce(std::shared_ptr<Op> op, Bytes bytes,
     }
     case Algorithm::Hierarchical: {
       runHierarchical(op, bytes, [this, op, done] { finish(op, done); });
-      break;
-    }
-    case Algorithm::Naive: {
-      // Everyone sends to rank 0, rank 0 replies to everyone (PyTorch DP's
-      // master-centric pattern; also the ablation baseline).
-      auto gathered = std::make_shared<int>(n - 1);
-      std::vector<std::pair<int, int>> to_root;
-      to_root.reserve(static_cast<std::size_t>(n - 1));
-      for (int i = 1; i < n; ++i) to_root.emplace_back(i, 0);
-      sendChunks(op, to_root, bytes, [this, op, gathered, bytes, done, n] {
-        if (--*gathered != 0) return;
-        auto scattered = std::make_shared<int>(n - 1);
-        std::vector<std::pair<int, int>> from_root;
-        from_root.reserve(static_cast<std::size_t>(n - 1));
-        for (int j = 1; j < n; ++j) from_root.emplace_back(0, j);
-        sendChunks(op, from_root, bytes, [this, op, scattered, done] {
-          if (--*scattered == 0) finish(op, done);
-        });
-      });
       break;
     }
     case Algorithm::Auto:

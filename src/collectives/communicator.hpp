@@ -7,9 +7,11 @@
 //
 //  * ring all-reduce = reduce-scatter + all-gather, 2(N-1) steps;
 //  * multiple channels (parallel rings) on NVLink-rich topologies;
-//  * hierarchical all-reduce when the group spans an NVLink island and
-//    PCIe-attached devices (reduce inside the island first, cross the
-//    slow fabric once) — this is why hybridGPUs beats falconGPUs;
+//  * hierarchical all-reduce (reduce inside each NVLink island first,
+//    cross the slow fabric once) only when the group holds at least two
+//    NVLink islands of more than one GPU; otherwise a crossing-minimizing
+//    ring. hybridGPUs (one 4-GPU island plus four singletons) therefore
+//    runs the ring, which is as fast there as on falconGPUs;
 //  * protocol efficiency below raw p2p bandwidth (NCCL's LL/LL128
 //    protocols reach ~60% of link rate on PCIe, ~80% on NVLink).
 #pragma once
@@ -26,7 +28,7 @@
 
 namespace composim::collectives {
 
-enum class Algorithm { Auto, Ring, Tree, Hierarchical, Naive };
+enum class Algorithm { Auto, Ring, Tree, Hierarchical };
 
 const char* toString(Algorithm a);
 

@@ -359,22 +359,6 @@ void FlowNetwork::solveComponent() {
   }
   ++st_.component_solves;
 
-  if (naive_sharing_) {
-    // Ablation mode: every flow gets min over links of capacity/<flows on
-    // link>, ignoring that other flows may be bottlenecked elsewhere.
-    for (std::uint32_t slot : comp_flows_) {
-      double r = slots_[slot].max_rate;
-      for (LinkId l : slots_[slot].links) {
-        const auto li = static_cast<std::size_t>(l);
-        r = std::min(r, topo_.link(l).capacity /
-                            static_cast<double>(link_flows_[li].size()));
-      }
-      applyRate(slot, r);
-    }
-    if (sink != nullptr) profileLinkCounters(*sink);
-    return;
-  }
-
   // Progressive filling (max-min fairness). Rate caps are modelled as a
   // per-flow pseudo-link of capacity max_rate carrying exactly that flow.
   for (LinkId l : comp_links_) {

@@ -141,21 +141,17 @@ class FlowNetwork {
   std::uint64_t flowsCompleted() const { return st_.flows_completed; }
   std::uint64_t flowsFailed() const { return st_.flows_failed; }
 
-  /// Number of max-min rate recomputations (exposed for the ablation bench).
+  /// Number of max-min rate recomputations (read by the work counters).
   std::uint64_t rateRecomputations() const { return st_.recomputations; }
 
   /// Individual connected-component solves performed (each recomputation
   /// solves one component incrementally, or all of them in full mode).
   std::uint64_t componentSolves() const { return st_.component_solves; }
 
-  /// Use naive equal-split instead of max-min fairness (ablation only).
-  void setNaiveSharing(bool naive) { naive_sharing_ = naive; }
-
   /// Incremental solving (default on) recomputes only the connected
   /// component touched by a change; full mode re-solves every component on
   /// every change. Both produce bit-identical rates and completion times —
-  /// full mode exists as the reference for the equivalence test suite and
-  /// as an ablation knob.
+  /// full mode exists as the reference for the equivalence test suite.
   void setIncrementalSolve(bool on) { incremental_ = on; }
 
   /// Quiescent-point snapshot: valid only with no flows in flight (active,
@@ -318,7 +314,6 @@ class FlowNetwork {
 
   EventId completion_event_ = kInvalidEvent;
   SimTime completion_time_ = std::numeric_limits<SimTime>::infinity();
-  bool naive_sharing_ = false;
   bool incremental_ = true;
 };
 

@@ -141,6 +141,13 @@ std::vector<LinkHealthRow> Bmc::linkHealth() const {
   return rows;
 }
 
+Bytes Bmc::slotBytes(SlotId slot) const {
+  const auto& info = chassis_.slot(slot);
+  if (!info.occupied) return 0;
+  const auto& topo = const_cast<FalconChassis&>(chassis_).topology();
+  return topo.link(info.link_down).counters.bytes + topo.link(info.link_up).counters.bytes;
+}
+
 Bytes Bmc::drawerThroughputBytes(int drawer) const {
   Bytes total = 0;
   for (const auto& row : linkHealth()) {

@@ -78,6 +78,9 @@ class Bmc {
 
   // --- health / throughput ---
   std::vector<LinkHealthRow> linkHealth() const;
+  /// Ingress + egress bytes of the device in `slot`, read from its two
+  /// links; 0 for an empty slot.
+  Bytes slotBytes(SlotId slot) const;
   Bytes drawerThroughputBytes(int drawer) const;
   SystemInfo systemInfo() const;
 

@@ -1,6 +1,7 @@
 #include "telemetry/collectors.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <utility>
 
@@ -140,32 +141,28 @@ std::vector<LinkProbe> hostAdapterLinks(const fabric::Topology& topo) {
 void collectBmc(MetricsScraper& scraper, MetricsRegistry& registry,
                 const falcon::Bmc& bmc) {
   // Per-slot byte rate needs a probe per row; the slot population is fixed
-  // after composition, so snapshot the rows once to build the probes.
+  // after composition, so snapshot the rows once to build the probes. Each
+  // slot's state sits at its drawer-major index; a slot that was empty at
+  // composition keeps a null probe.
   struct SlotState {
-    std::string slot;
-    RateProbe* gbs;
-    double* last_errors;
+    RateProbe* gbs = nullptr;
+    double* last_errors = nullptr;
   };
-  std::vector<SlotState> states;
+  using falcon::FalconChassis;
+  std::array<SlotState, FalconChassis::kDrawers * FalconChassis::kSlotsPerDrawer> states{};
+  const auto index = [](const falcon::SlotId& slot) {
+    return static_cast<std::size_t>(slot.drawer * FalconChassis::kSlotsPerDrawer + slot.index);
+  };
   for (const falcon::LinkHealthRow& row : bmc.linkHealth()) {
-    std::string slot = slotLabel(row.slot);
-    RateProbe* gbs = &scraper.rateProbe(
-        [&bmc, slot] {
-          for (const auto& r : bmc.linkHealth()) {
-            if (slotLabel(r.slot) == slot) {
-              return static_cast<double>(r.bytes_ingress + r.bytes_egress);
-            }
-          }
-          return 0.0;
-        },
-        1e-9);
-    states.push_back(
-        SlotState{std::move(slot), gbs, &scraper.counterBaseline()});
+    const falcon::SlotId slot = row.slot;
+    states[index(slot)] = {
+        &scraper.rateProbe([&bmc, slot] { return static_cast<double>(bmc.slotBytes(slot)); },
+                           1e-9),
+        &scraper.counterBaseline()};
   }
-  scraper.addCollector([&bmc, &registry, states = std::move(states)] {
+  scraper.addCollector([&bmc, &registry, states, index] {
     for (const falcon::LinkHealthRow& row : bmc.linkHealth()) {
-      const std::string slot = slotLabel(row.slot);
-      const Labels labels{{"device", row.device_name}, {"slot", slot}};
+      const Labels labels{{"device", row.device_name}, {"slot", slotLabel(row.slot)}};
       registry
           .gauge("falcon_link_up", labels,
                  "Falcon slot link state: 1 up, 0 down")
@@ -174,19 +171,18 @@ void collectBmc(MetricsScraper& scraper, MetricsRegistry& registry,
           registry.counter("ecc_errors_total", labels,
                            "Accumulated link/ECC errors from the BMC "
                            "link-health table");
-      for (const SlotState& st : states) {
-        if (st.slot != slot) continue;
-        const auto observed = static_cast<double>(row.accumulated_errors);
-        // Counter-reset handling (device replaced): re-accumulate from 0.
-        double& last = *st.last_errors;
-        errors.add(observed >= last ? observed - last : observed);
-        last = observed;
-        registry
-            .gauge("falcon_slot_gbs", labels,
-                   "Falcon slot ingress+egress traffic, gigabytes per "
-                   "second")
-            .set((*st.gbs)());
-      }
+      const SlotState& st = states[index(row.slot)];
+      if (st.gbs == nullptr) continue;
+      const auto observed = static_cast<double>(row.accumulated_errors);
+      // Counter-reset handling (device replaced): re-accumulate from 0.
+      double& last = *st.last_errors;
+      errors.add(observed >= last ? observed - last : observed);
+      last = observed;
+      registry
+          .gauge("falcon_slot_gbs", labels,
+                 "Falcon slot ingress+egress traffic, gigabytes per "
+                 "second")
+          .set((*st.gbs)());
     }
   });
 }

@@ -160,15 +160,6 @@ TEST(Communicator, TreeCompletesAndIsSlowerThanRingForLargePayload) {
   EXPECT_GT(tree.duration(), ring.duration());
 }
 
-TEST(Communicator, NaiveMasterPatternIsWorst) {
-  PcieStar s(8);
-  Communicator comm(s.sim, s.net, s.topo, s.gpus);
-  const Bytes v = units::MiB(256);
-  const auto ring = runAllReduce(s.sim, comm, v, Algorithm::Ring);
-  const auto naive = runAllReduce(s.sim, comm, v, Algorithm::Naive);
-  EXPECT_GT(naive.duration(), ring.duration() * 1.5);
-}
-
 TEST(Communicator, HierarchicalWinsOnTwoIslandTopology) {
   // Two 4-GPU NVLink quads joined by one narrow PCIe path — the case
   // where aggregating inside the islands first pays off.
