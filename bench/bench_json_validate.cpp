@@ -8,7 +8,9 @@
 //    growing chassis sweep whose routing/batching invariants held
 //    (positive route rates, batched arrivals bit-identical and no slower
 //    than serial, steady-state routing allocation-free, a warmed delivery
-//    wave within bench::kWaveAllocBudget allocations whatever its size).
+//    wave within bench::kWaveAllocBudget allocations whatever its size, and
+//    a warmed all-reduce within bench::kAllReduceAllocBudget at every rank
+//    count measured).
 //  * "composim.bench.analysis/1" schema (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -114,6 +116,21 @@ int validateSimcore(const Json& doc) {
           static_cast<double>(composim::bench::kWaveAllocBudget)) {
     return fail("wave_allocs missing or above the budget of " +
                 std::to_string(composim::bench::kWaveAllocBudget));
+  }
+  const Json* allreduce = scaling->find("allreduce_allocs");
+  if (allreduce == nullptr || !allreduce->isArray() || allreduce->asArray().empty()) {
+    return fail("allreduce_allocs missing or empty");
+  }
+  for (const Json& a : allreduce->asArray()) {
+    const Json* ranks = a.isObject() ? a.find("ranks") : nullptr;
+    const Json* count = a.isObject() ? a.find("allocs") : nullptr;
+    if (ranks == nullptr || !ranks->isNumber() || count == nullptr ||
+        !count->isNumber() ||
+        count->asDouble() >
+            static_cast<double>(composim::bench::kAllReduceAllocBudget)) {
+      return fail("allreduce_allocs entry malformed or above the budget of " +
+                  std::to_string(composim::bench::kAllReduceAllocBudget));
+    }
   }
   const Json* scenarios = scaling->find("scenarios");
   if (scenarios == nullptr || !scenarios->isArray() ||

@@ -1,6 +1,6 @@
 // composim bench: shared helpers for the bench binaries — the banner each
 // one prints, the `--jobs` worker count, the measurement matrix, and the
-// warmed-wave allocation budget.
+// warmed-wave and warmed all-reduce allocation budgets.
 //
 // paper_repro takes `--jobs N` (or the COMPOSIM_JOBS environment variable)
 // and fans its runs out through core::sweepOrdered; results come back in
@@ -21,11 +21,17 @@
 
 namespace composim::bench {
 
-/// Heap allocations a warmed ring wave may make from startFlows() through
-/// delivery, whatever its flow count: startFlows' returned-id and route
-/// vectors. solver_scaling gates its measurement on it and
-/// bench_json_validate gates the exported figure, so both read this one.
-constexpr std::size_t kWaveAllocBudget = 2;
+/// Heap allocations a warmed ring wave may make from startWave() through
+/// delivery, whatever its flow count. solver_scaling gates its measurement
+/// on it and bench_json_validate gates the exported figure, so both read
+/// this one.
+constexpr std::size_t kWaveAllocBudget = 0;
+
+/// Heap allocations a warmed Communicator::allReduce may make from the
+/// call through its completion callback, at every rank count and so every
+/// step count: ring state, requests and continuations are pooled.
+/// Gated and validated like kWaveAllocBudget.
+constexpr std::size_t kAllReduceAllocBudget = 0;
 
 inline void banner(const std::string& artifact, const std::string& caption) {
   std::printf("================================================================\n");

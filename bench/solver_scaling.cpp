@@ -11,16 +11,19 @@
 //     (bytes + end time) between the two admission orders;
 //   - steady-state allocation count of warmed routeCached() hits via a
 //     counting global operator new (must be zero);
-//   - allocation count of one warmed 8-GPU ring wave, startFlows() through
-//     delivery, with the same counter (nothing per flow: only startFlows'
-//     two per-call vectors, bench::kWaveAllocBudget).
+//   - allocation count of one warmed 8-GPU ring wave, startWave() through
+//     delivery, with the same counter (bench::kWaveAllocBudget: none);
+//   - allocation count of one warmed Communicator::allReduce at 2, 4 and
+//     8 ranks, call through completion callback (bench::
+//     kAllReduceAllocBudget: none, so it cannot grow with rank or step
+//     count).
 //
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
 // gate: it exits 1 when batched bit-identity fails, when steady-state
-// routing allocates, when the warmed wave allocates more than
-// kWaveAllocBudget times, or when the batched setup speedup at the largest
+// routing allocates, when the warmed wave or a warmed all-reduce allocates
+// more than its budget, or when the batched setup speedup at the largest
 // (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "collectives/communicator.hpp"
 #include "fabric/flow_network.hpp"
 #include "falcon/json.hpp"
 #include "sim/units.hpp"
@@ -234,39 +238,72 @@ std::size_t steadyStateAllocs(fabric::Topology& topo,
 constexpr std::size_t kWaveFlows = 8;
 
 /// Allocations of one warmed delivery wave: an 8-GPU ring (gpu i -> gpu
-/// i+1) admitted by one startFlows() call and run through delivery, on a
-/// network that has already run the same wave three times. Callbacks are
-/// built before counting. The budget is startFlows' returned-id and route
-/// vectors: admission and the delivery path (slot reuse, batch events,
-/// callback hand-off) must not allocate per flow.
+/// i+1) admitted by one startWave() call and run through delivery, on a
+/// network that has already run the same wave three times. The requests
+/// are built before counting and the caller keeps their vector, as
+/// Communicator does: admission and the delivery path (route scratch,
+/// slot reuse, batch events, callback hand-off) must not allocate.
 std::size_t warmWaveAllocs(fabric::Topology& topo,
                            const std::vector<fabric::NodeId>& gpus) {
   Simulator sim;
   fabric::FlowNetwork net(sim, topo);
   std::size_t delivered = 0;
+  std::vector<fabric::FlowRequest> reqs;
   const auto ring = [&] {
-    std::vector<fabric::FlowRequest> reqs(kWaveFlows);
+    reqs.assign(kWaveFlows, {});
     for (std::size_t i = 0; i < kWaveFlows; ++i) {
       reqs[i].src = gpus[i];
       reqs[i].dst = gpus[(i + 1) % kWaveFlows];
       reqs[i].bytes = units::MiB(4);
       reqs[i].done = [&delivered](const fabric::FlowResult&) { ++delivered; };
     }
-    return reqs;
   };
   for (int warm = 0; warm < 3; ++warm) {
-    net.startFlows(ring());
+    ring();
+    net.startWave(reqs);
     sim.run();
   }
-  std::vector<fabric::FlowRequest> reqs = ring();
+  ring();
   g_alloc_count = 0;
   g_count_allocs = true;
-  net.startFlows(std::move(reqs));
+  net.startWave(reqs);
   sim.run();
   g_count_allocs = false;
   if (delivered != 4 * kWaveFlows) {
     std::fprintf(stderr, "solver_scaling: ring wave delivered %zu of %zu\n",
                  delivered, 4 * kWaveFlows);
+    std::exit(1);
+  }
+  return g_alloc_count;
+}
+
+/// Allocations of one warmed all-reduce over the first `ranks` GPUs: a
+/// ring of 2(ranks - 1) steps, counted from the allReduce() call through
+/// its completion callback on a communicator that has run the same
+/// all-reduce three times.
+std::size_t warmAllReduceAllocs(fabric::Topology& topo,
+                                const std::vector<fabric::NodeId>& gpus,
+                                std::size_t ranks) {
+  Simulator sim;
+  fabric::FlowNetwork net(sim, topo);
+  collectives::Communicator comm(
+      sim, net, topo,
+      std::vector<fabric::NodeId>(gpus.begin(),
+                                  gpus.begin() + static_cast<std::ptrdiff_t>(ranks)));
+  int completed = 0;
+  const auto once = [&] {
+    comm.allReduce(units::MiB(16),
+                   [&completed](const collectives::CollectiveResult&) { ++completed; });
+    sim.run();
+  };
+  for (int warm = 0; warm < 3; ++warm) once();
+  g_alloc_count = 0;
+  g_count_allocs = true;
+  once();
+  g_count_allocs = false;
+  if (completed != 4) {
+    std::fprintf(stderr, "solver_scaling: %zu-rank all-reduce completed %d of 4\n",
+                 ranks, completed);
     std::exit(1);
   }
   return g_alloc_count;
@@ -289,13 +326,32 @@ int main(int argc, char** argv) {
   double largest_speedup = 0.0;
   std::size_t steady_allocs = 0;
   std::size_t wave_allocs = 0;
+  Json allreduce_allocs = Json::array();
 
   for (const int chassis : kChassis) {
     Fabric f;
     buildFabric(f, chassis);
 
     const double rps = measureRoutesPerSec(f.topo, f.gpus, kRouteReps);
-    if (chassis == kChassis.front()) wave_allocs = warmWaveAllocs(f.topo, f.gpus);
+    if (chassis == kChassis.front()) {
+      wave_allocs = warmWaveAllocs(f.topo, f.gpus);
+      for (const std::size_t ranks : {2, 4, 8}) {
+        const std::size_t allocs = warmAllReduceAllocs(f.topo, f.gpus, ranks);
+        std::printf("warmed %zu-rank all-reduce allocations: %zu\n", ranks,
+                    allocs);
+        if (allocs > bench::kAllReduceAllocBudget) {
+          std::fprintf(stderr,
+                       "solver_scaling: warmed %zu-rank all-reduce allocated "
+                       "%zu times (budget %zu)\n",
+                       ranks, allocs, bench::kAllReduceAllocBudget);
+          ok = false;
+        }
+        Json a = Json::object();
+        a.set("ranks", static_cast<std::int64_t>(ranks));
+        a.set("allocs", static_cast<std::int64_t>(allocs));
+        allreduce_allocs.push(std::move(a));
+      }
+    }
 
     // Best-of-reps admission wall-clock; the same warmed topology serves
     // both orders so only the solver epochs differ.
@@ -390,6 +446,7 @@ int main(int argc, char** argv) {
   section.set("route_steady_allocs", static_cast<std::int64_t>(steady_allocs));
   section.set("wave_flows", static_cast<std::int64_t>(kWaveFlows));
   section.set("wave_allocs", static_cast<std::int64_t>(wave_allocs));
+  section.set("allreduce_allocs", std::move(allreduce_allocs));
   doc.set("solver_scaling", std::move(section));
   std::ofstream outf(argv[1]);
   outf << doc.dump(2) << "\n";

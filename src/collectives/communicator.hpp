@@ -13,15 +13,20 @@
 //    ring. hybridGPUs (one 4-GPU island plus four singletons) therefore
 //    runs the ring, which is as fast there as on falconGPUs;
 //  * protocol efficiency below raw p2p bandwidth (NCCL's LL/LL128
-//    protocols reach ~60% of link rate on PCIe, ~80% on NVLink).
+//    protocols): each flow is capped at 62% of its route's bottleneck on
+//    PCIe and 80% on a pure-NVLink route. The NVLink cap binds only on a
+//    flow that has its edge to itself: broadcast/reduce fans (Fig 16's DP
+//    rows) and tree or hierarchical all-reduce. A one-island ring runs two
+//    channels over the same edges, so max-min sharing gives each flow half
+//    an edge, below the cap, and the cap does not move its time.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fabric/flow_network.hpp"
@@ -49,6 +54,9 @@ class Communicator {
  public:
   Communicator(Simulator& sim, fabric::FlowNetwork& net, fabric::Topology& topo,
                std::vector<fabric::NodeId> ranks);
+  // In-flight flows and events hold `this`.
+  Communicator(const Communicator&) = delete;
+  Communicator& operator=(const Communicator&) = delete;
 
   int size() const { return static_cast<int>(ranks_.size()); }
   const std::vector<fabric::NodeId>& ranks() const { return ranks_; }
@@ -104,39 +112,91 @@ class Communicator {
   }
 
  private:
-  struct Op;  // shared state of one in-flight collective
+  enum class OpKind { AllReduce, Broadcast, Reduce };
+
+  /// One collective, queued or running. Ops run one at a time, so the
+  /// running op is the single member op_ and every ring, fan and phase
+  /// continuation reaches it through `this`.
+  struct Op {
+    OpKind kind = OpKind::AllReduce;
+    Algorithm algorithm = Algorithm::Ring;
+    Bytes payload = 0;
+    int root = 0;  // broadcast/reduce only
+    CollectiveCallback done;
+    SimTime start = 0.0;
+    Bytes bytes_on_fabric = 0;
+    /// Correlation id linking this op's span to the fabric flows it
+    /// injects (0 while profiling is off). Assigned by beginOp.
+    std::uint64_t corr = 0;
+    /// Rings (or islands) of the current phase still running.
+    int pending = 0;
+  };
+
+  /// One ring or binomial fan in flight: a record in a pool that this
+  /// communicator owns (a vector plus a free list, kept with its
+  /// capacity). Each flow's callback and the step-overhead continuation
+  /// capture only [this, index], which is trivially copyable and fits
+  /// std::function's local buffer, and the request vector is reused for
+  /// every wave, so a warmed step allocates nothing. Those callbacks
+  /// point into the communicator, so it must outlive its flows: Trainer
+  /// keeps the communicators a restore retires in retired_comms_.
+  struct Schedule {
+    std::vector<int> members;  // ring order, or the fan's binomial order
+    /// (src, dst) endpoints of the current wave: built once for a ring,
+    /// per round for a fan.
+    std::vector<std::pair<fabric::NodeId, fabric::NodeId>> hops;
+    Bytes chunk = 0;
+    int step = 0;
+    int steps = 0;
+    int in_flight = 0;  // chunks of the current wave not yet landed
+    bool fan = false;
+    bool to_root = false;  // fan direction: reduce (true) or broadcast
+    /// Runs in its own event after the last step.
+    std::function<void()> done;
+  };
 
   /// Collectives enqueue like NCCL kernels on one CUDA stream: strictly
   /// in-order, one at a time per communicator.
-  void enqueue(std::function<void()> opBody);
+  void enqueue(Op op);
+  void startOp();
   void opFinished();
 
   // Profiling: ops run one at a time, so begin/end pairs nest on the
   // communicator's track; hierarchical phases nest inside the op span.
   // beginOp also draws the op's correlation id (ProfileSink::
-  // newCorrelation) and stamps it on the op span as "corr"; sendChunks
+  // newCorrelation) and stamps it on the op span as "corr"; sendWave
   // threads the same id through FlowOptions::correlation, so every fabric
   // flow of every phase links back to the collective that issued it.
-  void beginOp(Op& op);
+  void beginOp();
   void beginPhase(const char* name);
   void endPhase();
 
-  void runAllReduce(std::shared_ptr<Op> op, Bytes bytes, CollectiveCallback done,
-                    Algorithm algorithm);
-  void runRing(std::shared_ptr<Op> op, const std::vector<int>& members,
-               Bytes bytes, int steps_total, std::function<void()> done);
-  void runFanSequential(std::shared_ptr<Op> op, int root, Bytes bytes,
-                        bool toRoot, std::function<void()> done);
-  void runHierarchical(std::shared_ptr<Op> op, Bytes bytes,
-                       std::function<void()> done);
-  /// Inject one wave of same-size chunks ((from, to) rank pairs) as a
-  /// single batched arrival — one solve epoch for the whole wave instead
-  /// of one per flow (FlowNetwork::startFlows). `eachDone` fires once per
-  /// landed chunk.
-  void sendChunks(std::shared_ptr<Op> op,
-                  const std::vector<std::pair<int, int>>& pairs, Bytes bytes,
-                  std::function<void()> eachDone);
-  void finish(std::shared_ptr<Op> op, CollectiveCallback done);
+  /// Greedy NVLink island of every rank into island_of_ (the grouping
+  /// nvlinkIslands returns); yields {islands, islands of two or more}.
+  std::pair<int, int> labelIslands() const;
+  /// ringOrder into `order`, reusing its capacity.
+  void orderRing(const std::vector<int>& members, std::vector<int>& order) const;
+
+  void runAllReduce();
+  void runRing(const std::vector<int>& members, Bytes chunk, int steps,
+               std::function<void()> done);
+  void runFan(int root, Bytes bytes, bool toRoot, std::function<void()> done);
+  // Hierarchical all-reduce: intra-island rings, then a leader ring, then
+  // intra-island broadcast rings; each phase starts the next.
+  void runHierarchical();
+  void hierarchicalLeaderRing();
+  void hierarchicalBroadcast();
+
+  std::uint32_t acquireSchedule();
+  /// Start schedule `s`'s current step, or end it after the last one.
+  void runStep(std::uint32_t s);
+  /// Inject the current wave of schedule `s` as a single batched arrival
+  /// — one solve epoch for the whole wave instead of one per flow
+  /// (FlowNetwork::startWave).
+  void sendWave(std::uint32_t s);
+  void chunkLanded(std::uint32_t s);
+  void endSchedule(std::uint32_t s);
+  void finish();
 
   Simulator& sim_;
   fabric::FlowNetwork& net_;
@@ -153,8 +213,15 @@ class Communicator {
   };
   ProfileKeyCache<ProfileKeys> profile_keys_;
   State st_;
-  std::deque<std::function<void()>> op_queue_;
+  Op op_;  // the running op while op_active_
+  std::deque<Op> op_queue_;  // ops waiting behind it
   bool op_active_ = false;
+  std::vector<int> everyone_;  // 0 .. size()-1
+  std::vector<Schedule> schedules_;
+  std::vector<std::uint32_t> free_schedules_;
+  std::vector<fabric::FlowRequest> wave_;  // reused by every sendWave
+  std::vector<std::vector<int>> islands_;  // the running hierarchical op's
+  mutable std::vector<int> island_of_;     // labelIslands scratch
 };
 
 }  // namespace composim::collectives

@@ -23,9 +23,7 @@ void Gpu::launchKernel(const KernelDesc& k, std::function<void()> done) {
 
 void Gpu::startNext() {
   if (queue_.empty()) return;
-  Pending p = std::move(queue_.front());
-  queue_.pop_front();
-
+  Pending& p = queue_.front();
   const SimTime d = kernelDuration(p.desc);
   const SimTime t_memory =
       static_cast<double>(p.desc.mem_bytes) / spec_.mem_bandwidth;
@@ -33,15 +31,32 @@ void Gpu::startNext() {
   busy_since_ = sim_.now();
   current_mem_busy_ = std::min(t_memory, d);
 
-  sim_.schedule(d, [this, d, cb = std::move(p.done)]() mutable {
-    busy_ = false;
-    st_.busy_accum += d;
-    st_.mem_busy_accum += current_mem_busy_;
-    current_mem_busy_ = 0.0;
-    ++st_.kernels_retired;
-    if (cb) cb();
-    startNext();
-  });
+  std::uint32_t k;
+  if (free_running_.empty()) {
+    k = static_cast<std::uint32_t>(running_.size());
+    running_.emplace_back();
+  } else {
+    k = free_running_.back();
+    free_running_.pop_back();
+  }
+  running_[k].duration = d;
+  running_[k].done = std::move(p.done);
+  queue_.pop_front();
+  sim_.schedule(d, [this, k] { retire(k); });
+}
+
+void Gpu::retire(std::uint32_t k) {
+  busy_ = false;
+  st_.busy_accum += running_[k].duration;
+  st_.mem_busy_accum += current_mem_busy_;
+  current_mem_busy_ = 0.0;
+  ++st_.kernels_retired;
+  // Free the record first: the callback may launch a kernel that reuses it.
+  const std::function<void()> done = std::move(running_[k].done);
+  running_[k].done = nullptr;
+  free_running_.push_back(k);
+  if (done) done();
+  startNext();
 }
 
 void Gpu::allocate(Bytes bytes) {

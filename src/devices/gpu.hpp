@@ -16,6 +16,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "devices/specs.hpp"
 #include "fabric/topology.hpp"
@@ -112,6 +113,8 @@ class Gpu {
   };
 
   void startNext();
+  /// Completion event of running kernel `k` (an index into running_).
+  void retire(std::uint32_t k);
 
   Simulator& sim_;
   fabric::NodeId node_;
@@ -123,6 +126,17 @@ class Gpu {
   bool busy_ = false;
   SimTime busy_since_ = 0.0;
   SimTime current_mem_busy_ = 0.0;
+  // Running kernels' durations and callbacks, in a pool (vector plus free
+  // list) so each completion event captures only [this, index] and fits
+  // std::function's local buffer. Usually one kernel runs; a completion
+  // callback that launches onto this GPU while its queue is non-empty
+  // makes retire() start a second one beside it.
+  struct Running {
+    SimTime duration = 0.0;
+    std::function<void()> done;
+  };
+  std::vector<Running> running_;
+  std::vector<std::uint32_t> free_running_;
 };
 
 }  // namespace composim::devices

@@ -33,10 +33,10 @@ void StorageDevice::dispatch(PendingOp op) {
     fo.maxRate = (op.pattern == AccessPattern::Random)
                      ? spec_.seq_read * spec_.random_read_efficiency
                      : spec_.seq_read;
-    fo.tag = name_ + ":read";
+    fo.tag = read_tag_;
   } else {
     fo.maxRate = spec_.seq_write;
-    fo.tag = name_ + ":write";
+    fo.tag = write_tag_;
   }
   fo.extraLatency = spec_.access_latency;
 
@@ -52,9 +52,9 @@ void StorageDevice::dispatch(PendingOp op) {
     if (cb) cb(r);
   };
   if (op.is_read) {
-    net_.startFlow(node_, op.peer, op.bytes, std::move(completion), std::move(fo));
+    net_.startFlow(node_, op.peer, op.bytes, std::move(completion), fo);
   } else {
-    net_.startFlow(op.peer, node_, op.bytes, std::move(completion), std::move(fo));
+    net_.startFlow(op.peer, node_, op.bytes, std::move(completion), fo);
   }
 }
 

@@ -26,7 +26,12 @@ class StorageDevice {
  public:
   StorageDevice(fabric::FlowNetwork& net, fabric::NodeId node, StorageSpec spec,
                 std::string name)
-      : net_(net), node_(node), spec_(std::move(spec)), name_(std::move(name)) {}
+      : net_(net),
+        node_(node),
+        spec_(std::move(spec)),
+        name_(std::move(name)),
+        read_tag_(name_ + ":read"),
+        write_tag_(name_ + ":write") {}
 
   StorageDevice(const StorageDevice&) = delete;
   StorageDevice& operator=(const StorageDevice&) = delete;
@@ -90,6 +95,8 @@ class StorageDevice {
   fabric::NodeId node_;
   StorageSpec spec_;
   std::string name_;
+  std::string read_tag_;   // flow span names, built once
+  std::string write_tag_;
   State st_;
   bool busy_ = false;
   std::deque<PendingOp> queue_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace composim::fabric {
@@ -17,7 +18,7 @@ FlowNetwork::ProfileKeys::ProfileKeys(ProfileSink& sink)
       unroutable(sink.intern("flow-unroutable")) {}
 
 AsyncSpanId FlowNetwork::beginFlowSpan(NodeId src, NodeId dst, Bytes bytes,
-                                       const std::string& tag,
+                                       std::string_view tag,
                                        std::uint64_t correlation) {
   ProfileSink* sink = sim_.profiler();
   if (sink == nullptr) return kInvalidAsyncSpan;
@@ -138,17 +139,26 @@ FlowId FlowNetwork::startFlow(NodeId src, NodeId dst, Bytes bytes,
 std::vector<FlowId> FlowNetwork::startFlows(std::vector<FlowRequest> requests) {
   std::vector<FlowId> ids;
   ids.reserve(requests.size());
-  if (requests.empty()) return ids;
+  admitBatch(requests, &ids);
+  return ids;
+}
+
+void FlowNetwork::startWave(std::vector<FlowRequest>& requests) {
+  admitBatch(requests, nullptr);
+}
+
+void FlowNetwork::admitBatch(std::vector<FlowRequest>& requests,
+                             std::vector<FlowId>* ids) {
+  if (requests.empty()) return;
   // Route everything first (cache entries have stable addresses across
   // inserts), so the solver prep — advanceProgress in particular, whose
   // per-call byte-counter rounding must match the serial path — runs
   // exactly once and only when a byte flow is actually admitted.
-  std::vector<const std::optional<Route>*> routes;
-  routes.reserve(requests.size());
+  batch_routes_.clear();
   bool any_bytes = false;
   for (const FlowRequest& rq : requests) {
     const auto& r = topo_.routeCached(rq.src, rq.dst);
-    routes.push_back(&r);
+    batch_routes_.push_back(&r);
     if (r && rq.bytes > 0 && !r->links.empty()) any_bytes = true;
   }
   if (any_bytes) {
@@ -156,27 +166,27 @@ std::vector<FlowId> FlowNetwork::startFlows(std::vector<FlowRequest> requests) {
     ensureLinkTables();
   }
   // No inline callbacks fire during admission (unroutable and latency-only
-  // completions are deferred events), so member seed scratch is safe here.
+  // completions are deferred events), so member scratch is safe here.
   arrival_seeds_.clear();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     FlowRequest& rq = requests[i];
-    const auto& route = *routes[i];
+    const auto& route = *batch_routes_[i];
+    FlowId id;
     if (!route) {
-      ids.push_back(admitUnroutable(rq.src, rq.dst, std::move(rq.done)));
+      id = admitUnroutable(rq.src, rq.dst, std::move(rq.done));
     } else if (rq.bytes <= 0 || route->links.empty()) {
-      ids.push_back(admitLatencyOnly(*route, rq.src, rq.dst, rq.bytes,
-                                     std::move(rq.done), rq.options));
+      id = admitLatencyOnly(*route, rq.src, rq.dst, rq.bytes,
+                            std::move(rq.done), rq.options);
     } else {
-      ids.push_back(admitByteFlow(*route, rq.src, rq.dst, rq.bytes,
-                                  std::move(rq.done), rq.options,
-                                  arrival_seeds_));
+      id = admitByteFlow(*route, rq.src, rq.dst, rq.bytes, std::move(rq.done),
+                         rq.options, arrival_seeds_);
     }
+    if (ids != nullptr) ids->push_back(id);
   }
   if (any_bytes) {
     resolveAfterChange(arrival_seeds_);
     scheduleNextCompletion();
   }
-  return ids;
 }
 
 void FlowNetwork::failLink(LinkId link) {
@@ -283,8 +293,17 @@ void FlowNetwork::resolveAfterChange(const std::vector<LinkId>& seeds) {
     return;
   }
   ++st_.epoch;
+  ProfileSink* sink = sim_.profiler();
   for (LinkId l : seeds) {
-    if (link_epoch_[static_cast<std::size_t>(l)] == st_.epoch) continue;
+    const auto li = static_cast<std::size_t>(l);
+    if (link_epoch_[li] == st_.epoch) continue;
+    if (link_flows_[li].empty()) {
+      // The change emptied this link, so its component is the link alone
+      // and there is nothing to solve: only publish its drop to idle.
+      link_epoch_[li] = st_.epoch;
+      if (sink != nullptr) profileLinkCounters(*sink, l);
+      continue;
+    }
     collectComponent(l);
     solveComponent();
   }
@@ -325,38 +344,30 @@ void FlowNetwork::collectComponent(LinkId seed) {
             [this](std::uint32_t a, std::uint32_t b) { return slots_[a].id < slots_[b].id; });
 }
 
-void FlowNetwork::profileLinkCounters(ProfileSink& sink) {
+void FlowNetwork::profileLinkCounters(ProfileSink& sink, LinkId l) {
   ProfileKeys& keys = profile_keys_.get(sink);
-  for (LinkId l : comp_links_) {
-    const auto li = static_cast<std::size_t>(l);
-    double used = 0.0;
-    for (std::uint32_t slot : link_flows_[li]) used += slots_[slot].rate;
-    const Bandwidth cap = topo_.link(l).capacity;
-    if (keys.links.size() <= li) {
-      keys.links.resize(li + 1, {kNoCounterKey, kNoCounterKey});
-    }
-    auto& [util_key, flows_key] = keys.links[li];
-    if (util_key == kNoCounterKey) {
-      const Link& link = topo_.link(l);
-      std::string name = "link:";
-      name += topo_.node(link.src).name;
-      name += "->";
-      name += topo_.node(link.dst).name;
-      util_key = sink.counterKey(name, "util_pct");
-      flows_key = sink.counterKey(name, "flows");
-    }
-    sink.setCounter(util_key, cap > 0.0 ? 100.0 * used / cap : 0.0);
-    sink.setCounter(flows_key, static_cast<double>(link_flows_[li].size()));
+  const auto li = static_cast<std::size_t>(l);
+  double used = 0.0;
+  for (std::uint32_t slot : link_flows_[li]) used += slots_[slot].rate;
+  const Bandwidth cap = topo_.link(l).capacity;
+  if (keys.links.size() <= li) {
+    keys.links.resize(li + 1, {kNoCounterKey, kNoCounterKey});
   }
+  auto& [util_key, flows_key] = keys.links[li];
+  if (util_key == kNoCounterKey) {
+    const Link& link = topo_.link(l);
+    std::string name = "link:";
+    name += topo_.node(link.src).name;
+    name += "->";
+    name += topo_.node(link.dst).name;
+    util_key = sink.counterKey(name, "util_pct");
+    flows_key = sink.counterKey(name, "flows");
+  }
+  sink.setCounter(util_key, cap > 0.0 ? 100.0 * used / cap : 0.0);
+  sink.setCounter(flows_key, static_cast<double>(link_flows_[li].size()));
 }
 
 void FlowNetwork::solveComponent() {
-  ProfileSink* sink = sim_.profiler();
-  if (comp_flows_.empty()) {
-    // All flows on the seed links departed; publish the drop to idle.
-    if (sink != nullptr) profileLinkCounters(*sink);
-    return;
-  }
   ++st_.component_solves;
 
   // Progressive filling (max-min fairness). Rate caps are modelled as a
@@ -420,7 +431,9 @@ void FlowNetwork::solveComponent() {
       break;  // defensive: no constraint found (should not happen)
     }
   }
-  if (sink != nullptr) profileLinkCounters(*sink);
+  if (ProfileSink* sink = sim_.profiler()) {
+    for (LinkId l : comp_links_) profileLinkCounters(*sink, l);
+  }
 }
 
 void FlowNetwork::applyRate(std::uint32_t slot, Bandwidth rate) {

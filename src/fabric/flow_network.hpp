@@ -23,7 +23,8 @@
 // scheduled back to back with nothing in between (DESIGN.md §2.1.3).
 // Batches live in a pool that keeps its capacity, the batch event's
 // capture fits std::function's local buffer, and a freed flow slot keeps
-// its link vector, so a warmed wave allocates nothing per flow.
+// its link vector, so a warmed wave admitted by startWave allocates
+// nothing.
 //
 // A byte flow lives only in its slot: flows end by completing or by
 // failLink, and every lookup by FlowId (flowRate, failLink's victim
@@ -34,7 +35,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -70,8 +72,10 @@ struct FlowOptions {
   /// Extra fixed latency added before data starts moving (software stack,
   /// doorbell, DMA setup).
   SimTime extraLatency = 0.0;
-  /// Name of the flow's profiling span ("flow" when empty).
-  std::string tag;
+  /// Name of the flow's profiling span ("flow" when empty). Read only
+  /// during admission, so the viewed string need only outlive the call
+  /// that starts the flow.
+  std::string_view tag;
   /// Causal correlation id stamped on the flow's profile span as "corr":
   /// the issuer (e.g. a Communicator op) allocates one id from
   /// ProfileSink::newCorrelation(), records it on its own span, and
@@ -114,6 +118,12 @@ class FlowNetwork {
   /// differ. Returned ids are positionally aligned with `requests`
   /// (kInvalidFlow for unroutable entries, which still fail soft).
   std::vector<FlowId> startFlows(std::vector<FlowRequest> requests);
+
+  /// startFlows for a caller that reuses one request vector wave after
+  /// wave: each request's callback is moved out, the vector and its
+  /// capacity stay with the caller, and no ids are returned, so a warmed
+  /// wave allocates nothing here.
+  void startWave(std::vector<FlowRequest>& requests);
 
   /// Fail every flow crossing `link` (used for link-down injection) and
   /// mark the link down in the topology. Victims come straight from the
@@ -223,9 +233,12 @@ class FlowNetwork {
   /// Open a profiling span for a flow (no-op when profiling is off).
   /// `correlation` != 0 is recorded as the span's "corr" arg.
   AsyncSpanId beginFlowSpan(NodeId src, NodeId dst, Bytes bytes,
-                            const std::string& tag, std::uint64_t correlation);
-  /// Publish utilization/queue counters for the links in comp_links_.
-  void profileLinkCounters(ProfileSink& sink);
+                            std::string_view tag, std::uint64_t correlation);
+  /// Admit a same-timestamp batch (startFlows, startWave); appends one id
+  /// per request to `ids` when given.
+  void admitBatch(std::vector<FlowRequest>& requests, std::vector<FlowId>* ids);
+  /// Publish link `l`'s utilization/queue counters.
+  void profileLinkCounters(ProfileSink& sink, LinkId l);
 
   /// Profiler keys, interned once per sink table (ProfileKeyCache).
   struct ProfileKeys {
@@ -296,6 +309,7 @@ class FlowNetwork {
   std::vector<std::uint32_t> done_scratch_;     // completion-event reuse
   std::vector<LinkId> seed_scratch_;
   std::vector<LinkId> arrival_seeds_;           // startFlow(s) batch seeds
+  std::vector<const std::optional<Route>*> batch_routes_;  // admitBatch
   ProfileKeyCache<ProfileKeys> profile_keys_;   // profiling only
 
   // Delivery batches: a pool indexed by the batch events, plus the batches

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "collectives/communicator.hpp"
+#include "core/composable_system.hpp"
 #include "fabric/link_catalog.hpp"
 #include "fabric/nvlink_mesh.hpp"
 #include "sim/units.hpp"
@@ -215,6 +216,85 @@ TEST(Communicator, OpsSerializeLikeOneCudaStream) {
                  Algorithm::Ring);
   s.sim.run();
   EXPECT_NEAR(both_end - start, 2.0 * alone.duration(), alone.duration() * 0.1);
+}
+
+TEST(Communicator, NvlinkProtocolCapBindsOnlyOnAFlowAloneOnItsEdge) {
+  // localGPUs' 8-GPU ring runs two channels over the same ring order, so
+  // every NVLink edge on the ring carries two flows. Each flow's max-min
+  // share is half the edge, below the 0.8 protocol cap: the channel split
+  // sets the rate and the cap does not bind.
+  core::ComposableSystem sys(core::SystemConfig::LocalGpus);
+  std::vector<NodeId> ranks;
+  for (const auto* g : sys.trainingGpus()) ranks.push_back(g->node());
+  Communicator comm(sys.sim(), sys.network(), sys.topology(), ranks);
+  ASSERT_EQ(comm.nvlinkIslands().size(), 1u);
+  const auto order = comm.ringOrder({0, 1, 2, 3, 4, 5, 6, 7});
+  ASSERT_EQ(sys.network().state().next_id, 1u);
+  comm.allReduce(units::MiB(256), nullptr, Algorithm::Ring);
+  // The first step of both channels is in flight: flow ids 1..8 are
+  // channel 0's hops in ring order, 9..16 channel 1's.
+  ASSERT_EQ(sys.network().activeFlows(), 16u);
+  for (fabric::FlowId id = 1; id <= 16; ++id) {
+    const std::size_t hop = static_cast<std::size_t>((id - 1) % 8);
+    const auto& route = sys.topology().routeCached(
+        ranks[static_cast<std::size_t>(order[hop])],
+        ranks[static_cast<std::size_t>(order[(hop + 1) % 8])]);
+    ASSERT_TRUE(route.has_value());
+    ASSERT_EQ(route->links.size(), 1u);
+    const auto& edge = sys.topology().link(route->links.front());
+    ASSERT_EQ(edge.kind, LinkKind::NVLink);
+    EXPECT_DOUBLE_EQ(sys.network().flowRate(id), edge.capacity / 2.0) << "flow " << id;
+    EXPECT_LT(edge.capacity / 2.0, 0.8 * edge.capacity);
+  }
+  sys.sim().run();
+
+  // A broadcast's first round is one flow with its edge to itself: there
+  // the cap binds, at 0.8 of the edge.
+  const fabric::FlowId bcast = sys.network().state().next_id;
+  comm.broadcast(units::MiB(64), 0, nullptr);
+  ASSERT_EQ(sys.network().activeFlows(), 1u);
+  const auto& route = sys.topology().routeCached(ranks[0], ranks[1]);
+  ASSERT_TRUE(route.has_value());
+  ASSERT_EQ(route->links.size(), 1u);
+  EXPECT_DOUBLE_EQ(sys.network().flowRate(bcast),
+                   0.8 * sys.topology().link(route->links.front()).capacity);
+  sys.sim().run();
+}
+
+TEST(Communicator, RingSurvivesALinkFailureMidStepAndItsRecordIsReused) {
+  const Bytes v = units::MiB(256);
+  SimTime clean = 0.0;
+  {
+    PcieStar ref(4);
+    Communicator comm(ref.sim, ref.net, ref.topo, ref.gpus);
+    clean = runAllReduce(ref.sim, comm, v, Algorithm::Ring).duration();
+  }
+  PcieStar s(4);
+  Communicator comm(s.sim, s.net, s.topo, s.gpus);
+  bool done = false;
+  comm.allReduce(v, [&](const CollectiveResult&) { done = true; }, Algorithm::Ring);
+  s.sim.runUntil(clean / 12.0);  // mid first step (6 steps)
+  ASSERT_EQ(s.net.activeFlows(), 4u);
+  EXPECT_THROW(comm.state(), std::logic_error);
+  // g0's uplink: the ring's flow out of g0 fails now, and every later
+  // step's flow from g0 fails soft as unroutable.
+  const fabric::LinkId uplink = s.topo.linksFrom(s.gpus[0]).front();
+  s.net.failLink(uplink);
+  s.sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_GE(s.net.flowsFailed(), 6u);  // one per step
+  EXPECT_NO_THROW(comm.state());
+  EXPECT_EQ(comm.collectivesCompleted(), 1u);
+
+  // The next all-reduce runs on the pooled ring record the failed op
+  // released, and on a healed fabric it takes exactly a clean op's time.
+  s.topo.setLinkUp(uplink, true);
+  s.net.notifyTopologyChanged();
+  const auto failed_before = s.net.flowsFailed();
+  const auto r = runAllReduce(s.sim, comm, v, Algorithm::Ring);
+  EXPECT_NEAR(r.duration(), clean, clean * 1e-9);
+  EXPECT_EQ(s.net.flowsFailed(), failed_before);
+  EXPECT_NO_THROW(comm.state());
 }
 
 TEST(ConcurrentCommunicators, IndependentGroupsOverlap) {

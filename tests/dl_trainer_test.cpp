@@ -268,6 +268,40 @@ TEST_F(TrainerFixture, DataStallVisibleWithSlowStorage) {
   EXPECT_GT(r.data_stall_time, 0.05);
 }
 
+TEST_F(TrainerFixture, RestoreRetiresACommunicatorWithAnOpInFlight) {
+  auto gpus = sys.trainingGpus();
+  TrainerOptions opt;
+  opt.epochs = 1;
+  opt.max_iterations_per_epoch = 4;
+  Trainer t(sys.sim(), sys.network(), sys.topology(), gpus, sys.cpu(),
+            sys.hostMemory(), sys.trainingStorage(), tinyModel(), tinyData(),
+            opt);
+  TrainingResult out;
+  t.start([&](const TrainingResult& r) { out = r; });
+  const auto opInFlight = [](const collectives::Communicator& c) {
+    try {
+      (void)c.state();
+      return false;
+    } catch (const std::logic_error&) {
+      return true;
+    }
+  };
+  while (!opInFlight(t.communicator()) && sys.sim().step()) {
+  }
+  collectives::Communicator& retired = t.communicator();
+  ASSERT_TRUE(opInFlight(retired));
+  ASSERT_TRUE(t.requestRestore(gpus));
+  EXPECT_NE(&t.communicator(), &retired);
+  sys.sim().run();
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_EQ(out.iterations_run, 4);
+  // The orphaned op ran to its end on the retired communicator's pooled
+  // state, and everything is quiescent again.
+  EXPECT_FALSE(opInFlight(retired));
+  EXPECT_FALSE(opInFlight(t.communicator()));
+  EXPECT_NO_THROW((void)sys.network().state());
+}
+
 TEST(TrainerBasics, RequiresGpus) {
   ComposableSystem sys{SystemConfig::LocalGpus};
   TrainerOptions opt;
