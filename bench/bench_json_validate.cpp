@@ -8,9 +8,10 @@
 //    growing chassis sweep whose routing/batching invariants held
 //    (positive route rates, batched arrivals bit-identical and no slower
 //    than serial, steady-state routing allocation-free, a warmed delivery
-//    wave within bench::kWaveAllocBudget allocations whatever its size, and
-//    a warmed all-reduce within bench::kAllReduceAllocBudget at every rank
-//    count measured).
+//    wave within bench::kWaveAllocBudget allocations whatever its size, a
+//    warmed all-reduce within bench::kAllReduceAllocBudget at every rank
+//    count measured, and warmed metrics scrapes within
+//    bench::kScrapeAllocBudget).
 //  * "composim.bench.analysis/1" schema (BENCH_analysis.json, written by
 //    bottleneck_attribution): per-run attribution buckets nonnegative and
 //    summing to iteration wall time within 0.1%, critical-path coverage
@@ -131,6 +132,17 @@ int validateSimcore(const Json& doc) {
       return fail("allreduce_allocs entry malformed or above the budget of " +
                   std::to_string(composim::bench::kAllReduceAllocBudget));
     }
+  }
+  const Json* scrapes = scaling->find("scrapes");
+  const Json* scrape_allocs = scaling->find("scrape_allocs");
+  if (scrapes == nullptr || !scrapes->isNumber() || scrapes->asDouble() <= 0.0) {
+    return fail("scrapes missing or non-positive");
+  }
+  if (scrape_allocs == nullptr || !scrape_allocs->isNumber() ||
+      scrape_allocs->asDouble() >
+          static_cast<double>(composim::bench::kScrapeAllocBudget)) {
+    return fail("scrape_allocs missing or above the budget of " +
+                std::to_string(composim::bench::kScrapeAllocBudget));
   }
   const Json* scenarios = scaling->find("scenarios");
   if (scenarios == nullptr || !scenarios->isArray() ||

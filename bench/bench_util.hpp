@@ -1,6 +1,6 @@
 // composim bench: shared helpers for the bench binaries — the banner each
 // one prints, the `--jobs` worker count, the measurement matrix, and the
-// warmed-wave and warmed all-reduce allocation budgets.
+// warmed-wave, warmed all-reduce and warmed-scrape allocation budgets.
 //
 // paper_repro takes `--jobs N` (or the COMPOSIM_JOBS environment variable)
 // and fans its runs out through core::sweepOrdered; results come back in
@@ -32,6 +32,12 @@ constexpr std::size_t kWaveAllocBudget = 0;
 /// step count: ring state, requests and continuations are pooled.
 /// Gated and validated like kWaveAllocBudget.
 constexpr std::size_t kAllReduceAllocBudget = 0;
+
+/// Heap allocations a warmed MetricsScraper::scrapeOnce may make on a
+/// falconGPUs training run with every collector attached, once its series
+/// have room: scrapes write through bound handles. Gated and validated
+/// like kWaveAllocBudget.
+constexpr std::size_t kScrapeAllocBudget = 0;
 
 inline void banner(const std::string& artifact, const std::string& caption) {
   std::printf("================================================================\n");

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -148,6 +149,8 @@ constexpr Claim kClaims[] = {
      "BERT-L 16-GPU / 8-GPU throughput (x, > 1)", kUnquoted, kAbove1, 2},
     {"ext_cotenancy.interference", "§VI; DESIGN §9",
      "tenant A iteration-time change under tenant B's storm (%)", kUnquoted, -0.01, 0.01},
+    {"ext_cotenancy.shared_links", "§VI; DESIGN §9",
+     "fabric links on both a tenant-A and a tenant-B route (count)", kUnquoted, 0, 0},
     {"ext_heterogeneous.mixed_vs_8xv100", "§VI; DESIGN §9",
      "4x V100 + 4x P100 throughput, % of 8x V100", kUnquoted, 16.1, 16.3},
     {"ext_heterogeneous.mixed_over_4xv100", "§VI; DESIGN §9",
@@ -847,21 +850,52 @@ void extScaling(Runs, Gate& gate) {
   std::printf("beyond 8 but still gains absolute throughput.\n");
 }
 
+/// The links of every route between two of `nodes`, both directions.
+std::set<fabric::LinkId> routeLinks(const fabric::Topology& topo,
+                                    const std::vector<fabric::NodeId>& nodes) {
+  std::set<fabric::LinkId> links;
+  for (const fabric::NodeId a : nodes) {
+    for (const fabric::NodeId b : nodes) {
+      if (a == b) continue;
+      if (const auto& route = topo.routeCached(a, b)) {
+        links.insert(route->links.begin(), route->links.end());
+      }
+    }
+  }
+  return links;
+}
+
+struct Tenancy {
+  SimTime iteration = 0.0;   // tenant A's mean BERT-L iteration
+  std::size_t shared_links = 0;  // on both a tenant-A and a tenant-B route
+};
+
 /// Tenant A's BERT-L iteration on the hybridGPUs GPUs (4 local + 4 in
 /// drawer 0, host port H1). With `storm`, tenant B, on a second host behind
-/// port H4, drives an endless all-reduce over the four drawer-1 GPUs.
-SimTime tenantAIteration(bool storm) {
+/// port H4, drives an endless all-reduce over the four drawer-1 GPUs, and
+/// the links the two tenants' routes share are counted: routes between
+/// tenant A's GPUs and host memory against routes between tenant B's.
+Tenancy tenantA(bool storm) {
   core::ComposableSystem sys(core::SystemConfig::HybridGpus);
   const auto gpus = sys.trainingGpus();
+  Tenancy out;
   std::unique_ptr<collectives::Communicator> tenant_b;
   std::function<void()> allReduceForever;
   if (storm) {
-    sys.attachSecondHost();
+    const fabric::NodeId memory_b = sys.attachSecondHost().memory;
     sys.chassis().setDrawerMode(1, falcon::DrawerMode::Advanced);
     std::vector<fabric::NodeId> ranks;
     for (int i = 0; i < 4; ++i) {
       sys.chassis().attach({1, i}, 3);
       ranks.push_back(sys.falconGpus()[static_cast<std::size_t>(4 + i)]->node());
+    }
+    std::vector<fabric::NodeId> nodes_a{sys.hostMemory()};
+    for (const devices::Gpu* g : gpus) nodes_a.push_back(g->node());
+    std::vector<fabric::NodeId> nodes_b = ranks;
+    nodes_b.push_back(memory_b);
+    const auto links_a = routeLinks(sys.topology(), nodes_a);
+    for (const fabric::LinkId l : routeLinks(sys.topology(), nodes_b)) {
+      out.shared_links += links_a.count(l);
     }
     tenant_b = std::make_unique<collectives::Communicator>(sys.sim(), sys.network(),
                                                            sys.topology(), ranks);
@@ -871,15 +905,17 @@ SimTime tenantAIteration(bool storm) {
     };
     allReduceForever();
   }
-  return trainOn(sys, gpus, dl::workload("BERT-L"), 8).mean_iteration_time;
+  out.iteration = trainOn(sys, gpus, dl::workload("BERT-L"), 8).mean_iteration_time;
+  return out;
 }
 
 // Advanced mode (paper §VI): two tenants share the Falcon, each behind its
 // own host port, so tenant A's bandwidth is isolated by construction.
 void extCotenancy(Runs, Gate& gate) {
   bench::banner("Ext: co-tenancy", "Advanced mode: two tenants sharing the Falcon 4016");
-  const double alone = tenantAIteration(false);
-  const double contended = tenantAIteration(true);
+  const double alone = tenantA(false).iteration;
+  const Tenancy storm = tenantA(true);
+  const double contended = storm.iteration;
   const double interference = 100.0 * (contended - alone) / alone;
   std::printf("Tenant A BERT-large iteration, drawer-1 tenant idle   : %s\n",
               formatTime(alone).c_str());
@@ -890,6 +926,9 @@ void extCotenancy(Runs, Gate& gate) {
   std::printf("bandwidth domains — performance isolation holds by construction\n");
   std::printf("(the enterprise-isolation claim of paper §II-D, measured).\n");
   gate.check("ext_cotenancy.interference", {interference});
+  // Interference reads 0 unless a shared link saturates; sharing itself
+  // is what isolation rules out.
+  gate.check("ext_cotenancy.shared_links", {static_cast<double>(storm.shared_links)});
 }
 
 // Data-parallel ResNet-50 over a heterogeneous composed pool (paper §VI:

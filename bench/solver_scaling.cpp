@@ -16,15 +16,19 @@
 //   - allocation count of one warmed Communicator::allReduce at 2, 4 and
 //     8 ranks, call through completion callback (bench::
 //     kAllReduceAllocBudget: none, so it cannot grow with rank or step
-//     count).
+//     count);
+//   - allocation count of warmed metrics scrapes (MetricsScraper::
+//     scrapeOnce) on a falconGPUs training run with every collector
+//     Experiment::run attaches, the BMC's included (bench::
+//     kScrapeAllocBudget: none).
 //
 // Results are appended as a "solver_scaling" section to an existing
 // BENCH_simcore.json (written by micro_simcore); bench_json_validate
 // checks the section's shape. The binary itself is the hard acceptance
 // gate: it exits 1 when batched bit-identity fails, when steady-state
-// routing allocates, when the warmed wave or a warmed all-reduce allocates
-// more than its budget, or when the batched setup speedup at the largest
-// (8-chassis, 64-flow) scenario is below 5x.
+// routing allocates, when the warmed wave, a warmed all-reduce or a warmed
+// scrape allocates more than its budget, or when the batched setup speedup
+// at the largest (8-chassis, 64-flow) scenario is below 5x.
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -38,9 +42,13 @@
 
 #include "bench/bench_util.hpp"
 #include "collectives/communicator.hpp"
+#include "core/composable_system.hpp"
+#include "dl/trainer.hpp"
+#include "dl/workload_registry.hpp"
 #include "fabric/flow_network.hpp"
 #include "falcon/json.hpp"
 #include "sim/units.hpp"
+#include "telemetry/collectors.hpp"
 
 using namespace composim;
 using composim::falcon::Json;
@@ -309,6 +317,63 @@ std::size_t warmAllReduceAllocs(fabric::Topology& topo,
   return g_alloc_count;
 }
 
+constexpr int kScrapes = 20;
+
+/// Allocations of kScrapes warmed scrapes of a ResNet-50 falconGPUs run's
+/// metrics pipeline, wired with the collectors Experiment::run attaches.
+/// The run scrapes on its own cadence for 2 s of simulated time; then the
+/// periodic ticks stop, every series gets room for the measured scrapes
+/// (capacity growth is not what this counts), and each counted scrapeOnce()
+/// follows one more scrape interval of training, so the iteration
+/// histogram always has fresh samples to merge.
+std::size_t warmScrapeAllocs() {
+  constexpr SimTime kInterval = 0.25;  // ExperimentOptions::sample_interval
+  core::ComposableSystem sys(core::SystemConfig::FalconGpus);
+  Simulator& sim = sys.sim();
+  const std::vector<devices::Gpu*> gpus = sys.trainingGpus();
+  const dl::ModelSpec model = dl::workload("ResNet-50");
+  dl::TrainerOptions opt;
+  opt.epochs = 1;
+  opt.max_iterations_per_epoch = 1000;
+  dl::Trainer trainer(sim, sys.network(), sys.topology(), gpus, sys.cpu(),
+                      sys.hostMemory(), sys.trainingStorage(), model,
+                      dl::datasetFor(model), opt);
+  telemetry::MetricsPipeline metrics(sim, kInterval);
+  telemetry::MetricsScraper& scraper = metrics.scraper();
+  telemetry::MetricsRegistry& registry = metrics.registry();
+  telemetry::collectGpus(scraper, registry, {gpus.begin(), gpus.end()});
+  telemetry::collectHostCpu(scraper, registry, sys.cpu());
+  telemetry::collectFalconPcie(scraper, registry, [&sys] {
+    return static_cast<double>(sys.falconGpuPortBytes());
+  });
+  telemetry::collectFabricLinks(scraper, registry, sys.topology(),
+                                telemetry::hostAdapterLinks(sys.topology()));
+  telemetry::collectBmc(scraper, registry, sys.bmc());
+  telemetry::observeTrainer(registry, trainer);
+
+  bool finished = false;
+  scraper.start();
+  trainer.start([&finished](const dl::TrainingResult&) { finished = true; });
+  sim.runUntil(2.0);
+  scraper.stopAndCancelTick();
+  scraper.reserveSeries(kScrapes);
+  g_alloc_count = 0;
+  for (int i = 0; i < kScrapes; ++i) {
+    sim.runUntil(sim.now() + kInterval);
+    g_count_allocs = true;
+    scraper.scrapeOnce();
+    g_count_allocs = false;
+  }
+  const std::size_t samples = registry.histogram("train_iteration_ms").count();
+  if (finished || samples == 0) {
+    std::fprintf(stderr,
+                 "solver_scaling: scrape gate's training run %s (%zu iterations)\n",
+                 finished ? "finished early" : "never iterated", samples);
+    std::exit(1);
+  }
+  return g_alloc_count;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -403,6 +468,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::size_t scrape_allocs = warmScrapeAllocs();
+  std::printf("warmed scrape allocations over %d scrapes: %zu\n", kScrapes,
+              scrape_allocs);
+  if (scrape_allocs > bench::kScrapeAllocBudget) {
+    std::fprintf(stderr,
+                 "solver_scaling: %d warmed scrapes allocated %zu times "
+                 "(budget %zu)\n",
+                 kScrapes, scrape_allocs, bench::kScrapeAllocBudget);
+    ok = false;
+  }
+
   std::printf("steady-state routeCached allocations: %zu\n", steady_allocs);
   if (steady_allocs != 0) {
     std::fprintf(stderr, "solver_scaling: warmed routeCached() allocated\n");
@@ -447,6 +523,8 @@ int main(int argc, char** argv) {
   section.set("wave_flows", static_cast<std::int64_t>(kWaveFlows));
   section.set("wave_allocs", static_cast<std::int64_t>(wave_allocs));
   section.set("allreduce_allocs", std::move(allreduce_allocs));
+  section.set("scrapes", static_cast<std::int64_t>(kScrapes));
+  section.set("scrape_allocs", static_cast<std::int64_t>(scrape_allocs));
   doc.set("solver_scaling", std::move(section));
   std::ofstream outf(argv[1]);
   outf << doc.dump(2) << "\n";

@@ -30,33 +30,24 @@ void Gpu::startNext() {
   busy_ = true;
   busy_since_ = sim_.now();
   current_mem_busy_ = std::min(t_memory, d);
-
-  std::uint32_t k;
-  if (free_running_.empty()) {
-    k = static_cast<std::uint32_t>(running_.size());
-    running_.emplace_back();
-  } else {
-    k = free_running_.back();
-    free_running_.pop_back();
-  }
-  running_[k].duration = d;
-  running_[k].done = std::move(p.done);
+  current_duration_ = d;
+  current_done_ = std::move(p.done);
   queue_.pop_front();
-  sim_.schedule(d, [this, k] { retire(k); });
+  sim_.schedule(d, [this] { retire(); });
 }
 
-void Gpu::retire(std::uint32_t k) {
+void Gpu::retire() {
   busy_ = false;
-  st_.busy_accum += running_[k].duration;
+  st_.busy_accum += current_duration_;
   st_.mem_busy_accum += current_mem_busy_;
   current_mem_busy_ = 0.0;
   ++st_.kernels_retired;
-  // Free the record first: the callback may launch a kernel that reuses it.
-  const std::function<void()> done = std::move(running_[k].done);
-  running_[k].done = nullptr;
-  free_running_.push_back(k);
+  // Take the callback first: it may launch a kernel, which starts at once
+  // when the queue was empty and then owns the current record.
+  const std::function<void()> done = std::move(current_done_);
+  current_done_ = nullptr;
   if (done) done();
-  startNext();
+  if (!busy_) startNext();
 }
 
 void Gpu::allocate(Bytes bytes) {

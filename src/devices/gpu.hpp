@@ -113,8 +113,8 @@ class Gpu {
   };
 
   void startNext();
-  /// Completion event of running kernel `k` (an index into running_).
-  void retire(std::uint32_t k);
+  /// Completion event of the running kernel.
+  void retire();
 
   Simulator& sim_;
   fabric::NodeId node_;
@@ -126,17 +126,10 @@ class Gpu {
   bool busy_ = false;
   SimTime busy_since_ = 0.0;
   SimTime current_mem_busy_ = 0.0;
-  // Running kernels' durations and callbacks, in a pool (vector plus free
-  // list) so each completion event captures only [this, index] and fits
-  // std::function's local buffer. Usually one kernel runs; a completion
-  // callback that launches onto this GPU while its queue is non-empty
-  // makes retire() start a second one beside it.
-  struct Running {
-    SimTime duration = 0.0;
-    std::function<void()> done;
-  };
-  std::vector<Running> running_;
-  std::vector<std::uint32_t> free_running_;
+  // The running kernel's duration and callback live here, so its
+  // completion event captures only `this`.
+  SimTime current_duration_ = 0.0;
+  std::function<void()> current_done_;
 };
 
 }  // namespace composim::devices

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "sim/indexed_heap.hpp"
+
 namespace composim::fabric {
 
 namespace {
@@ -446,78 +448,32 @@ void FlowNetwork::applyRate(std::uint32_t slot, Bandwidth rate) {
       active_.push_back(slot);
     }
     f.projected_finish = sim_.now() + f.remaining / rate;
-    heapUpsert(slot);
+    if (f.heap_pos == kNoPos) {
+      heap::push(completion_heap_, slot, FinishOrder{this}, FinishPlace{this});
+    } else {
+      heap::update(completion_heap_, f.heap_pos, FinishOrder{this}, FinishPlace{this});
+    }
   } else {
     if (f.active_pos != kNoPos) activeErase(slot);
     f.projected_finish = kInf;
-    heapErase(slot);
+    eraseFinish(slot);
   }
 }
 
-bool FlowNetwork::heapLess(std::uint32_t a, std::uint32_t b) const {
-  const ActiveFlow& fa = slots_[a];
-  const ActiveFlow& fb = slots_[b];
+bool FlowNetwork::FinishOrder::operator()(std::uint32_t a, std::uint32_t b) const {
+  const ActiveFlow& fa = net->slots_[a];
+  const ActiveFlow& fb = net->slots_[b];
   if (fa.projected_finish != fb.projected_finish) {
     return fa.projected_finish < fb.projected_finish;
   }
   return fa.id < fb.id;
 }
 
-void FlowNetwork::heapSiftUp(std::size_t i) {
-  const std::uint32_t slot = completion_heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!heapLess(slot, completion_heap_[parent])) break;
-    completion_heap_[i] = completion_heap_[parent];
-    slots_[completion_heap_[i]].heap_pos = static_cast<std::uint32_t>(i);
-    i = parent;
-  }
-  completion_heap_[i] = slot;
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(i);
-}
-
-void FlowNetwork::heapSiftDown(std::size_t i) {
-  const std::uint32_t slot = completion_heap_[i];
-  const std::size_t n = completion_heap_.size();
-  while (true) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heapLess(completion_heap_[child + 1], completion_heap_[child])) {
-      ++child;
-    }
-    if (!heapLess(completion_heap_[child], slot)) break;
-    completion_heap_[i] = completion_heap_[child];
-    slots_[completion_heap_[i]].heap_pos = static_cast<std::uint32_t>(i);
-    i = child;
-  }
-  completion_heap_[i] = slot;
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(i);
-}
-
-void FlowNetwork::heapUpsert(std::uint32_t slot) {
-  std::uint32_t pos = slots_[slot].heap_pos;
-  if (pos == kNoPos) {
-    pos = static_cast<std::uint32_t>(completion_heap_.size());
-    completion_heap_.push_back(slot);
-    slots_[slot].heap_pos = pos;
-    heapSiftUp(pos);
-  } else {
-    heapSiftUp(pos);
-    heapSiftDown(slots_[slot].heap_pos);
-  }
-}
-
-void FlowNetwork::heapErase(std::uint32_t slot) {
+void FlowNetwork::eraseFinish(std::uint32_t slot) {
   const std::uint32_t pos = slots_[slot].heap_pos;
   if (pos == kNoPos) return;
   slots_[slot].heap_pos = kNoPos;
-  const std::uint32_t last = completion_heap_.back();
-  completion_heap_.pop_back();
-  if (last == slot) return;
-  completion_heap_[pos] = last;
-  slots_[last].heap_pos = pos;
-  heapSiftUp(pos);
-  heapSiftDown(slots_[last].heap_pos);
+  heap::erase(completion_heap_, pos, FinishOrder{this}, FinishPlace{this});
 }
 
 void FlowNetwork::activeErase(std::uint32_t slot) {
@@ -559,7 +515,7 @@ void FlowNetwork::onCompletionEvent() {
   while (!completion_heap_.empty()) {
     const std::uint32_t top = completion_heap_.front();
     if (slots_[top].projected_finish > now) break;
-    heapErase(top);
+    eraseFinish(top);
     done_scratch_.push_back(top);
   }
   std::sort(done_scratch_.begin(), done_scratch_.end(),
@@ -618,7 +574,7 @@ void FlowNetwork::deliverBatch(std::uint32_t b) {
 
 void FlowNetwork::finishFlow(std::uint32_t slot, FlowStatus status) {
   ActiveFlow& f = slots_[slot];
-  heapErase(slot);
+  eraseFinish(slot);
   if (f.active_pos != kNoPos) activeErase(slot);
   for (LinkId l : f.links) {
     auto& v = link_flows_[static_cast<std::size_t>(l)];

@@ -12,9 +12,10 @@
 // re-solve only the connected component of flows that transitively share
 // a link with the change. Flows in untouched components keep their rates,
 // their accrued progress, and their projected completion times. Projected
-// completions live in an indexed min-heap that is updated only for flows
-// whose rate actually changed, so the next-completion lookup is O(1) and
-// progress advancement walks an active-set of flowing transfers only.
+// completions live in an indexed min-heap (sim/indexed_heap.hpp, the
+// event kernel's sift code) that is updated only for flows whose rate
+// actually changed, so the next-completion lookup is O(1) and progress
+// advancement walks an active-set of flowing transfers only.
 //
 // Deliveries are batched: every flow that completes in one completion
 // event and arrives at the same time reaches its callback through ONE
@@ -271,12 +272,20 @@ class FlowNetwork {
            free_batches_.size() != batches_.size();
   }
 
-  // Indexed min-heap over projected_finish (ties by FlowId).
-  bool heapLess(std::uint32_t a, std::uint32_t b) const;
-  void heapSiftUp(std::size_t i);
-  void heapSiftDown(std::size_t i);
-  void heapUpsert(std::uint32_t slot);
-  void heapErase(std::uint32_t slot);
+  // The completion heap's order, (projected_finish, FlowId), and position
+  // hook for sim/indexed_heap.hpp.
+  struct FinishOrder {
+    const FlowNetwork* net;
+    bool operator()(std::uint32_t a, std::uint32_t b) const;
+  };
+  struct FinishPlace {
+    FlowNetwork* net;
+    void operator()(std::uint32_t slot, std::size_t pos) const {
+      net->slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+    }
+  };
+  /// Take `slot` out of the completion heap if it is there.
+  void eraseFinish(std::uint32_t slot);
   void activeErase(std::uint32_t slot);
 
   Simulator& sim_;
@@ -305,7 +314,7 @@ class FlowNetwork {
   std::vector<std::uint32_t> comp_capped_;  // component flows with finite cap
 
   std::vector<std::uint32_t> active_;           // slots with rate > 0
-  std::vector<std::uint32_t> completion_heap_;  // slots by projected_finish
+  std::vector<std::uint32_t> completion_heap_;  // slots, by FinishOrder
   std::vector<std::uint32_t> done_scratch_;     // completion-event reuse
   std::vector<LinkId> seed_scratch_;
   std::vector<LinkId> arrival_seeds_;           // startFlow(s) batch seeds

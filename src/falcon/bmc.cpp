@@ -120,25 +120,28 @@ void Bmc::restoreState(const State& st) {
 
 std::vector<LinkHealthRow> Bmc::linkHealth() const {
   std::vector<LinkHealthRow> rows;
-  const auto& topo = const_cast<FalconChassis&>(chassis_).topology();
+  LinkHealthRow row;
   for (int d = 0; d < FalconChassis::kDrawers; ++d) {
     for (int i = 0; i < FalconChassis::kSlotsPerDrawer; ++i) {
-      const SlotId id{d, i};
-      const auto& info = chassis_.slot(id);
-      if (!info.occupied) continue;
-      LinkHealthRow row;
-      row.slot = id;
-      row.device_name = info.device_name;
-      const auto& up = topo.link(info.link_up);      // device -> switch
-      const auto& down = topo.link(info.link_down);  // switch -> device
-      row.up = up.up && down.up;
-      row.bytes_egress = up.counters.bytes;
-      row.bytes_ingress = down.counters.bytes;
-      row.accumulated_errors = up.counters.errors + down.counters.errors;
-      rows.push_back(std::move(row));
+      if (readSlot(SlotId{d, i}, row)) rows.push_back(row);
     }
   }
   return rows;
+}
+
+bool Bmc::readSlot(SlotId slot, LinkHealthRow& row) const {
+  const auto& info = chassis_.slot(slot);
+  if (!info.occupied) return false;
+  const auto& topo = const_cast<FalconChassis&>(chassis_).topology();
+  const auto& up = topo.link(info.link_up);      // device -> switch
+  const auto& down = topo.link(info.link_down);  // switch -> device
+  row.slot = slot;
+  row.device_name = info.device_name;
+  row.up = up.up && down.up;
+  row.bytes_egress = up.counters.bytes;
+  row.bytes_ingress = down.counters.bytes;
+  row.accumulated_errors = up.counters.errors + down.counters.errors;
+  return true;
 }
 
 Bytes Bmc::slotBytes(SlotId slot) const {

@@ -77,7 +77,12 @@ class Bmc {
   void stopAndCancelSampling();
 
   // --- health / throughput ---
+  /// One row per occupied slot, drawer-major.
   std::vector<LinkHealthRow> linkHealth() const;
+  /// Fill `row` for the device in `slot` and return true; false (row
+  /// untouched) for an empty slot. Reuses `row`'s string capacity, so a
+  /// poller that keeps its row does not allocate.
+  bool readSlot(SlotId slot, LinkHealthRow& row) const;
   /// Ingress + egress bytes of the device in `slot`, read from its two
   /// links; 0 for an empty slot.
   Bytes slotBytes(SlotId slot) const;

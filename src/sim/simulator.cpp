@@ -1,40 +1,11 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
+#include "sim/indexed_heap.hpp"
+
 namespace composim {
-
-namespace {
-// Compact once tombstones are both numerous and the majority of the heap;
-// the floor keeps small queues on the cheap pop-time-discard path.
-constexpr std::size_t kCompactFloor = 1024;
-}  // namespace
-
-std::uint32_t Simulator::allocSlot() {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.pending = true;
-  s.cancelled = false;
-  return slot;
-}
-
-void Simulator::releaseSlot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.pending = false;
-  s.cancelled = false;
-  ++s.generation;  // stale EventIds stop matching
-  if (s.generation == 0) ++s.generation;  // keep ids nonzero on wrap
-  free_slots_.push_back(slot);
-}
 
 EventId Simulator::schedule(SimTime delay, Action fn) {
   if (delay < 0.0) delay = 0.0;
@@ -44,68 +15,69 @@ EventId Simulator::schedule(SimTime delay, Action fn) {
 EventId Simulator::scheduleAt(SimTime when, Action fn) {
   if (!fn) throw std::invalid_argument("Simulator::schedule: empty action");
   if (when < now_) when = now_;
-  const std::uint32_t slot = allocSlot();
-  heap_.push_back(Entry{when, next_seq_++, slot, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  heap::push(heap_, Key{when, next_seq_++, slot}, earlier, Place{this});
   return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
+}
+
+Simulator::Action Simulator::take(std::size_t pos) {
+  const std::uint32_t slot = heap_[pos].slot;
+  heap::erase(heap_, pos, earlier, Place{this});
+  Slot& s = slots_[slot];
+  Action fn = std::move(s.fn);
+  s.heap_pos = kNoPos;
+  ++s.generation;                         // stale EventIds stop matching
+  if (s.generation == 0) ++s.generation;  // keep ids nonzero on wrap
+  free_slots_.push_back(slot);
+  return fn;
 }
 
 bool Simulator::cancel(EventId id) {
   const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (gen == 0 || slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.pending || s.generation != gen || s.cancelled) return false;
-  s.cancelled = true;
-  ++cancelled_;
-  if (cancelled_ > kCompactFloor && cancelled_ * 2 > heap_.size()) {
-    compactTombstones();
-  }
+  const Slot& s = slots_[slot];
+  if (s.heap_pos == kNoPos || s.generation != gen) return false;
+  // The closure is destroyed on return, once the queue is consistent.
+  const Action dropped = take(s.heap_pos);
   return true;
 }
 
-void Simulator::compactTombstones() {
-  auto live_end = std::remove_if(heap_.begin(), heap_.end(), [this](const Entry& e) {
-    if (!slots_[e.slot].cancelled) return false;
-    releaseSlot(e.slot);
-    return true;
-  });
-  heap_.erase(live_end, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  cancelled_ = 0;
-}
-
-void Simulator::purgeCancelledTop() {
-  while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    releaseSlot(heap_.back().slot);
-    heap_.pop_back();
-    --cancelled_;
-  }
-}
-
-bool Simulator::popNext(Entry& out) {
-  purgeCancelledTop();
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  out = std::move(heap_.back());
-  heap_.pop_back();
-  releaseSlot(out.slot);
-  return true;
+void Simulator::runNext() {
+  const SimTime time = heap_.front().time;
+  const Action fn = take(0);  // the slot is free before the action runs
+  now_ = time;
+  ++executed_;
+  fn();
 }
 
 bool Simulator::step() {
-  Entry e;
-  if (!popNext(e)) return false;
-  now_ = e.time;
-  ++executed_;
-  e.fn();
+  if (heap_.empty()) return false;
+  runNext();
   return true;
 }
 
 void Simulator::run(std::uint64_t maxEvents) {
   for (std::uint64_t i = 0; i < maxEvents; ++i) {
     if (!step()) return;
+  }
+}
+
+void Simulator::runUntil(SimTime until) {
+  while (!heap_.empty()) {
+    if (heap_.front().time > until) {
+      now_ = until;
+      return;
+    }
+    runNext();
   }
 }
 
@@ -133,28 +105,12 @@ void Simulator::setState(const State& st) {
   now_ = st.now;
   next_seq_ = st.next_seq;
   executed_ = st.executed;
-  slots_.assign(st.slot_generations.size(), Slot{});
+  slots_.clear();
+  slots_.resize(st.slot_generations.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     slots_[i].generation = st.slot_generations[i];
   }
   free_slots_ = st.free_slots;
-  cancelled_ = 0;
-}
-
-void Simulator::runUntil(SimTime until) {
-  Entry e;
-  while (true) {
-    purgeCancelledTop();
-    if (heap_.empty()) return;
-    if (heap_.front().time > until) {
-      now_ = until;
-      return;
-    }
-    if (!popNext(e)) return;
-    now_ = e.time;
-    ++executed_;
-    e.fn();
-  }
 }
 
 }  // namespace composim

@@ -1,13 +1,13 @@
 // composim: discrete-event simulation kernel.
 //
 // Single-threaded, deterministic. Events are (time, sequence) ordered so
-// ties resolve in scheduling order. Cancellation is O(1) via a
-// slot/generation scheme: an EventId encodes a slot index plus the slot's
-// generation, so cancel() and pop-time tombstone checks are plain array
-// accesses instead of hash lookups. Cancelled entries stay in the heap as
-// tombstones and are discarded at pop time; when tombstones dominate the
-// heap they are compacted in one pass so mass cancellation (e.g. a flow
-// network rescheduling its completion event) cannot bloat the queue.
+// ties resolve in scheduling order. Each event lives in a slot that owns
+// its action; the heap holds only 24-byte (time, sequence, slot) keys, so
+// a sift moves plain data and never a std::function. An EventId encodes
+// the slot index plus the slot's generation, and the heap is indexed
+// (sim/indexed_heap.hpp): each pending slot knows its key's position, so
+// cancel() erases the key in place in O(log n) and the heap holds live
+// events only.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,10 @@ class Simulator {
   /// Number of events executed so far.
   std::uint64_t eventsExecuted() const { return executed_; }
 
-  /// Number of events still pending, excluding cancelled tombstones.
-  std::size_t pendingEvents() const { return heap_.size() - cancelled_; }
+  /// Number of events still pending (cancelled events leave at once).
+  std::size_t pendingEvents() const { return heap_.size(); }
 
-  /// Raw heap occupancy including tombstones awaiting compaction
-  /// (diagnostic; pendingEvents() is the semantically meaningful count).
-  std::size_t queuedEvents() const { return heap_.size(); }
-
-  bool empty() const { return pendingEvents() == 0; }
+  bool empty() const { return heap_.empty(); }
 
   /// Optional profiling hook (see sim/profile.hpp). Not owned; nullptr
   /// means profiling is off and instrumented components skip all work.
@@ -92,39 +88,41 @@ class Simulator {
   void setState(const State& st);
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
+
+  struct Key {
     SimTime time;
     std::uint64_t seq;   // global scheduling order; breaks time ties
     std::uint32_t slot;  // index into slots_
-    Action fn;
   };
   struct Slot {
+    Action fn;
     std::uint32_t generation = 1;
-    bool pending = false;
-    bool cancelled = false;
+    std::uint32_t heap_pos = kNoPos;  // key's index in heap_; kNoPos = free
   };
-  // Min-heap ordering for std::*_heap (which build max-heaps).
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+  static bool earlier(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
   }
-
-  std::uint32_t allocSlot();
-  void releaseSlot(std::uint32_t slot);
-  /// Pop cancelled entries off the heap top so front() is a live event.
-  void purgeCancelledTop();
-  /// Drop all tombstones and rebuild the heap in O(n).
-  void compactTombstones();
-  bool popNext(Entry& out);
+  /// Position hook for sim/indexed_heap.hpp.
+  struct Place {
+    Simulator* sim;
+    void operator()(const Key& k, std::size_t i) const {
+      sim->slots_[k.slot].heap_pos = static_cast<std::uint32_t>(i);
+    }
+  };
+  /// Erase heap_[pos] and release its slot; returns the slot's action.
+  Action take(std::size_t pos);
+  /// Pop the earliest event and run it.
+  void runNext();
 
   ProfileSink* profiler_ = nullptr;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;  // binary heap via std::push_heap/pop_heap
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t cancelled_ = 0;  // tombstones currently in heap_
 };
 
 }  // namespace composim

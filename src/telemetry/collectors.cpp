@@ -1,7 +1,6 @@
 #include "telemetry/collectors.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <utility>
 
@@ -140,49 +139,61 @@ std::vector<LinkProbe> hostAdapterLinks(const fabric::Topology& topo) {
 
 void collectBmc(MetricsScraper& scraper, MetricsRegistry& registry,
                 const falcon::Bmc& bmc) {
-  // Per-slot byte rate needs a probe per row; the slot population is fixed
-  // after composition, so snapshot the rows once to build the probes. Each
-  // slot's state sits at its drawer-major index; a slot that was empty at
-  // composition keeps a null probe.
+  // One record per slot, drawer-major like linkHealth(). A slot occupied
+  // at composition gets a rate probe and an error baseline; a slot that
+  // was empty keeps null ones and publishes only its link state. Handles
+  // are resolved for the device name they are labeled with and again only
+  // when the slot's device changes (a spare reattached), and each record
+  // keeps its row, so a warmed scrape neither looks up nor allocates.
   struct SlotState {
-    RateProbe* gbs = nullptr;
+    RateProbe* gbs_rate = nullptr;
     double* last_errors = nullptr;
+    falcon::LinkHealthRow row;
+    std::string device;  // the device name the handles below belong to
+    Gauge* up = nullptr;
+    Counter* errors = nullptr;
+    Gauge* gbs = nullptr;
   };
   using falcon::FalconChassis;
-  std::array<SlotState, FalconChassis::kDrawers * FalconChassis::kSlotsPerDrawer> states{};
-  const auto index = [](const falcon::SlotId& slot) {
-    return static_cast<std::size_t>(slot.drawer * FalconChassis::kSlotsPerDrawer + slot.index);
+  const auto slotAt = [](std::size_t i) {
+    const int n = static_cast<int>(i);
+    return falcon::SlotId{n / FalconChassis::kSlotsPerDrawer, n % FalconChassis::kSlotsPerDrawer};
   };
-  for (const falcon::LinkHealthRow& row : bmc.linkHealth()) {
-    const falcon::SlotId slot = row.slot;
-    states[index(slot)] = {
-        &scraper.rateProbe([&bmc, slot] { return static_cast<double>(bmc.slotBytes(slot)); },
-                           1e-9),
-        &scraper.counterBaseline()};
+  std::vector<SlotState> states(FalconChassis::kDrawers * FalconChassis::kSlotsPerDrawer);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const falcon::SlotId slot = slotAt(i);
+    if (!bmc.readSlot(slot, states[i].row)) continue;
+    states[i].gbs_rate = &scraper.rateProbe(
+        [&bmc, slot] { return static_cast<double>(bmc.slotBytes(slot)); }, 1e-9);
+    states[i].last_errors = &scraper.counterBaseline();
   }
-  scraper.addCollector([&bmc, &registry, states, index] {
-    for (const falcon::LinkHealthRow& row : bmc.linkHealth()) {
-      const Labels labels{{"device", row.device_name}, {"slot", slotLabel(row.slot)}};
-      registry
-          .gauge("falcon_link_up", labels,
-                 "Falcon slot link state: 1 up, 0 down")
-          .set(row.up ? 1.0 : 0.0);
-      Counter& errors =
-          registry.counter("ecc_errors_total", labels,
-                           "Accumulated link/ECC errors from the BMC "
-                           "link-health table");
-      const SlotState& st = states[index(row.slot)];
-      if (st.gbs == nullptr) continue;
+  scraper.addCollector([&bmc, &registry, states = std::move(states), slotAt]() mutable {
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      SlotState& st = states[i];
+      if (!bmc.readSlot(slotAt(i), st.row)) continue;
+      const falcon::LinkHealthRow& row = st.row;
+      if (st.up == nullptr || st.device != row.device_name) {
+        const Labels labels{{"device", row.device_name}, {"slot", slotLabel(row.slot)}};
+        st.up = &registry.gauge("falcon_link_up", labels,
+                                "Falcon slot link state: 1 up, 0 down");
+        st.errors = &registry.counter("ecc_errors_total", labels,
+                                      "Accumulated link/ECC errors from the BMC "
+                                      "link-health table");
+        if (st.gbs_rate != nullptr) {
+          st.gbs = &registry.gauge("falcon_slot_gbs", labels,
+                                   "Falcon slot ingress+egress traffic, gigabytes per "
+                                   "second");
+        }
+        st.device = row.device_name;
+      }
+      st.up->set(row.up ? 1.0 : 0.0);
+      if (st.gbs_rate == nullptr) continue;
       const auto observed = static_cast<double>(row.accumulated_errors);
       // Counter-reset handling (device replaced): re-accumulate from 0.
       double& last = *st.last_errors;
-      errors.add(observed >= last ? observed - last : observed);
+      st.errors->add(observed >= last ? observed - last : observed);
       last = observed;
-      registry
-          .gauge("falcon_slot_gbs", labels,
-                 "Falcon slot ingress+egress traffic, gigabytes per "
-                 "second")
-          .set((*st.gbs)());
+      st.gbs->set((*st.gbs_rate)());
     }
   });
 }

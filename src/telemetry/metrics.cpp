@@ -121,7 +121,19 @@ std::uint64_t Histogram::cumulativeCount(std::size_t i) const {
 double Histogram::percentile(double p) const {
   if (samples_.empty()) return 0.0;
   if (sorted_prefix_ != samples_.size()) {
-    std::sort(samples_.begin(), samples_.end());
+    // Sort the new tail, then merge it into the sorted prefix from the
+    // back: the same vector a full sort gives, in linear time.
+    const auto tail = samples_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+    std::sort(tail, samples_.end());
+    if (sorted_prefix_ > 0) {
+      merge_scratch_.assign(tail, samples_.end());
+      std::size_t i = sorted_prefix_, j = merge_scratch_.size(), out = samples_.size();
+      while (j > 0) {
+        samples_[--out] = (i > 0 && samples_[i - 1] > merge_scratch_[j - 1])
+                              ? samples_[--i]
+                              : merge_scratch_[--j];
+      }
+    }
     sorted_prefix_ = samples_.size();
   }
   return telemetry::percentile(samples_, p);
@@ -158,6 +170,7 @@ Counter& MetricsRegistry::counter(const std::string& name, Labels labels,
   const std::string key = labelsToString(canon);
   auto it = f.counters.find(key);
   if (it == f.counters.end()) {
+    ++instrument_count_;
     it = f.counters
              .emplace(key, std::make_pair(std::move(canon),
                                           std::make_unique<Counter>()))
@@ -173,6 +186,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name, Labels labels,
   const std::string key = labelsToString(canon);
   auto it = f.gauges.find(key);
   if (it == f.gauges.end()) {
+    ++instrument_count_;
     it = f.gauges
              .emplace(key,
                       std::make_pair(std::move(canon), std::make_unique<Gauge>()))
@@ -189,6 +203,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name, Labels labels,
   const std::string key = labelsToString(canon);
   auto it = f.histograms.find(key);
   if (it == f.histograms.end()) {
+    ++instrument_count_;
     it = f.histograms
              .emplace(key, std::make_pair(std::move(canon),
                                           std::make_unique<Histogram>(

@@ -98,8 +98,12 @@ class Histogram {
   std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1 (+Inf)
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
-  mutable std::vector<double> samples_;  // sorted lazily on percentile()
+  // Sorted lazily on percentile(): samples_[0, sorted_prefix_) is sorted,
+  // and the samples observed since are sorted on their own and merged in
+  // through merge_scratch_, which keeps its capacity between merges.
+  mutable std::vector<double> samples_;
   mutable std::size_t sorted_prefix_ = 0;
+  mutable std::vector<double> merge_scratch_;
 };
 
 /// The standard serving-latency bucket ladder in milliseconds
@@ -125,6 +129,10 @@ class MetricsRegistry {
                        const std::string& help = "");
 
   bool has(const std::string& name) const { return families_.count(name) > 0; }
+  /// Instruments created so far, over all families. It only grows (no
+  /// instrument is ever removed), so a reader bound to every instrument
+  /// rebinds exactly when it changes.
+  std::size_t instrumentCount() const { return instrument_count_; }
   /// Type of a family; throws std::out_of_range for unknown names.
   MetricType type(const std::string& name) const;
 
@@ -198,6 +206,7 @@ class MetricsRegistry {
                  const std::string& help);
 
   std::map<std::string, Family> families_;
+  std::size_t instrument_count_ = 0;
 };
 
 }  // namespace composim::telemetry

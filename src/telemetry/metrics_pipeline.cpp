@@ -68,6 +68,7 @@ void MetricsScraper::setState(const State& st) {
         "MetricsScraper::setState: probe or baseline count mismatch");
   }
   series_ = st.series;
+  bound_instruments_ = kUnbound;  // bindings point into the old series
   scrapes_ = st.scrapes;
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     probes_[i].setState(st.probes[i]);
@@ -103,22 +104,19 @@ void MetricsScraper::scrapeOnce() {
   if (sim_ == nullptr) return;
   const SimTime now = sim_->now();
   for (const auto& update : collectors_) update();
-  for (const std::string& name : registry_.familyNames()) {
-    const bool histo = registry_.type(name) == MetricType::Histogram;
-    for (const auto& inst : registry_.instruments(name)) {
-      const std::string key = labelsToString(inst.labels);
-      if (!histo) {
-        seriesFor(name + key).push(now, inst.value());
-        continue;
-      }
-      const Histogram& h = *inst.histogram;
-      seriesFor(name + "_count" + key)
-          .push(now, static_cast<double>(h.count()));
-      seriesFor(name + "_sum" + key).push(now, h.sum());
-      seriesFor(name + "_p50" + key).push(now, h.percentile(50.0));
-      seriesFor(name + "_p95" + key).push(now, h.percentile(95.0));
-      seriesFor(name + "_p99" + key).push(now, h.percentile(99.0));
+  if (bound_instruments_ != registry_.instrumentCount()) bind();
+  for (const Binding& b : bindings_) {
+    if (b.histogram == nullptr) {
+      b.series[0]->push(now, b.counter != nullptr ? b.counter->value()
+                                                  : b.gauge->value());
+      continue;
     }
+    const Histogram& h = *b.histogram;
+    b.series[0]->push(now, static_cast<double>(h.count()));
+    b.series[1]->push(now, h.sum());
+    b.series[2]->push(now, h.percentile(50.0));
+    b.series[3]->push(now, h.percentile(95.0));
+    b.series[4]->push(now, h.percentile(99.0));
   }
   ++scrapes_;
   if (alerts_ != nullptr) alerts_->evaluate(now);
@@ -137,6 +135,30 @@ std::vector<std::string> MetricsScraper::seriesNames() const {
   names.reserve(series_.size());
   for (const auto& [name, s] : series_) names.push_back(name);
   return names;
+}
+
+void MetricsScraper::bind() {
+  bindings_.clear();
+  for (const std::string& name : registry_.familyNames()) {
+    for (const auto& inst : registry_.instruments(name)) {
+      const std::string key = labelsToString(inst.labels);
+      Binding b{inst.counter, inst.gauge, inst.histogram, {}};
+      if (inst.histogram == nullptr) {
+        b.series[0] = &seriesFor(name + key);
+      } else {
+        std::size_t i = 0;
+        for (const char* sub : {"_count", "_sum", "_p50", "_p95", "_p99"}) {
+          b.series[i++] = &seriesFor(name + sub + key);
+        }
+      }
+      bindings_.push_back(b);
+    }
+  }
+  bound_instruments_ = registry_.instrumentCount();
+}
+
+void MetricsScraper::reserveSeries(std::size_t samples) {
+  for (auto& [name, s] : series_) s.reserve(s.size() + samples);
 }
 
 TimeSeries& MetricsScraper::seriesFor(const std::string& name) {
@@ -180,6 +202,8 @@ void MetricsScraper::finalize() {
   // Collectors and probes capture subsystem refs; drop them too.
   collectors_.clear();
   probes_.clear();
+  bindings_ = {};
+  bound_instruments_ = kUnbound;
 }
 
 Status MetricsPipeline::writePrometheus(const std::string& path) const {

@@ -13,12 +13,19 @@
 // `_count`, `_sum`, `_p50`, `_p95` and `_p99` sub-series so latency
 // percentiles are plottable over time.
 //
+// A scrape writes through bound handles: the scraper keeps a flat list of
+// (instrument, series) bindings in family-name, then label order, and
+// rebuilds it only when the registry gains an instrument or setState()
+// replaces the series. Names and label strings are built at binding time
+// only, so a warmed scrape allocates nothing once the series have room.
+//
 // MetricsPipeline bundles registry + scraper + alert engine into the one
 // shared object an ExperimentResult hands back; finalize() detaches it
 // from the Simulator (like Profiler::finalize) so it may outlive the run
 // that produced it.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -109,6 +116,9 @@ class MetricsScraper {
   bool hasSeries(const std::string& name) const { return series_.count(name) > 0; }
   std::vector<std::string> seriesNames() const;
   std::size_t scrapeCount() const { return scrapes_; }
+  /// Give every series room for `samples` more points, so scrapes until
+  /// then do not grow them (the allocation gate measures a scrape alone).
+  void reserveSeries(std::size_t samples);
 
   /// JSONL time-series dump: one compact JSON object per sample,
   /// `{"metric": <series name>, "t": <sim seconds>, "value": <v>}`,
@@ -140,6 +150,17 @@ class MetricsScraper {
  private:
   void tick();
   TimeSeries& seriesFor(const std::string& name);
+  /// Rebuild bindings_ over every registry instrument.
+  void bind();
+
+  /// One instrument and the series it feeds: series[0] for a counter or
+  /// gauge; _count, _sum, _p50, _p95 and _p99 for a histogram.
+  struct Binding {
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+    const Histogram* histogram = nullptr;
+    std::array<TimeSeries*, 5> series{};
+  };
 
   Simulator* sim_;  // null after finalize()
   MetricsRegistry& registry_;
@@ -153,6 +174,11 @@ class MetricsScraper {
   std::deque<double> baselines_;
   AlertEngine* alerts_ = nullptr;
   std::map<std::string, TimeSeries> series_;
+  std::vector<Binding> bindings_;
+  // registry_.instrumentCount() when bindings_ was built; kUnbound forces
+  // a rebuild (after setState()).
+  static constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
+  std::size_t bound_instruments_ = kUnbound;
 };
 
 /// Registry + scraper + alert engine, constructed together per experiment.

@@ -27,6 +27,11 @@ class TimeSeries {
   const std::string& name() const { return name_; }
 
   void push(SimTime t, double value);
+  /// Room for `n` samples in all, so pushes up to then do not allocate.
+  void reserve(std::size_t n) {
+    times_.reserve(n);
+    values_.reserve(n);
+  }
 
   std::size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }

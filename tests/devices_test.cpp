@@ -1,6 +1,9 @@
 // Tests for the GPU, host CPU and storage device models.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "devices/gpu.hpp"
 #include "devices/host_cpu.hpp"
 #include "devices/storage.hpp"
@@ -67,6 +70,38 @@ TEST_F(GpuFixture, BusyTimeAccumulatesKernelDurations) {
   gpu.launchKernel(k, nullptr);
   sim.run();
   EXPECT_NEAR(gpu.busyTime(), 2 * (0.02 + 6e-6), 1e-6);
+  EXPECT_FALSE(gpu.busy());
+}
+
+// A completion callback that launches onto a GPU whose queue still holds a
+// kernel queues behind it: one compute stream, so the three kernels retire
+// back to back and the GPU is busy exactly their serial sum.
+TEST_F(GpuFixture, CallbackLaunchQueuesBehindWaitingKernel) {
+  KernelDesc k1, k2, k3;
+  k1.flops = units::TFLOP(1);
+  k2.flops = units::TFLOP(2);
+  k3.flops = units::TFLOP(3);
+  for (KernelDesc* k : {&k1, &k2, &k3}) k->efficiency = 0.4;
+  const SimTime d1 = gpu.kernelDuration(k1);
+  const SimTime d2 = gpu.kernelDuration(k2);
+  const SimTime d3 = gpu.kernelDuration(k3);
+  std::vector<std::pair<int, SimTime>> retired;
+  gpu.launchKernel(k1, [&] {
+    retired.emplace_back(1, sim.now());
+    gpu.launchKernel(k3, [&] { retired.emplace_back(3, sim.now()); });
+  });
+  gpu.launchKernel(k2, [&] { retired.emplace_back(2, sim.now()); });
+  sim.run();
+  ASSERT_EQ(retired.size(), 3u);
+  EXPECT_EQ(retired[0].first, 1);
+  EXPECT_EQ(retired[1].first, 2);
+  EXPECT_EQ(retired[2].first, 3);
+  EXPECT_DOUBLE_EQ(retired[0].second, d1);
+  EXPECT_DOUBLE_EQ(retired[1].second, d1 + d2);
+  EXPECT_DOUBLE_EQ(retired[2].second, d1 + d2 + d3);
+  EXPECT_DOUBLE_EQ(gpu.busyTime(), d1 + d2 + d3);
+  EXPECT_DOUBLE_EQ(gpu.busyTime(), sim.now());
+  EXPECT_EQ(gpu.kernelsRetired(), 3u);
   EXPECT_FALSE(gpu.busy());
 }
 

@@ -1,7 +1,13 @@
 // Unit tests for the discrete-event kernel, RNG streams and units.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -95,13 +101,10 @@ TEST(Simulator, PendingEventsExcludesCancelled) {
   sim.schedule(2.0, [] {});
   EXPECT_EQ(sim.pendingEvents(), 2u);
   EXPECT_TRUE(sim.cancel(a));
-  // The tombstone still occupies the heap but no longer counts as pending.
   EXPECT_EQ(sim.pendingEvents(), 1u);
-  EXPECT_EQ(sim.queuedEvents(), 2u);
   EXPECT_FALSE(sim.empty());
   sim.run();
   EXPECT_EQ(sim.pendingEvents(), 0u);
-  EXPECT_EQ(sim.queuedEvents(), 0u);
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.eventsExecuted(), 1u);
 }
@@ -117,18 +120,19 @@ TEST(Simulator, EmptyWhenEveryPendingEventIsCancelled) {
   EXPECT_EQ(sim.eventsExecuted(), 0u);
 }
 
-TEST(Simulator, MassCancellationCompactsTombstones) {
+TEST(Simulator, MassCancellationLeavesEmptyHeap) {
   Simulator sim;
   std::vector<EventId> ids;
   for (int i = 0; i < 10000; ++i) {
     ids.push_back(sim.schedule(static_cast<double>(i), [] {}));
   }
+  // Every cancel erases its key in place, so nothing is left behind.
   for (EventId id : ids) EXPECT_TRUE(sim.cancel(id));
   EXPECT_EQ(sim.pendingEvents(), 0u);
-  // Compaction keeps the heap from holding ~10k dead entries.
-  EXPECT_LT(sim.queuedEvents(), 5000u);
-  sim.run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.step());
   EXPECT_EQ(sim.eventsExecuted(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
 TEST(Simulator, SlotReuseDoesNotResurrectOldIds) {
@@ -285,6 +289,99 @@ TEST_P(SimulatorOrderProperty, MonotonicExecution) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Equivalence sweep: a seeded mix of schedule, cancel, step and runUntil
+// against a std::set of (time, scheduling order) keys. Delays sit on a
+// coarse grid so equal-time events are common; cancels hit pending,
+// executed and already-cancelled events and the current top; actions
+// schedule and cancel from inside the run. Execution order, every cancel
+// result and pendingEvents() must match the reference.
+class SimulatorQueueEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimulatorQueueEquivalence, MatchesOrderedSetReference) {
+  using Key = std::pair<SimTime, std::uint64_t>;
+  Simulator sim;
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  std::set<Key> pending;
+  std::map<Key, EventId> id_of;
+  std::vector<std::pair<EventId, Key>> issued;
+  std::vector<std::uint64_t> ran, expected;
+  std::uint64_t next_seq = 0;
+
+  const auto delay = [&] { return 0.25 * static_cast<double>(rng.uniformInt(0, 8)); };
+  const auto cancelBoth = [&](EventId id, const Key& key) {
+    const bool live = pending.erase(key) > 0;
+    EXPECT_EQ(sim.cancel(id), live);
+  };
+  const auto cancelTop = [&] {
+    if (!pending.empty()) cancelBoth(id_of.at(*pending.begin()), *pending.begin());
+  };
+  std::function<void(SimTime)> scheduleBoth = [&](SimTime d) {
+    const Key key{sim.now() + d, next_seq++};
+    const EventId id = sim.schedule(d, [&, key] {
+      ran.push_back(key.second);
+      ASSERT_FALSE(pending.empty());
+      expected.push_back(pending.begin()->second);
+      EXPECT_EQ(sim.now(), pending.begin()->first);
+      pending.erase(pending.begin());
+      if (key.second % 5 == 0) scheduleBoth(delay());
+      if (key.second % 7 == 0) cancelTop();
+    });
+    pending.insert(key);
+    id_of[key] = id;
+    issued.emplace_back(id, key);
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    switch (rng.uniformInt(0, 9)) {
+      case 0: case 1: case 2: case 3:
+        scheduleBoth(delay());
+        break;
+      case 4:
+        if (!issued.empty()) {
+          const auto& [id, key] = issued[static_cast<std::size_t>(
+              rng.uniformInt(0, static_cast<std::int64_t>(issued.size()) - 1))];
+          cancelBoth(id, key);
+        }
+        break;
+      case 5:
+        cancelTop();
+        break;
+      case 6: case 7: {
+        const bool had = !pending.empty();
+        EXPECT_EQ(sim.step(), had);
+        break;
+      }
+      case 8: {
+        const SimTime until = sim.now() + delay();
+        sim.runUntil(until);
+        if (!pending.empty()) {
+          EXPECT_GT(pending.begin()->first, until);
+          EXPECT_EQ(sim.now(), until);
+        }
+        break;
+      }
+      default:
+        if (!pending.empty()) {
+          auto it = pending.begin();
+          std::advance(it, rng.uniformInt(0, static_cast<std::int64_t>(pending.size()) - 1));
+          const Key key = *it;
+          cancelBoth(id_of.at(key), key);
+        }
+        break;
+    }
+    ASSERT_EQ(sim.pendingEvents(), pending.size());
+    ASSERT_EQ(sim.empty(), pending.empty());
+  }
+  sim.run();
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(sim.eventsExecuted(), ran.size());
+  EXPECT_GT(ran.size(), 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorQueueEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
